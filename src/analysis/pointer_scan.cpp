@@ -55,13 +55,11 @@ std::set<std::uint64_t> collect_pointer_candidates(
   std::set<std::uint64_t> out = scan_data_pointers(elf, disasm, aligned_only);
 
   // Constants observed in code (immediates and RIP-relative targets).
-  for (const auto& [target, refs] : disasm.xrefs.all()) {
-    for (const disasm::Ref& ref : refs) {
-      if ((ref.kind == disasm::RefKind::kImmediate ||
-           ref.kind == disasm::RefKind::kMemory) &&
-          elf.is_code_address(target)) {
-        out.insert(target);
-      }
+  for (const disasm::Ref& ref : disasm.xrefs.all()) {
+    if ((ref.kind == disasm::RefKind::kImmediate ||
+         ref.kind == disasm::RefKind::kMemory) &&
+        elf.is_code_address(ref.target)) {
+      out.insert(ref.target);
     }
   }
   return out;

@@ -57,7 +57,7 @@ HeightMap analyze_stack_heights(
   work.push_back(fn.entry);
 
   auto propagate = [&](std::uint64_t to, const AbsState& state) {
-    if (fn.insn_addrs.count(to) == 0) {
+    if (!fn.contains(to)) {
       return;  // edge leaves the function (tail call) — not our concern
     }
     const auto it = in_state.find(to);

@@ -94,8 +94,7 @@ std::set<std::uint64_t> control_flow_repair(const disasm::CodeView& code,
     if (s == entry_point) {
       continue;
     }
-    const auto* refs = result.xrefs.at(s);
-    if (refs != nullptr && !refs->empty()) {
+    if (!result.xrefs.at(s).empty()) {
       continue;  // independently referenced: kept
     }
     // Look backwards across padding for the preceding instruction; if it
@@ -169,12 +168,12 @@ std::set<std::uint64_t> function_merging(const disasm::CodeView& code,
       continue;
     }
     // The jump must be the only reference to g.
-    const auto* refs = result.xrefs.at(g);
-    if (refs == nullptr) {
+    const auto refs = result.xrefs.at(g);
+    if (refs.empty()) {
       continue;
     }
     const bool only_this = std::all_of(
-        refs->begin(), refs->end(), [&fn](const disasm::Ref& r) {
+        refs.begin(), refs.end(), [&fn](const disasm::Ref& r) {
           return r.kind == disasm::RefKind::kJump && fn.contains(r.site);
         });
     if (only_this) {

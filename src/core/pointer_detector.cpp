@@ -1,5 +1,6 @@
 #include "core/pointer_detector.hpp"
 
+#include <algorithm>
 #include <deque>
 
 #include "analysis/callconv.hpp"
@@ -15,44 +16,64 @@ using x86::Kind;
 /// Outcome of probing one candidate.
 struct Probe {
   bool legitimate = false;
-  std::set<std::uint64_t> insns;                 // probed instruction starts
   std::vector<std::pair<std::uint64_t, std::uint64_t>> lengths;  // addr,len
-  std::set<std::uint64_t> constants;             // new pointer material
+  std::set<std::uint64_t> constants;  // new pointer material
+};
+
+/// Dense probe-local state, shared by every probe of a run and cleared
+/// through the probe's own instruction list afterwards.
+struct ProbeScratch {
+  explicit ProbeScratch(const disasm::CodeView& code)
+      : starts(code), interior(code), queued(code) {}
+  disasm::AddrSet starts;    // probed instruction starts
+  disasm::AddrSet interior;  // bytes strictly inside a probed instruction
+  disasm::AddrSet queued;
+  std::vector<std::uint64_t> queued_list;
+
+  void clear(const Probe& probe) {
+    for (const auto& [addr, len] : probe.lengths) {
+      starts.erase(addr);
+      for (std::uint64_t b = addr + 1; b < addr + len; ++b) {
+        interior.erase(b);
+      }
+    }
+    for (const std::uint64_t a : queued_list) {
+      queued.erase(a);
+    }
+    queued_list.clear();
+  }
 };
 
 /// Conservative recursive disassembly from \p start with the §IV-E error
 /// checks. Stops at known function starts; does not follow calls.
 Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
-                    std::uint64_t start) {
+                    std::uint64_t start, ProbeScratch& s) {
   Probe probe;
   constexpr std::size_t kMaxProbeInsns = 1u << 14;
 
   // A transfer target is erroneous when it lands strictly inside a
-  // previously decoded instruction (checks ii and iii).
+  // previously decoded instruction (checks ii and iii): O(1) against the
+  // probe's own dense state, O(log n) against the coverage intervals.
   auto into_middle = [&](std::uint64_t addr) {
     return (state.covered.contains(addr) &&
             state.insn_starts.count(addr) == 0) ||
-           (probe.insns.count(addr) == 0 &&
-            std::any_of(probe.lengths.begin(), probe.lengths.end(),
-                        [addr](const auto& p) {
-                          return addr > p.first && addr < p.first + p.second;
-                        }));
+           (s.starts.count(addr) == 0 && s.interior.count(addr) != 0);
   };
 
   std::deque<std::uint64_t> work;
   work.push_back(start);
-  std::set<std::uint64_t> queued{start};
+  s.queued.insert(start);
+  s.queued_list.push_back(start);
 
   while (!work.empty()) {
     std::uint64_t addr = work.front();
     work.pop_front();
 
     while (true) {
-      if (probe.insns.count(addr) != 0 ||
-          state.insn_starts.count(addr) != 0) {
+      if (s.starts.count(addr) != 0 || state.insn_starts.count(addr) != 0) {
         break;  // rejoined known-good code
       }
-      if (probe.insns.size() >= kMaxProbeInsns) {
+      if (probe.lengths.size() >= kMaxProbeInsns) {
         return probe;  // runaway: reject
       }
       const auto insn = code.insn_at(addr);
@@ -62,7 +83,10 @@ Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
       if (into_middle(addr)) {
         return probe;  // error (ii): middle of an existing instruction
       }
-      probe.insns.insert(addr);
+      s.starts.insert(addr);
+      for (std::uint64_t b = addr + 1; b < addr + insn->length; ++b) {
+        s.interior.insert(b);
+      }
       probe.lengths.emplace_back(addr, insn->length);
       if (insn->mem_target &&
           code.elf().is_code_address(*insn->mem_target)) {
@@ -101,8 +125,9 @@ Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
             return probe;
           }
           // Follow intra-probe flow, but stop at detected functions.
-          if (state.starts.count(t) == 0 && probe.insns.count(t) == 0 &&
-              state.insn_starts.count(t) == 0 && queued.insert(t).second) {
+          if (state.starts.count(t) == 0 && s.starts.count(t) == 0 &&
+              state.insn_starts.count(t) == 0 && s.queued.insert(t)) {
+            s.queued_list.push_back(t);
             work.push_back(t);
           }
           fallthrough = insn->kind == Kind::kCondJmp;
@@ -142,6 +167,7 @@ PointerDetectionResult detect_pointer_functions(
     const disasm::Options& options,
     const PointerDetectionOptions& scan_options) {
   PointerDetectionResult result;
+  ProbeScratch scratch(code);
 
   std::set<std::uint64_t> seen;
   std::deque<std::uint64_t> queue;
@@ -159,22 +185,25 @@ PointerDetectionResult detect_pointer_functions(
       continue;  // already known code: not a new start
     }
     ++result.probed;
-    Probe probe = probe_pointer(code, state, p);
+    Probe probe = probe_pointer(code, state, p, scratch);
+    scratch.clear(probe);
     if (!probe.legitimate) {
       continue;
     }
     result.accepted.insert(p);
     state.starts.insert(p);
-    std::uint64_t max_end = 0;
+    // Provisional structure; the detector rebuilds full per-function
+    // structure (jumps, tables) after the pointer loop finishes.
+    disasm::Function fn;
+    fn.entry = p;
     for (const auto& [addr, len] : probe.lengths) {
       state.covered.add(addr, addr + len);
       state.insn_starts.insert(addr);
-      max_end = std::max(max_end, addr + len);
+      fn.insn_addrs.push_back(addr);
+      fn.max_end = std::max(fn.max_end, addr + len);
     }
-    // Provisional structure; the detector rebuilds full per-function
-    // structure (jumps, tables) after the pointer loop finishes.
-    state.functions.emplace(
-        p, disasm::Function{p, std::move(probe.insns), max_end, {}, {}, false});
+    std::sort(fn.insn_addrs.begin(), fn.insn_addrs.end());
+    state.functions.emplace(p, std::move(fn));
     // New constants from the accepted code join the queue (§IV-E: "we will
     // update the pointer collection based on the results of recursive
     // disassembly from that pointer").

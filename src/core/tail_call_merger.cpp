@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 
 #include "analysis/callconv.hpp"
 #include "analysis/stack_height.hpp"
@@ -24,11 +25,7 @@ class RefOracle {
     if (data_.count(target) != 0) {
       return true;
     }
-    const auto* refs = xrefs_.at(target);
-    if (refs == nullptr) {
-      return false;
-    }
-    for (const disasm::Ref& r : *refs) {
+    for (const disasm::Ref& r : xrefs_.at(target)) {
       const bool is_jump_kind = r.kind == disasm::RefKind::kJump ||
                                 r.kind == disasm::RefKind::kJumpTable;
       if (!is_jump_kind || !f.contains(r.site)) {
@@ -180,7 +177,12 @@ MergeOutcome merge_noncontiguous_functions(
         state.functions.erase(part_it);
         state.starts.erase(t);
         outcome.merged[t] = entry;
-        fn.insn_addrs.insert(part.insn_addrs.begin(), part.insn_addrs.end());
+        std::vector<std::uint64_t> body;
+        body.reserve(fn.insn_addrs.size() + part.insn_addrs.size());
+        std::set_union(fn.insn_addrs.begin(), fn.insn_addrs.end(),
+                       part.insn_addrs.begin(), part.insn_addrs.end(),
+                       std::back_inserter(body));
+        fn.insn_addrs = std::move(body);
         fn.max_end = std::max(fn.max_end, part.max_end);
         for (const disasm::FuncJump& pj : part.jumps) {
           fn.jumps.push_back(pj);

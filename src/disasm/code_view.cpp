@@ -66,6 +66,10 @@ CodeView::CodeView(const elf::ElfFile& elf) : elf_(elf) {
   }
   std::sort(shards_.begin(), shards_.end(),
             [](const Shard& a, const Shard& b) { return a.addr < b.addr; });
+  for (Shard& shard : shards_) {
+    shard.base = slot_total_;
+    slot_total_ += shard.slot_count;
+  }
 }
 
 CodeView::~CodeView() {

@@ -16,11 +16,14 @@
 /// and publishes the record (decoding → decoded), so no byte is ever
 /// decoded twice.
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -29,9 +32,34 @@
 
 namespace fetch::disasm {
 
-/// A sliding window of recently decoded instructions. The pointers point
+/// The last (up to) 32 instructions on a path, oldest first: a fixed ring
+/// copied by value, so forking a path never allocates. The pointers point
 /// into a CodeView's record arena and stay valid for its lifetime.
-using InsnWindow = std::vector<const x86::Insn*>;
+class InsnWindow {
+ public:
+  static constexpr std::size_t kCapacity = 32;
+
+  void push(const x86::Insn* insn) {
+    if (size_ < kCapacity) {
+      slots_[(start_ + size_++) % kCapacity] = insn;
+    } else {
+      slots_[start_] = insn;
+      start_ = (start_ + 1) % kCapacity;
+    }
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// \p i = 0 is the oldest instruction, size() - 1 the newest.
+  [[nodiscard]] const x86::Insn* operator[](std::size_t i) const {
+    return slots_[(start_ + i) % kCapacity];
+  }
+  [[nodiscard]] const x86::Insn* back() const { return (*this)[size_ - 1]; }
+
+ private:
+  std::array<const x86::Insn*, kCapacity> slots_{};
+  std::uint8_t start_ = 0;
+  std::uint8_t size_ = 0;
+};
 
 class CodeView {
  public:
@@ -103,6 +131,22 @@ class CodeView {
     return elf_.bytes_at(addr, len);
   }
 
+  /// Dense numbering of all decode slots: a slot's section offset plus the
+  /// slot counts of the shards before it. kNoSlot when \p addr has none.
+  static constexpr std::uint64_t kNoSlot = ~std::uint64_t{0};
+  [[nodiscard]] std::uint64_t slot_index(std::uint64_t addr) const {
+    const Shard* shard = shard_at(addr);
+    return shard == nullptr ? kNoSlot : shard->base + (addr - shard->addr);
+  }
+  [[nodiscard]] std::uint64_t slot_total() const { return slot_total_; }
+  /// Inverse of slot_index for \p index < slot_total().
+  [[nodiscard]] std::uint64_t slot_address(std::uint64_t index) const {
+    const auto it = std::upper_bound(
+        shards_.begin(), shards_.end(), index,
+        [](std::uint64_t i, const Shard& s) { return i < s.base; });
+    return std::prev(it)->addr + (index - std::prev(it)->base);
+  }
+
  private:
   /// Dense per-section cache: one atomic slot per code byte. `slot_count`
   /// is clamped to the section's file-backed bytes, so a decode window can
@@ -110,6 +154,7 @@ class CodeView {
   struct Shard {
     std::uint64_t addr = 0;
     std::uint64_t slot_count = 0;
+    std::uint64_t base = 0;  ///< first slot_index() of this shard
     const std::uint8_t* bytes = nullptr;
     std::unique_ptr<std::atomic<std::uint32_t>[]> slots;
   };
@@ -152,8 +197,77 @@ class CodeView {
 
   const elf::ElfFile& elf_;
   std::vector<Shard> shards_;  // sorted by addr; slots mutated atomically
+  std::uint64_t slot_total_ = 0;
   mutable std::atomic<std::uint32_t> arena_next_{0};
   mutable std::atomic<x86::Insn*> buckets_[kMaxBuckets] = {};
+};
+
+/// A set of addresses stored as one bit per decode slot of a CodeView
+/// (indexed by slot_index), plus an ordered spill set for the rare address
+/// without a slot, so membership is exact for every address. Drop-in for
+/// the std::set<std::uint64_t> operations the analyses use.
+class AddrSet {
+ public:
+  AddrSet() = default;
+  explicit AddrSet(const CodeView& code)
+      : code_(&code), words_((code.slot_total() + 63) / 64) {}
+
+  [[nodiscard]] std::size_t count(std::uint64_t addr) const {
+    const std::uint64_t i = index(addr);
+    return i == CodeView::kNoSlot ? spill_.count(addr)
+                                  : (words_[i / 64] >> (i % 64)) & 1u;
+  }
+  /// True when \p addr was not yet a member.
+  bool insert(std::uint64_t addr) {
+    const std::uint64_t i = index(addr);
+    if (i == CodeView::kNoSlot) {
+      const bool added = spill_.insert(addr).second;
+      size_ += added ? 1 : 0;
+      return added;
+    }
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    if ((words_[i / 64] & bit) != 0) {
+      return false;
+    }
+    words_[i / 64] |= bit;
+    ++size_;
+    return true;
+  }
+  void erase(std::uint64_t addr) {
+    const std::uint64_t i = index(addr);
+    if (i == CodeView::kNoSlot) {
+      size_ -= spill_.erase(addr);
+    } else if (((words_[i / 64] >> (i % 64)) & 1u) != 0) {
+      words_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+      --size_;
+    }
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  /// Calls \p f on every member: slot-backed ones in slot order (address
+  /// order unless executable sections overlap), then the spill set.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        f(code_->slot_address(w * 64 + std::countr_zero(bits)));
+      }
+    }
+    for (const std::uint64_t addr : spill_) {
+      f(addr);
+    }
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t index(std::uint64_t addr) const {
+    return code_ == nullptr ? CodeView::kNoSlot : code_->slot_index(addr);
+  }
+
+  const CodeView* code_ = nullptr;
+  std::vector<std::uint64_t> words_;
+  std::set<std::uint64_t> spill_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace fetch::disasm

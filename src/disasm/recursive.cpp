@@ -1,7 +1,9 @@
 #include "disasm/recursive.hpp"
 
-#include <algorithm>
-#include <deque>
+#include <functional>
+#include <queue>
+
+#include "obs/metrics.hpp"
 
 namespace fetch::disasm {
 
@@ -11,21 +13,30 @@ using x86::Insn;
 using x86::Kind;
 using x86::Reg;
 
-constexpr std::size_t kWindowLimit = 32;
+/// Per-pass work counters (global registry), added in bulk once per pass
+/// so no per-instruction path touches an atomic.
+struct EngineMetrics {
+  obs::Counter& explore_passes;
+  obs::Counter& insns_visited;
+  obs::Counter& noreturn_visits;
 
-void push_window(InsnWindow& window, const Insn* insn) {
-  if (window.size() >= kWindowLimit) {
-    window.erase(window.begin());
+  static EngineMetrics& get() {
+    obs::Registry& reg = obs::Registry::global();
+    static EngineMetrics metrics{
+        reg.counter("disasm_explore_passes_total"),
+        reg.counter("disasm_insns_visited_total"),
+        reg.counter("disasm_noreturn_visits_total"),
+    };
+    return metrics;
   }
-  window.push_back(insn);
-}
+};
 
 /// Backward slice of the first-argument register (edi) at a call site:
 /// returns true when edi provably holds zero. Used for the paper's
 /// `error`/`error_at_line` conditional-noreturn special case.
 bool first_arg_is_zero(const InsnWindow& window) {
-  for (auto it = window.rbegin(); it != window.rend(); ++it) {
-    const Insn& insn = **it;
+  for (std::size_t i = window.size(); i-- > 0;) {
+    const Insn& insn = *window[i];
     if ((insn.regs_written & reg_bit(Reg::kRdi)) == 0) {
       continue;
     }
@@ -60,11 +71,8 @@ void record_data_refs(const CodeView& code, const Insn& insn, XRefs& xrefs) {
   if (insn.mem_target) {
     xrefs.add(*insn.mem_target, insn.addr, RefKind::kMemory);
   }
-  if (insn.imm) {
-    const std::uint64_t v = *insn.imm;
-    if (code.elf().section_at(v) != nullptr) {
-      xrefs.add(v, insn.addr, RefKind::kImmediate);
-    }
+  if (insn.imm && code.elf().section_at(*insn.imm) != nullptr) {
+    xrefs.add(*insn.imm, insn.addr, RefKind::kImmediate);
   }
 }
 
@@ -73,20 +81,49 @@ struct WorkItem {
   InsnWindow window;
 };
 
-/// Phase 1: global discovery. Explores every reachable instruction once,
-/// collecting call targets, coverage, xrefs and jump tables.
-void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
-              const Options& options, Result& result) {
-  std::set<std::uint64_t> visited;
-  std::deque<WorkItem> work;
-  std::set<std::uint64_t> queued;
+/// FIFO of work items on one vector; the consumed prefix is dropped in
+/// bulk, so a pop never allocates and memory tracks the live items.
+class WorkQueue {
+ public:
+  void push(std::uint64_t addr, const InsnWindow& window) {
+    items_.push_back({addr, window});
+  }
+  [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+  WorkItem pop() {
+    WorkItem item = items_[head_++];
+    if (head_ == items_.size()) {
+      clear();
+    } else if (head_ >= 1024 && 2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return item;
+  }
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
 
-  auto enqueue = [&](std::uint64_t addr, InsnWindow window) {
-    if (visited.count(addr) == 0 && queued.insert(addr).second) {
-      work.push_back({addr, std::move(window)});
+ private:
+  std::vector<WorkItem> items_;
+  std::size_t head_ = 0;
+};
+
+/// Phase 1: global discovery. Explores every reachable instruction once,
+/// collecting call targets, coverage, xrefs and jump tables. Returns the
+/// number of instructions visited.
+std::uint64_t discover(const CodeView& code,
+                       const std::vector<std::uint64_t>& seeds,
+                       const Options& options, Result& result) {
+  AddrSet visited(code);
+  AddrSet queued(code);
+  WorkQueue work;
+  auto enqueue = [&](std::uint64_t addr, const InsnWindow& window) {
+    if (visited.count(addr) == 0 && queued.insert(addr)) {
+      work.push(addr, window);
     }
   };
-
   for (const std::uint64_t seed : seeds) {
     if (code.is_code(seed)) {
       enqueue(seed, {});
@@ -94,23 +131,15 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
   }
 
   while (!work.empty()) {
-    WorkItem item = std::move(work.front());
-    work.pop_front();
-    std::uint64_t addr = item.addr;
-    InsnWindow window = std::move(item.window);
-
-    while (true) {
-      if (!visited.insert(addr).second) {
-        break;
-      }
-      const auto insn = code.insn_at(addr);
-      if (!insn) {
+    auto [addr, window] = work.pop();
+    while (visited.insert(addr)) {
+      const Insn* insn = code.insn_at(addr);
+      if (insn == nullptr) {
         break;  // undecodable: stop this path
       }
-      result.covered.add(addr, addr + insn->length);
       result.insn_starts.insert(addr);
       record_data_refs(code, *insn, result.xrefs);
-      push_window(window, insn);
+      window.push(insn);
 
       bool fallthrough = false;
       switch (insn->kind) {
@@ -127,21 +156,14 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
         case Kind::kCallIndirect:
           fallthrough = true;  // unknown callee: assume it returns
           break;
-        case Kind::kJmpDirect: {
-          const std::uint64_t target = *insn->target;
-          result.xrefs.add(target, addr, RefKind::kJump);
-          if (code.is_code(target)) {
-            enqueue(target, window);
-          }
-          break;
-        }
+        case Kind::kJmpDirect:
         case Kind::kCondJmp: {
           const std::uint64_t target = *insn->target;
           result.xrefs.add(target, addr, RefKind::kJump);
           if (code.is_code(target)) {
             enqueue(target, window);
           }
-          fallthrough = true;
+          fallthrough = insn->kind == Kind::kCondJmp;
           break;
         }
         case Kind::kJmpIndirect: {
@@ -173,48 +195,49 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
       }
     }
   }
+  return result.insn_starts.size();
 }
+
+/// Scratch reused by every build_function of a pass: body and queued bits
+/// are cleared through the touched lists, never reallocated.
+struct BuildScratch {
+  explicit BuildScratch(const CodeView& code) : in_body(code), queued(code) {}
+  AddrSet in_body;
+  AddrSet queued;
+  std::vector<std::uint64_t> queued_list;
+  WorkQueue work;
+};
 
 /// Phase 2: builds one function's structure against the final start set.
 Function build_function(const CodeView& code, std::uint64_t entry,
-                        const std::set<std::uint64_t>& starts,
-                        const Options& options) {
+                        const AddrSet& starts, const Options& options,
+                        BuildScratch& s) {
   Function fn;
   fn.entry = entry;
+  auto enqueue_local = [&](std::uint64_t t, const InsnWindow& w) {
+    if (s.in_body.count(t) == 0 && s.queued.insert(t)) {
+      s.queued_list.push_back(t);
+      s.work.push(t, w);
+    }
+  };
+  enqueue_local(entry, {});
 
-  std::deque<WorkItem> work;
-  std::set<std::uint64_t> queued;
-  work.push_back({entry, {}});
-  queued.insert(entry);
-
-  while (!work.empty()) {
-    WorkItem item = std::move(work.front());
-    work.pop_front();
-    std::uint64_t addr = item.addr;
-    InsnWindow window = std::move(item.window);
-
-    while (true) {
-      if (fn.insn_addrs.count(addr) != 0) {
-        break;
-      }
+  while (!s.work.empty()) {
+    auto [addr, window] = s.work.pop();
+    while (s.in_body.count(addr) == 0) {
       if (fn.insn_addrs.size() >= options.max_insns_per_function) {
         fn.truncated = true;
         break;
       }
-      const auto insn = code.insn_at(addr);
-      if (!insn) {
+      const Insn* insn = code.insn_at(addr);
+      if (insn == nullptr) {
         fn.truncated = true;
         break;
       }
-      fn.insn_addrs.insert(addr);
+      s.in_body.insert(addr);
+      fn.insn_addrs.push_back(addr);
       fn.max_end = std::max(fn.max_end, addr + insn->length);
-      push_window(window, insn);
-
-      auto enqueue_local = [&](std::uint64_t t, InsnWindow w) {
-        if (fn.insn_addrs.count(t) == 0 && queued.insert(t).second) {
-          work.push_back({t, std::move(w)});
-        }
-      };
+      window.push(insn);
 
       bool fallthrough = false;
       switch (insn->kind) {
@@ -266,6 +289,14 @@ Function build_function(const CodeView& code, std::uint64_t entry,
       }
     }
   }
+  for (const std::uint64_t a : fn.insn_addrs) {
+    s.in_body.erase(a);
+  }
+  for (const std::uint64_t a : s.queued_list) {
+    s.queued.erase(a);
+  }
+  s.queued_list.clear();
+  std::sort(fn.insn_addrs.begin(), fn.insn_addrs.end());
   return fn;
 }
 
@@ -274,60 +305,143 @@ Function build_function(const CodeView& code, std::uint64_t entry,
 Result explore(const CodeView& code, const std::vector<std::uint64_t>& seeds,
                const Options& options) {
   Result result;
-  discover(code, seeds, options, result);
+  result.insn_starts = AddrSet(code);
+  const std::uint64_t discovered = discover(code, seeds, options, result);
+  result.xrefs.sort();
 
   for (const std::uint64_t seed : seeds) {
     if (code.is_code(seed)) {
       result.starts.insert(seed);
     }
   }
-  for (const std::uint64_t t : result.call_targets) {
-    result.starts.insert(t);
+  result.starts.insert(result.call_targets.begin(), result.call_targets.end());
+  AddrSet starts(code);
+  for (const std::uint64_t s : result.starts) {
+    starts.insert(s);
   }
 
+  BuildScratch scratch(code);
+  std::uint64_t built = 0;
   for (const std::uint64_t entry : result.starts) {
-    result.functions.emplace(
-        entry, build_function(code, entry, result.starts, options));
+    auto it = result.functions.emplace_hint(
+        result.functions.end(), entry,
+        build_function(code, entry, starts, options, scratch));
+    built += it->second.insn_addrs.size();
   }
+
+  // Coverage: the union of every discovered instruction's bytes, fed to
+  // the interval set as maximal runs rather than one insert per insn.
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  result.insn_starts.for_each([&](std::uint64_t a) {
+    const std::uint64_t end = a + code.insn_at(a)->length;
+    if (a < lo || a > hi) {
+      result.covered.add(lo, hi);
+      lo = a;
+    }
+    hi = std::max(hi, end);
+  });
+  result.covered.add(lo, hi);
+
+  EngineMetrics& metrics = EngineMetrics::get();
+  metrics.explore_passes.add();
+  metrics.insns_visited.add(discovered + built);
   return result;
 }
 
 std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
                                                 const Result& result,
                                                 const Options& options) {
-  // Least fixpoint of "may return".
-  std::set<std::uint64_t> may_return;
+  // Least fixpoint of "may return", computed as the entry-ordered sweep
+  // defines it, but evaluating a function only when a function it waits
+  // on (a callee that blocked a path, or an escaping jump's target) has
+  // just become may-return. Functions are numbered in entry order.
+  std::vector<std::uint64_t> entries;
+  std::vector<const Function*> fns;
+  for (const auto& [entry, fn] : result.functions) {
+    entries.push_back(entry);
+    fns.push_back(&fn);
+  }
+  const std::size_t n = fns.size();
+  constexpr std::size_t kNone = ~std::size_t{0};
+  auto index_of = [&](const std::vector<std::uint64_t>& v, std::uint64_t a,
+                      std::size_t hint) {
+    if (hint < v.size() && v[hint] == a) {
+      return hint;
+    }
+    const auto it = std::lower_bound(v.begin(), v.end(), a);
+    return it != v.end() && *it == a ? std::size_t(it - v.begin()) : kNone;
+  };
 
-  auto path_reaches_ret = [&](const Function& fn) -> bool {
-    std::deque<WorkItem> work;
-    std::set<std::uint64_t> seen;
-    work.push_back({fn.entry, {}});
+  // A waiter resumes its function at `resume` once the awaited function
+  // may return; kEscape means the wait itself was a path to a return.
+  constexpr std::uint64_t kEscape = ~std::uint64_t{0};
+  struct Waiter {
+    std::size_t fn;
+    std::uint64_t resume;
+  };
+  std::vector<std::vector<Waiter>> waiters(n);
+  std::vector<std::vector<std::uint64_t>> ready(n);
+  std::vector<std::vector<bool>> seen(n);
+  std::vector<char> may_return(n, 0);
+  std::vector<char> started(n, 0);
+  // A function whose paths reach a conditional-noreturn call depends on
+  // the first path's window at that call, so it is always re-evaluated
+  // from its entry; every other function resumes where its paths waited.
+  std::vector<char> sensitive(n, 0);
+  WorkQueue work;
+  std::uint64_t visits = 0;
+
+  enum class Eval { kNo, kYes, kRestart };
+  auto traverse = [&](std::size_t i) -> Eval {
+    const Function& fn = *fns[i];
+    if (started[i] == 0 || sensitive[i] != 0) {
+      started[i] = 1;
+      seen[i].assign(fn.insn_addrs.size(), false);
+      ready[i].clear();
+      work.push(fn.entry, {});
+    }
+    for (const std::uint64_t a : ready[i]) {
+      work.push(a, {});
+    }
+    ready[i].clear();
     while (!work.empty()) {
-      WorkItem item = std::move(work.front());
-      work.pop_front();
-      std::uint64_t addr = item.addr;
-      InsnWindow window = std::move(item.window);
+      auto [addr, window] = work.pop();
+      std::size_t pos = kNone;
       while (true) {
-        if (!seen.insert(addr).second || fn.insn_addrs.count(addr) == 0) {
+        if (addr == kEscape) {
+          return Eval::kYes;
+        }
+        pos = index_of(fn.insn_addrs, addr, pos + 1);
+        if (pos == kNone || seen[i][pos]) {
           break;
         }
-        const auto insn = code.insn_at(addr);
-        if (!insn) {
+        seen[i][pos] = true;
+        const Insn* insn = code.insn_at(addr);
+        if (insn == nullptr) {
           break;
         }
-        push_window(window, insn);
+        ++visits;
+        window.push(insn);
         bool fallthrough = false;
         switch (insn->kind) {
           case Kind::kRet:
-            return true;
+            return Eval::kYes;
           case Kind::kCallDirect: {
             const std::uint64_t callee = *insn->target;
-            const bool internal = result.functions.count(callee) != 0;
-            if (options.noreturn_functions.count(callee) != 0 ||
-                (internal && may_return.count(callee) == 0)) {
-              break;  // callee (currently) known not to return
+            const std::size_t c = index_of(entries, callee, kNone);
+            if (options.noreturn_functions.count(callee) != 0) {
+              break;
+            }
+            if (c != kNone && may_return[c] == 0) {
+              waiters[c].push_back({i, addr + insn->length});
+              break;  // callee not (yet) known to return
             }
             if (options.conditional_noreturn.count(callee) != 0) {
+              if (sensitive[i] == 0) {
+                sensitive[i] = 1;
+                return Eval::kRestart;
+              }
               fallthrough = first_arg_is_zero(window);
               break;
             }
@@ -340,29 +454,27 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
           case Kind::kJmpDirect:
           case Kind::kCondJmp: {
             const std::uint64_t target = *insn->target;
-            if (fn.insn_addrs.count(target) != 0) {
-              work.push_back({target, window});
-            } else if (result.functions.count(target) != 0) {
+            const std::size_t t = index_of(entries, target, kNone);
+            if (fn.contains(target)) {
+              work.push(target, window);
+            } else if (t != kNone) {
               // Escaping jump (tail-call shaped): f returns iff target may.
-              if (may_return.count(target) != 0) {
-                return true;
+              if (may_return[t] != 0) {
+                return Eval::kYes;
               }
+              waiters[t].push_back({i, kEscape});
             } else if (code.is_code(target)) {
-              return true;  // jump outside known functions: assume returns
+              return Eval::kYes;  // jump outside known functions
             }
             fallthrough = insn->kind == Kind::kCondJmp;
             break;
           }
-          case Kind::kJmpIndirect:
+          default:
             // Resolved table targets are already in insn_addrs and get
             // visited via the function's other paths; unresolved indirect
-            // jumps pessimistically end the path.
-            break;
-          case Kind::kUd2:
-          case Kind::kHlt:
-            break;
-          default:
-            fallthrough = true;
+            // jumps, ud2 and hlt end the path.
+            fallthrough = insn->kind != Kind::kJmpIndirect &&
+                          insn->kind != Kind::kUd2 && insn->kind != Kind::kHlt;
             break;
         }
         if (!fallthrough) {
@@ -371,27 +483,60 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
         addr += insn->length;
       }
     }
-    return false;
+    return Eval::kNo;
+  };
+  auto evaluate = [&](std::size_t i) {
+    Eval e = traverse(i);
+    work.clear();
+    if (e == Eval::kRestart) {
+      e = traverse(i);
+      work.clear();
+    }
+    return e == Eval::kYes;
   };
 
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& [entry, fn] : result.functions) {
-      if (may_return.count(entry) != 0) {
+  // Sweep order: a function woken by a change at a lower entry is due in
+  // the current sweep, one woken from a higher entry in the next.
+  using MinQueue = std::priority_queue<std::size_t, std::vector<std::size_t>,
+                                       std::greater<>>;
+  MinQueue sweep;
+  MinQueue next;
+  std::vector<char> in_sweep(n, 1);
+  std::vector<char> in_next(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    sweep.push(i);
+  }
+  while (!sweep.empty()) {
+    while (!sweep.empty()) {
+      const std::size_t i = sweep.top();
+      sweep.pop();
+      in_sweep[i] = 0;
+      if (may_return[i] != 0 || !evaluate(i)) {
         continue;
       }
-      if (path_reaches_ret(fn)) {
-        may_return.insert(entry);
-        changed = true;
+      may_return[i] = 1;
+      for (const Waiter& w : waiters[i]) {
+        if (may_return[w.fn] != 0) {
+          continue;
+        }
+        ready[w.fn].push_back(w.resume);
+        std::vector<char>& flag = w.fn > i ? in_sweep : in_next;
+        if (flag[w.fn] == 0) {
+          flag[w.fn] = 1;
+          (w.fn > i ? sweep : next).push(w.fn);
+        }
       }
+      waiters[i] = {};
     }
+    std::swap(sweep, next);
+    std::swap(in_sweep, in_next);
   }
+  EngineMetrics::get().noreturn_visits.add(visits);
 
   std::set<std::uint64_t> noreturn;
-  for (const auto& [entry, fn] : result.functions) {
-    if (may_return.count(entry) == 0) {
-      noreturn.insert(entry);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (may_return[i] == 0) {
+      noreturn.insert(noreturn.end(), entries[i]);
     }
   }
   return noreturn;

@@ -12,10 +12,12 @@
 /// to mutual stability, then derives per-function structure against the
 /// final set of known function starts.
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "disasm/code_view.hpp"
@@ -35,8 +37,8 @@ struct FuncJump {
 
 struct Function {
   std::uint64_t entry = 0;
-  /// Addresses of all instructions reached intra-procedurally.
-  std::set<std::uint64_t> insn_addrs;
+  /// Addresses of all instructions reached intra-procedurally, ascending.
+  std::vector<std::uint64_t> insn_addrs;
   /// One past the highest byte of any instruction in the function.
   std::uint64_t max_end = 0;
   /// All direct jmp/jcc instructions in the function.
@@ -48,7 +50,7 @@ struct Function {
   bool truncated = false;
 
   [[nodiscard]] bool contains(std::uint64_t addr) const {
-    return insn_addrs.count(addr) != 0;
+    return std::binary_search(insn_addrs.begin(), insn_addrs.end(), addr);
   }
 };
 
@@ -62,26 +64,40 @@ enum class RefKind : std::uint8_t {
 };
 
 struct Ref {
+  std::uint64_t target = 0;
   std::uint64_t site = 0;
   RefKind kind = RefKind::kCall;
 };
 
-/// Reverse reference index over the disassembled code.
+/// Reverse reference index over the disassembled code: a flat vector,
+/// appended during a pass and sorted by target once at its end.
 class XRefs {
  public:
   void add(std::uint64_t target, std::uint64_t site, RefKind kind) {
-    refs_[target].push_back({site, kind});
+    refs_.push_back({target, site, kind});
   }
-  [[nodiscard]] const std::vector<Ref>* at(std::uint64_t target) const {
-    const auto it = refs_.find(target);
-    return it == refs_.end() ? nullptr : &it->second;
+  /// Orders the references by (target, site, kind); at() requires it.
+  void sort() {
+    std::sort(refs_.begin(), refs_.end(), [](const Ref& a, const Ref& b) {
+      return std::tie(a.target, a.site, a.kind) <
+             std::tie(b.target, b.site, b.kind);
+    });
   }
-  [[nodiscard]] const std::map<std::uint64_t, std::vector<Ref>>& all() const {
-    return refs_;
+  /// All references to \p target (empty when there are none).
+  [[nodiscard]] std::span<const Ref> at(std::uint64_t target) const {
+    const auto lo = std::lower_bound(
+        refs_.begin(), refs_.end(), target,
+        [](const Ref& r, std::uint64_t t) { return r.target < t; });
+    auto hi = lo;
+    while (hi != refs_.end() && hi->target == target) {
+      ++hi;
+    }
+    return {lo, hi};
   }
+  [[nodiscard]] const std::vector<Ref>& all() const { return refs_; }
 
  private:
-  std::map<std::uint64_t, std::vector<Ref>> refs_;
+  std::vector<Ref> refs_;
 };
 
 struct Options {
@@ -109,7 +125,7 @@ struct Result {
   /// Every address at which an instruction was decoded (valid instruction
   /// boundaries). Together with `covered`, lets callers detect control
   /// transfers into the *middle* of known instructions (§IV-E error ii/iii).
-  std::set<std::uint64_t> insn_starts;
+  AddrSet insn_starts;
   /// Union of all instruction ranges.
   IntervalSet covered;
   XRefs xrefs;

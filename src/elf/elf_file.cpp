@@ -1,6 +1,7 @@
 #include "elf/elf_file.hpp"
 
 #include <algorithm>
+#include <set>
 
 #include "util/byte_cursor.hpp"
 #include "util/error.hpp"
@@ -125,6 +126,7 @@ void ElfFile::parse() {
     sections_.push_back({str_at(shstr, sh.name), sh.type, sh.flags, sh.addr,
                          sh.offset, sh.size, sh.link, sh.entsize});
   }
+  build_section_index();
 
   // Symbols: parse every SHT_SYMTAB / SHT_DYNSYM section (normally at
   // most one of each) into its own vector. The two tables share the
@@ -230,13 +232,58 @@ std::span<const std::uint8_t> ElfFile::section_bytes(const Section& s) const {
                          "section bytes");
 }
 
-const Section* ElfFile::section_at(Addr addr) const {
-  for (const Section& s : sections_) {
-    if (s.contains(addr)) {
-      return &s;
+void ElfFile::build_section_index() {
+  // Sweep over section boundaries, keeping the header indices of the
+  // sections that cover the current run; the smallest index answers it
+  // (first-match semantics). A section whose end wraps past 2^64 contains
+  // nothing, exactly as Section::contains computes it.
+  struct Event {
+    Addr at;
+    bool open;
+    std::uint32_t section;
+  };
+  std::vector<Event> events;
+  for (std::uint32_t i = 0; i < sections_.size(); ++i) {
+    const Section& s = sections_[i];
+    if (s.alloc() && s.addr + s.size > s.addr) {
+      events.push_back({s.addr, true, i});
+      events.push_back({s.addr + s.size, false, i});
     }
   }
-  return nullptr;
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
+    return a.at < b.at;
+  });
+  std::set<std::uint32_t> open;
+  for (std::size_t i = 0; i < events.size();) {
+    const Addr at = events[i].at;
+    for (; i < events.size() && events[i].at == at; ++i) {
+      if (events[i].open) {
+        open.insert(events[i].section);
+      } else {
+        open.erase(events[i].section);
+      }
+    }
+    if (open.empty() || i == events.size()) {
+      continue;
+    }
+    const std::uint32_t first = *open.begin();
+    if (!section_index_.empty() && section_index_.back().hi == at &&
+        section_index_.back().section == first) {
+      section_index_.back().hi = events[i].at;
+    } else {
+      section_index_.push_back({at, events[i].at, first});
+    }
+  }
+}
+
+const Section* ElfFile::section_at(Addr addr) const {
+  const auto it = std::upper_bound(
+      section_index_.begin(), section_index_.end(), addr,
+      [](Addr a, const SectionRun& run) { return a < run.lo; });
+  if (it == section_index_.begin() || addr >= std::prev(it)->hi) {
+    return nullptr;
+  }
+  return &sections_[std::prev(it)->section];
 }
 
 std::optional<std::span<const std::uint8_t>> ElfFile::bytes_at(

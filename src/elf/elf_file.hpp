@@ -144,7 +144,9 @@ class ElfFile {
   [[nodiscard]] std::optional<std::span<const std::uint8_t>> bytes_at(
       Addr addr, std::uint64_t len) const;
 
-  /// The allocated section containing \p addr, or nullptr.
+  /// The allocated section containing \p addr, or nullptr. When sections
+  /// overlap (hostile inputs), the first one in header order wins.
+  /// O(log n) over an address index built at parse time.
   [[nodiscard]] const Section* section_at(Addr addr) const;
 
   /// True if \p addr is inside an executable section.
@@ -157,11 +159,21 @@ class ElfFile {
 
  private:
   void parse();
+  void build_section_index();
+
+  /// A maximal address run [lo, hi) whose first containing section (in
+  /// header order) is sections_[section]. Sorted by lo, disjoint.
+  struct SectionRun {
+    Addr lo = 0;
+    Addr hi = 0;
+    std::uint32_t section = 0;
+  };
 
   std::vector<std::uint8_t> image_;
   Type type_ = Type::kNone;
   Addr entry_ = 0;
   std::vector<Section> sections_;
+  std::vector<SectionRun> section_index_;
   std::vector<Segment> segments_;
   std::vector<Symbol> symbols_;
   std::vector<Symbol> dyn_symbols_;

@@ -147,12 +147,12 @@ TEST(Recursive, XrefsRecorded) {
   CodeView code(elf);
   const Result r = analyze(code, {kTextAddr}, {});
 
-  const auto* call_refs = r.xrefs.at(f_addr);
-  ASSERT_NE(call_refs, nullptr);
-  EXPECT_EQ(call_refs->front().kind, RefKind::kCall);
-  const auto* mem_refs = r.xrefs.at(test::kRodataAddr);
-  ASSERT_NE(mem_refs, nullptr);
-  EXPECT_EQ(mem_refs->front().kind, RefKind::kMemory);
+  const auto call_refs = r.xrefs.at(f_addr);
+  ASSERT_FALSE(call_refs.empty());
+  EXPECT_EQ(call_refs.front().kind, RefKind::kCall);
+  const auto mem_refs = r.xrefs.at(test::kRodataAddr);
+  ASSERT_FALSE(mem_refs.empty());
+  EXPECT_EQ(mem_refs.front().kind, RefKind::kMemory);
 }
 
 TEST(Recursive, SeedOutsideCodeIgnored) {
