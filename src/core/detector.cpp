@@ -30,7 +30,8 @@ const char* provenance_name(Provenance p) {
 FunctionDetector::FunctionDetector(const elf::ElfFile& elf)
     : elf_(elf), code_(elf), eh_(eh::EhFrame::from_elf(elf)) {}
 
-DetectionResult FunctionDetector::run(const DetectorOptions& options) const {
+DetectionResult FunctionDetector::run(const DetectorOptions& options,
+                                      obs::Trace* trace) const {
   DetectionResult out;
 
   // --- Seeds ------------------------------------------------------------------
@@ -75,9 +76,13 @@ DetectionResult FunctionDetector::run(const DetectorOptions& options) const {
   }
 
   // --- Safe recursive disassembly --------------------------------------------
+  // The first pass' function bodies stay cached so the post-pointer pass
+  // rebuilds only the functions whose start/no-return answers changed.
+  disasm::BodyCache bodies;
   disasm::Result state;
   if (options.recursive) {
-    state = disasm::analyze(code_, seeds, options.disasm);
+    obs::Span span(trace, "detect.analyze");
+    state = disasm::analyze(code_, seeds, options.disasm, &bodies);
   } else {
     // FDE-only mode: starts are just the seeds; still record them in the
     // disasm state so downstream stages have a uniform view.
@@ -89,22 +94,30 @@ DetectionResult FunctionDetector::run(const DetectorOptions& options) const {
 
   // --- Function-pointer detection (§IV-E) ------------------------------------
   if (options.pointer_detection && options.recursive) {
+    obs::Span pointer_span(trace, "detect.pointer");
     const PointerDetectionResult pd =
         detect_pointer_functions(code_, state, options.disasm);
+    pointer_span.finish();
     out.pointer_starts = pd.accepted;
     if (!pd.accepted.empty()) {
-      // Rebuild per-function structure with the enlarged start set.
+      // Rebuild per-function structure with the enlarged start set:
+      // identical to a fresh analyze(all), reusing the unchanged bodies.
+      obs::Span span(trace, "detect.reanalyze");
       std::vector<std::uint64_t> all(state.starts.begin(), state.starts.end());
-      state = disasm::analyze(code_, all, options.disasm);
+      state = disasm::analyze(code_, all, options.disasm, &bodies);
     }
   }
 
   // --- Algorithm 1 (§V-B) -----------------------------------------------------
   if (options.fix_fde_errors && options.recursive && eh_) {
+    obs::Span refs_span(trace, "detect.data_refs");
     const std::set<std::uint64_t> data_refs =
         analysis::scan_data_pointers(elf_, state);
+    refs_span.finish();
+    obs::Span alg1_span(trace, "detect.alg1");
     const MergeOutcome mo = merge_noncontiguous_functions(
         code_, state, *eh_, data_refs, out.fde_starts);
+    alg1_span.finish();
     for (const auto& [part, parent] : mo.merged) {
       out.merged_parts.emplace(part, parent);
     }

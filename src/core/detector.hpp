@@ -26,6 +26,7 @@
 #include "ehframe/cfi_eval.hpp"
 #include "ehframe/eh_frame.hpp"
 #include "elf/elf_file.hpp"
+#include "obs/trace.hpp"
 
 namespace fetch::core {
 
@@ -105,8 +106,11 @@ class FunctionDetector {
  public:
   explicit FunctionDetector(const elf::ElfFile& elf);
 
-  /// Runs the pipeline selected by \p options.
-  [[nodiscard]] DetectionResult run(const DetectorOptions& options = {}) const;
+  /// Runs the pipeline selected by \p options. With a \p trace, each
+  /// stage that runs records a `detect.<stage>` span into it: analyze,
+  /// pointer, reanalyze, data_refs, alg1.
+  [[nodiscard]] DetectionResult run(const DetectorOptions& options = {},
+                                    obs::Trace* trace = nullptr) const;
 
   [[nodiscard]] const disasm::CodeView& code() const { return code_; }
   [[nodiscard]] const std::optional<eh::EhFrame>& eh_frame() const {

@@ -184,6 +184,8 @@ MergeOutcome merge_noncontiguous_functions(
                        std::back_inserter(body));
         fn.insn_addrs = std::move(body);
         fn.max_end = std::max(fn.max_end, part.max_end);
+        fn.callees.insert(fn.callees.end(), part.callees.begin(),
+                          part.callees.end());
         for (const disasm::FuncJump& pj : part.jumps) {
           fn.jumps.push_back(pj);
           pending.push_back(pj);

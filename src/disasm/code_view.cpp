@@ -66,10 +66,16 @@ CodeView::CodeView(const elf::ElfFile& elf) : elf_(elf) {
   }
   std::sort(shards_.begin(), shards_.end(),
             [](const Shard& a, const Shard& b) { return a.addr < b.addr; });
-  for (Shard& shard : shards_) {
-    shard.base = slot_total_;
-    slot_total_ += shard.slot_count;
+}
+
+std::vector<CodeView::SlotRange> CodeView::slot_ranges() const {
+  std::vector<SlotRange> ranges;
+  std::uint64_t base = 0;
+  for (const Shard& shard : shards_) {
+    ranges.push_back({shard.addr, shard.slot_count, base});
+    base += shard.slot_count;
   }
+  return ranges;
 }
 
 CodeView::~CodeView() {

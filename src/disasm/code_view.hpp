@@ -16,7 +16,6 @@
 /// and publishes the record (decoding → decoded), so no byte is ever
 /// decoded twice.
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -131,21 +130,15 @@ class CodeView {
     return elf_.bytes_at(addr, len);
   }
 
-  /// Dense numbering of all decode slots: a slot's section offset plus the
-  /// slot counts of the shards before it. kNoSlot when \p addr has none.
-  static constexpr std::uint64_t kNoSlot = ~std::uint64_t{0};
-  [[nodiscard]] std::uint64_t slot_index(std::uint64_t addr) const {
-    const Shard* shard = shard_at(addr);
-    return shard == nullptr ? kNoSlot : shard->base + (addr - shard->addr);
-  }
-  [[nodiscard]] std::uint64_t slot_total() const { return slot_total_; }
-  /// Inverse of slot_index for \p index < slot_total().
-  [[nodiscard]] std::uint64_t slot_address(std::uint64_t index) const {
-    const auto it = std::upper_bound(
-        shards_.begin(), shards_.end(), index,
-        [](std::uint64_t i, const Shard& s) { return i < s.base; });
-    return std::prev(it)->addr + (index - std::prev(it)->base);
-  }
+  /// One decode shard as an address range [addr, addr + count), whose
+  /// slots are numbered base .. base + count - 1 across all shards.
+  struct SlotRange {
+    std::uint64_t addr = 0;
+    std::uint64_t count = 0;
+    std::uint64_t base = 0;
+  };
+  /// Every shard's range, in address order.
+  [[nodiscard]] std::vector<SlotRange> slot_ranges() const;
 
  private:
   /// Dense per-section cache: one atomic slot per code byte. `slot_count`
@@ -154,7 +147,6 @@ class CodeView {
   struct Shard {
     std::uint64_t addr = 0;
     std::uint64_t slot_count = 0;
-    std::uint64_t base = 0;  ///< first slot_index() of this shard
     const std::uint8_t* bytes = nullptr;
     std::unique_ptr<std::atomic<std::uint32_t>[]> slots;
   };
@@ -197,45 +189,47 @@ class CodeView {
 
   const elf::ElfFile& elf_;
   std::vector<Shard> shards_;  // sorted by addr; slots mutated atomically
-  std::uint64_t slot_total_ = 0;
   mutable std::atomic<std::uint32_t> arena_next_{0};
   mutable std::atomic<x86::Insn*> buckets_[kMaxBuckets] = {};
 };
 
-/// A set of addresses stored as one bit per decode slot of a CodeView
-/// (indexed by slot_index), plus an ordered spill set for the rare address
-/// without a slot, so membership is exact for every address. Drop-in for
-/// the std::set<std::uint64_t> operations the analyses use.
+/// A set of addresses stored as one bit per decode slot of a CodeView,
+/// plus an ordered spill set for the rare address outside every slot, so
+/// membership is exact for any address. Drop-in for the std::set
+/// operations the analyses use; lookups probe the largest code section
+/// first, so a typical query is one compare and one bit test.
 class AddrSet {
  public:
   AddrSet() = default;
-  explicit AddrSet(const CodeView& code)
-      : code_(&code), words_((code.slot_total() + 63) / 64) {}
+  explicit AddrSet(const CodeView& code) : ranges_(code.slot_ranges()) {
+    for (std::size_t r = 0; r < ranges_.size(); ++r) {
+      if (ranges_[r].count > ranges_[largest_].count) {
+        largest_ = r;
+      }
+    }
+    words_.resize(ranges_.empty()
+                      ? 0
+                      : (ranges_.back().base + ranges_.back().count + 63) / 64);
+  }
 
   [[nodiscard]] std::size_t count(std::uint64_t addr) const {
     const std::uint64_t i = index(addr);
-    return i == CodeView::kNoSlot ? spill_.count(addr)
-                                  : (words_[i / 64] >> (i % 64)) & 1u;
+    return i == kNone ? spill_.count(addr) : (words_[i / 64] >> (i % 64)) & 1u;
   }
   /// True when \p addr was not yet a member.
   bool insert(std::uint64_t addr) {
     const std::uint64_t i = index(addr);
-    if (i == CodeView::kNoSlot) {
-      const bool added = spill_.insert(addr).second;
-      size_ += added ? 1 : 0;
-      return added;
+    const bool added = i == kNone ? spill_.insert(addr).second
+                                  : ((words_[i / 64] >> (i % 64)) & 1u) == 0;
+    if (added && i != kNone) {
+      words_[i / 64] |= std::uint64_t{1} << (i % 64);
     }
-    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-    if ((words_[i / 64] & bit) != 0) {
-      return false;
-    }
-    words_[i / 64] |= bit;
-    ++size_;
-    return true;
+    size_ += added ? 1 : 0;
+    return added;
   }
   void erase(std::uint64_t addr) {
     const std::uint64_t i = index(addr);
-    if (i == CodeView::kNoSlot) {
+    if (i == kNone) {
       size_ -= spill_.erase(addr);
     } else if (((words_[i / 64] >> (i % 64)) & 1u) != 0) {
       words_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
@@ -249,9 +243,14 @@ class AddrSet {
   /// order unless executable sections overlap), then the spill set.
   template <typename F>
   void for_each(F&& f) const {
+    std::size_t r = 0;
     for (std::size_t w = 0; w < words_.size(); ++w) {
       for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
-        f(code_->slot_address(w * 64 + std::countr_zero(bits)));
+        const std::uint64_t i = w * 64 + std::countr_zero(bits);
+        while (i >= ranges_[r].base + ranges_[r].count) {
+          ++r;
+        }
+        f(ranges_[r].addr + (i - ranges_[r].base));
       }
     }
     for (const std::uint64_t addr : spill_) {
@@ -260,11 +259,26 @@ class AddrSet {
   }
 
  private:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
   [[nodiscard]] std::uint64_t index(std::uint64_t addr) const {
-    return code_ == nullptr ? CodeView::kNoSlot : code_->slot_index(addr);
+    if (ranges_.empty()) {
+      return kNone;
+    }
+    const CodeView::SlotRange& big = ranges_[largest_];
+    if (addr - big.addr < big.count) {
+      return big.base + (addr - big.addr);
+    }
+    for (const CodeView::SlotRange& r : ranges_) {
+      if (addr - r.addr < r.count) {
+        return r.base + (addr - r.addr);
+      }
+    }
+    return kNone;
   }
 
-  const CodeView* code_ = nullptr;
+  std::vector<CodeView::SlotRange> ranges_;  // address order
+  std::size_t largest_ = 0;
   std::vector<std::uint64_t> words_;
   std::set<std::uint64_t> spill_;
   std::size_t size_ = 0;

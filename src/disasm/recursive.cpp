@@ -53,27 +53,38 @@ bool first_arg_is_zero(const InsnWindow& window) {
   return false;  // no definition in window: assume non-zero (conservative)
 }
 
-/// Does the call at \p site to \p callee fall through?
-bool call_returns(const Options& options, const InsnWindow& window,
-                  std::uint64_t callee) {
-  if (options.noreturn_functions.count(callee) != 0) {
-    return false;
+/// How a walked path continues after an instruction.
+enum class Flow { kFall, kEnd, kDone };
+
+/// Falls through unless the instruction ends its block (direct calls are
+/// decided by the callee's no-return status instead).
+Flow fall_of(const Insn& insn) {
+  switch (insn.kind) {
+    case Kind::kJmpDirect:
+    case Kind::kJmpIndirect:
+    case Kind::kRet:
+    case Kind::kUd2:
+    case Kind::kHlt:
+      return Flow::kEnd;
+    default:
+      return Flow::kFall;
   }
-  if (options.conditional_noreturn.count(callee) != 0) {
-    return first_arg_is_zero(window);
-  }
-  return true;
 }
 
-/// Records pointer-material references (RIP-relative targets and in-image
-/// immediates) for the xref index.
-void record_data_refs(const CodeView& code, const Insn& insn, XRefs& xrefs) {
-  if (insn.mem_target) {
-    xrefs.add(*insn.mem_target, insn.addr, RefKind::kMemory);
-  }
-  if (insn.imm && code.elf().section_at(*insn.imm) != nullptr) {
-    xrefs.add(*insn.imm, insn.addr, RefKind::kImmediate);
-  }
+/// Does the call to \p callee at the end of \p window fall through?
+Flow call_flow(const Options& options, const InsnWindow& window,
+               std::uint64_t callee) {
+  const bool returns =
+      options.noreturn_functions.count(callee) == 0 &&
+      (options.conditional_noreturn.count(callee) == 0 ||
+       first_arg_is_zero(window));
+  return returns ? Flow::kFall : Flow::kEnd;
+}
+
+std::optional<JumpTable> table_at(const CodeView& code, const Options& options,
+                                  const InsnWindow& window) {
+  return options.resolve_jump_tables ? resolve_jump_table(code, window)
+                                     : std::nullopt;
 }
 
 struct WorkItem {
@@ -110,92 +121,84 @@ class WorkQueue {
   std::size_t head_ = 0;
 };
 
+/// The path walker every pass shares: pops work items and follows each
+/// path by fallthrough. `claim(addr)` yields the instruction to visit, or
+/// nullptr to end the path; `step(insn, window)` handles its successors.
+/// Returns true when a step ended the whole walk (Flow::kDone).
+template <typename Claim, typename Step>
+bool walk(const CodeView& code, WorkQueue& work, Claim&& claim, Step&& step) {
+  while (!work.empty()) {
+    auto [addr, window] = work.pop();
+    while (const Insn* insn = claim(addr)) {
+      window.push(insn);
+      const Flow flow = step(*insn, window);
+      if (flow == Flow::kDone) {
+        work.clear();
+        return true;
+      }
+      addr += insn->length;
+      if (flow == Flow::kEnd || !code.is_code(addr)) {
+        break;
+      }
+    }
+  }
+  return false;
+}
+
 /// Phase 1: global discovery. Explores every reachable instruction once,
-/// collecting call targets, coverage, xrefs and jump tables. Returns the
-/// number of instructions visited.
-std::uint64_t discover(const CodeView& code,
-                       const std::vector<std::uint64_t>& seeds,
-                       const Options& options, Result& result) {
+/// collecting call targets, coverage, xrefs and jump tables.
+void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
+              const Options& options, Result& result) {
   AddrSet visited(code);
   AddrSet queued(code);
   WorkQueue work;
   auto enqueue = [&](std::uint64_t addr, const InsnWindow& window) {
-    if (visited.count(addr) == 0 && queued.insert(addr)) {
+    if (code.is_code(addr) && visited.count(addr) == 0 &&
+        queued.insert(addr)) {
       work.push(addr, window);
     }
   };
   for (const std::uint64_t seed : seeds) {
-    if (code.is_code(seed)) {
-      enqueue(seed, {});
-    }
+    enqueue(seed, {});
   }
-
-  while (!work.empty()) {
-    auto [addr, window] = work.pop();
-    while (visited.insert(addr)) {
-      const Insn* insn = code.insn_at(addr);
-      if (insn == nullptr) {
-        break;  // undecodable: stop this path
-      }
-      result.insn_starts.insert(addr);
-      record_data_refs(code, *insn, result.xrefs);
-      window.push(insn);
-
-      bool fallthrough = false;
-      switch (insn->kind) {
-        case Kind::kCallDirect: {
-          const std::uint64_t target = *insn->target;
-          result.xrefs.add(target, addr, RefKind::kCall);
-          if (code.is_code(target)) {
-            result.call_targets.insert(target);
-            enqueue(target, {});
-          }
-          fallthrough = call_returns(options, window, target);
-          break;
-        }
-        case Kind::kCallIndirect:
-          fallthrough = true;  // unknown callee: assume it returns
-          break;
-        case Kind::kJmpDirect:
-        case Kind::kCondJmp: {
-          const std::uint64_t target = *insn->target;
-          result.xrefs.add(target, addr, RefKind::kJump);
-          if (code.is_code(target)) {
-            enqueue(target, window);
-          }
-          fallthrough = insn->kind == Kind::kCondJmp;
-          break;
-        }
-        case Kind::kJmpIndirect: {
-          if (options.resolve_jump_tables) {
-            if (auto table = resolve_jump_table(code, window)) {
-              for (const std::uint64_t t : table->targets) {
-                result.xrefs.add(t, addr, RefKind::kJumpTable);
-                enqueue(t, {});
-              }
-              result.jump_tables.push_back(std::move(*table));
-            }
-          }
-          break;
-        }
-        case Kind::kRet:
-        case Kind::kUd2:
-        case Kind::kHlt:
-          break;
-        default:
-          fallthrough = true;
-          break;
-      }
-      if (!fallthrough) {
-        break;
-      }
-      addr += insn->length;
-      if (!code.is_code(addr)) {
-        break;
-      }
+  auto claim = [&](std::uint64_t addr) {
+    return visited.insert(addr) ? code.insn_at(addr) : nullptr;
+  };
+  walk(code, work, claim, [&](const Insn& insn, const InsnWindow& window) {
+    result.insn_starts.insert(insn.addr);
+    if (insn.mem_target) {
+      result.xrefs.add(*insn.mem_target, insn.addr, RefKind::kMemory);
     }
-  }
-  return result.insn_starts.size();
+    if (insn.imm && code.elf().section_at(*insn.imm) != nullptr) {
+      result.xrefs.add(*insn.imm, insn.addr, RefKind::kImmediate);
+    }
+    switch (insn.kind) {
+      case Kind::kCallDirect:
+        result.xrefs.add(*insn.target, insn.addr, RefKind::kCall);
+        if (code.is_code(*insn.target)) {
+          result.call_targets.insert(*insn.target);
+          enqueue(*insn.target, {});
+        }
+        return call_flow(options, window, *insn.target);
+      case Kind::kJmpDirect:
+      case Kind::kCondJmp:
+        result.xrefs.add(*insn.target, insn.addr, RefKind::kJump);
+        enqueue(*insn.target, window);
+        break;
+      case Kind::kJmpIndirect:
+        if (auto table = table_at(code, options, window)) {
+          for (const std::uint64_t t : table->targets) {
+            result.xrefs.add(t, insn.addr, RefKind::kJumpTable);
+            enqueue(t, {});
+          }
+          result.jump_tables.push_back(std::move(*table));
+        }
+        break;
+      default:
+        break;
+    }
+    return fall_of(insn);
+  });
 }
 
 /// Scratch reused by every build_function of a pass: body and queued bits
@@ -214,81 +217,57 @@ Function build_function(const CodeView& code, std::uint64_t entry,
                         BuildScratch& s) {
   Function fn;
   fn.entry = entry;
-  auto enqueue_local = [&](std::uint64_t t, const InsnWindow& w) {
+  auto enqueue = [&](std::uint64_t t, const InsnWindow& w) {
     if (s.in_body.count(t) == 0 && s.queued.insert(t)) {
       s.queued_list.push_back(t);
       s.work.push(t, w);
     }
   };
-  enqueue_local(entry, {});
-
-  while (!s.work.empty()) {
-    auto [addr, window] = s.work.pop();
-    while (s.in_body.count(addr) == 0) {
-      if (fn.insn_addrs.size() >= options.max_insns_per_function) {
-        fn.truncated = true;
-        break;
-      }
-      const Insn* insn = code.insn_at(addr);
-      if (insn == nullptr) {
-        fn.truncated = true;
-        break;
-      }
+  enqueue(entry, {});
+  auto claim = [&](std::uint64_t addr) -> const Insn* {
+    if (s.in_body.count(addr) != 0) {
+      return nullptr;
+    }
+    const Insn* insn = fn.insn_addrs.size() < options.max_insns_per_function
+                           ? code.insn_at(addr)
+                           : nullptr;
+    fn.truncated = fn.truncated || insn == nullptr;
+    if (insn != nullptr) {
       s.in_body.insert(addr);
       fn.insn_addrs.push_back(addr);
       fn.max_end = std::max(fn.max_end, addr + insn->length);
-      window.push(insn);
-
-      bool fallthrough = false;
-      switch (insn->kind) {
-        case Kind::kCallDirect:
-          fallthrough = call_returns(options, window, *insn->target);
-          break;
-        case Kind::kCallIndirect:
-          fallthrough = true;
-          break;
-        case Kind::kJmpDirect:
-        case Kind::kCondJmp: {
-          const std::uint64_t target = *insn->target;
-          fn.jumps.push_back({addr, target, insn->kind == Kind::kCondJmp});
-          const bool other_function =
-              starts.count(target) != 0 && target != entry;
-          if (!other_function && code.is_code(target)) {
-            enqueue_local(target, window);
-          }
-          fallthrough = insn->kind == Kind::kCondJmp;
-          break;
+    }
+    return insn;
+  };
+  walk(code, s.work, claim, [&](const Insn& insn, const InsnWindow& window) {
+    const std::uint64_t target = insn.target.value_or(0);
+    switch (insn.kind) {
+      case Kind::kCallDirect:
+        fn.callees.push_back(target);
+        return call_flow(options, window, target);
+      case Kind::kJmpDirect:
+      case Kind::kCondJmp:
+        fn.jumps.push_back({insn.addr, target, insn.kind == Kind::kCondJmp});
+        if ((starts.count(target) == 0 || target == entry) &&
+            code.is_code(target)) {
+          enqueue(target, window);
         }
-        case Kind::kJmpIndirect: {
-          if (options.resolve_jump_tables) {
-            if (auto table = resolve_jump_table(code, window)) {
-              for (const std::uint64_t t : table->targets) {
-                if (starts.count(t) == 0 || t == entry) {
-                  enqueue_local(t, {});
-                }
-              }
-              fn.tables.push_back(std::move(*table));
+        break;
+      case Kind::kJmpIndirect:
+        if (auto table = table_at(code, options, window)) {
+          for (const std::uint64_t t : table->targets) {
+            if (starts.count(t) == 0 || t == entry) {
+              enqueue(t, {});
             }
           }
-          break;
+          fn.tables.push_back(std::move(*table));
         }
-        case Kind::kRet:
-        case Kind::kUd2:
-        case Kind::kHlt:
-          break;
-        default:
-          fallthrough = true;
-          break;
-      }
-      if (!fallthrough) {
         break;
-      }
-      addr += insn->length;
-      if (!code.is_code(addr)) {
+      default:
         break;
-      }
     }
-  }
+    return fall_of(insn);
+  });
   for (const std::uint64_t a : fn.insn_addrs) {
     s.in_body.erase(a);
   }
@@ -300,14 +279,41 @@ Function build_function(const CodeView& code, std::uint64_t entry,
   return fn;
 }
 
+/// True when \p fn, built under \p cache's starts and options, consulted
+/// only answers that \p starts and \p options still give.
+bool still_valid(const Function& fn, const BodyCache& cache,
+                 const AddrSet& starts, const Options& options) {
+  auto same_start = [&](std::uint64_t t) {
+    return cache.starts.count(t) == starts.count(t);
+  };
+  for (const FuncJump& j : fn.jumps) {
+    if (!same_start(j.target)) {
+      return false;
+    }
+  }
+  for (const JumpTable& table : fn.tables) {
+    if (!std::all_of(table.targets.begin(), table.targets.end(), same_start)) {
+      return false;
+    }
+  }
+  return std::all_of(fn.callees.begin(), fn.callees.end(), [&](auto c) {
+    return cache.options.noreturn_functions.count(c) ==
+           options.noreturn_functions.count(c);
+  });
+}
+
 }  // namespace
 
-Result explore(const CodeView& code, const std::vector<std::uint64_t>& seeds,
-               const Options& options) {
+namespace {
+
+/// One exploration pass, less the parts only a returned Result needs.
+Result explore_pass(const CodeView& code,
+                    const std::vector<std::uint64_t>& seeds,
+                    const Options& options, BodyCache* cache) {
   Result result;
   result.insn_starts = AddrSet(code);
-  const std::uint64_t discovered = discover(code, seeds, options, result);
-  result.xrefs.sort();
+  discover(code, seeds, options, result);
+  std::uint64_t visited = result.insn_starts.size();
 
   for (const std::uint64_t seed : seeds) {
     if (code.is_code(seed)) {
@@ -320,42 +326,70 @@ Result explore(const CodeView& code, const std::vector<std::uint64_t>& seeds,
     starts.insert(s);
   }
 
+  const bool reuse =
+      cache != nullptr &&
+      cache->options.resolve_jump_tables == options.resolve_jump_tables &&
+      cache->options.max_insns_per_function ==
+          options.max_insns_per_function &&
+      cache->options.conditional_noreturn == options.conditional_noreturn;
   BuildScratch scratch(code);
-  std::uint64_t built = 0;
   for (const std::uint64_t entry : result.starts) {
-    auto it = result.functions.emplace_hint(
-        result.functions.end(), entry,
-        build_function(code, entry, starts, options, scratch));
-    built += it->second.insn_addrs.size();
+    Function fn;
+    const auto cached = reuse ? cache->bodies.find(entry) : decltype(
+                                    cache->bodies.find(entry)){};
+    if (reuse && cached != cache->bodies.end() &&
+        still_valid(cached->second, *cache, starts, options)) {
+      fn = std::move(cached->second);
+    } else {
+      fn = build_function(code, entry, starts, options, scratch);
+      visited += fn.insn_addrs.size();
+    }
+    result.functions.emplace_hint(result.functions.end(), entry,
+                                  std::move(fn));
+  }
+  if (cache != nullptr) {
+    cache->bodies = result.functions;
+    cache->starts = std::move(starts);
+    cache->options = options;
   }
 
-  // Coverage: the union of every discovered instruction's bytes, fed to
-  // the interval set as maximal runs rather than one insert per insn.
+  EngineMetrics& metrics = EngineMetrics::get();
+  metrics.explore_passes.add();
+  metrics.insns_visited.add(visited);
+  return result;
+}
+
+/// Sorts the xrefs and derives coverage: the union of every discovered
+/// instruction's bytes, fed to the interval set as maximal runs.
+Result finish(const CodeView& code, Result result) {
+  result.xrefs.sort();
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
   result.insn_starts.for_each([&](std::uint64_t a) {
-    const std::uint64_t end = a + code.insn_at(a)->length;
     if (a < lo || a > hi) {
       result.covered.add(lo, hi);
       lo = a;
     }
-    hi = std::max(hi, end);
+    hi = std::max(hi, a + code.insn_at(a)->length);
   });
   result.covered.add(lo, hi);
-
-  EngineMetrics& metrics = EngineMetrics::get();
-  metrics.explore_passes.add();
-  metrics.insns_visited.add(discovered + built);
   return result;
+}
+
+}  // namespace
+
+Result explore(const CodeView& code, const std::vector<std::uint64_t>& seeds,
+               const Options& options, BodyCache* cache) {
+  return finish(code, explore_pass(code, seeds, options, cache));
 }
 
 std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
                                                 const Result& result,
                                                 const Options& options) {
-  // Least fixpoint of "may return", computed as the entry-ordered sweep
-  // defines it, but evaluating a function only when a function it waits
-  // on (a callee that blocked a path, or an escaping jump's target) has
-  // just become may-return. Functions are numbered in entry order.
+  // Least fixpoint of "may return", reached in the order the entry-ordered
+  // sweep defines, but a function is evaluated again only when a function
+  // it waits on (a callee that blocked a path, an escaping jump's target)
+  // has just become may-return. Functions are numbered in entry order.
   std::vector<std::uint64_t> entries;
   std::vector<const Function*> fns;
   for (const auto& [entry, fn] : result.functions) {
@@ -364,8 +398,8 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
   }
   const std::size_t n = fns.size();
   constexpr std::size_t kNone = ~std::size_t{0};
-  auto index_of = [&](const std::vector<std::uint64_t>& v, std::uint64_t a,
-                      std::size_t hint) {
+  auto index_of = [](const std::vector<std::uint64_t>& v, std::uint64_t a,
+                     std::size_t hint) {
     if (hint < v.size() && v[hint] == a) {
       return hint;
     }
@@ -373,7 +407,7 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
     return it != v.end() && *it == a ? std::size_t(it - v.begin()) : kNone;
   };
 
-  // A waiter resumes its function at `resume` once the awaited function
+  // A waiter resumes function `fn` at `resume` once the awaited function
   // may return; kEscape means the wait itself was a path to a return.
   constexpr std::uint64_t kEscape = ~std::uint64_t{0};
   struct Waiter {
@@ -384,115 +418,93 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
   std::vector<std::vector<std::uint64_t>> ready(n);
   std::vector<std::vector<bool>> seen(n);
   std::vector<char> may_return(n, 0);
-  std::vector<char> started(n, 0);
   // A function whose paths reach a conditional-noreturn call depends on
-  // the first path's window at that call, so it is always re-evaluated
-  // from its entry; every other function resumes where its paths waited.
+  // the window of the first path to reach it, so it is re-walked from its
+  // entry like the sweep does; any other function's answer is plain
+  // reachability, so it resumes only the paths that waited.
   std::vector<char> sensitive(n, 0);
   WorkQueue work;
   std::uint64_t visits = 0;
 
-  enum class Eval { kNo, kYes, kRestart };
-  auto traverse = [&](std::size_t i) -> Eval {
+  auto evaluate = [&](std::size_t i) {
     const Function& fn = *fns[i];
-    if (started[i] == 0 || sensitive[i] != 0) {
-      started[i] = 1;
+    bool restart = false;
+    auto claim = [&, pos = kNone](std::uint64_t addr) mutable -> const Insn* {
+      pos = index_of(fn.insn_addrs, addr, pos + 1);
+      if (pos == kNone || seen[i][pos]) {
+        return nullptr;
+      }
+      seen[i][pos] = true;
+      return code.insn_at(addr);
+    };
+    auto step = [&](const Insn& insn, const InsnWindow& window) {
+      ++visits;
+      const std::uint64_t target = insn.target.value_or(0);
+      const std::size_t t =
+          insn.target ? index_of(entries, target, kNone) : kNone;
+      switch (insn.kind) {
+        case Kind::kRet:
+          return Flow::kDone;
+        case Kind::kCallDirect:
+          if (options.noreturn_functions.count(target) != 0) {
+            return Flow::kEnd;
+          }
+          if (t != kNone && may_return[t] == 0) {
+            waiters[t].push_back({i, insn.addr + insn.length});
+            return Flow::kEnd;  // callee not (yet) known to return
+          }
+          if (options.conditional_noreturn.count(target) == 0) {
+            return Flow::kFall;
+          }
+          restart = sensitive[i] == 0;
+          sensitive[i] = 1;
+          return restart                     ? Flow::kDone
+                 : first_arg_is_zero(window) ? Flow::kFall
+                                             : Flow::kEnd;
+        case Kind::kJmpDirect:
+        case Kind::kCondJmp:
+          if (fn.contains(target)) {
+            work.push(target, window);
+          } else if (t != kNone) {
+            // Escaping jump (tail-call shaped): f returns iff target may.
+            if (may_return[t] != 0) {
+              return Flow::kDone;
+            }
+            waiters[t].push_back({i, kEscape});
+          } else if (code.is_code(target)) {
+            return Flow::kDone;  // jump outside known functions
+          }
+          break;
+        default:
+          break;
+      }
+      // Resolved table targets are in insn_addrs and reached via the
+      // function's other paths; an indirect jump ends the path.
+      return fall_of(insn);
+    };
+    auto start_fresh = [&] {
       seen[i].assign(fn.insn_addrs.size(), false);
       ready[i].clear();
       work.push(fn.entry, {});
+    };
+    if (seen[i].empty() || sensitive[i] != 0) {
+      start_fresh();
     }
     for (const std::uint64_t a : ready[i]) {
+      if (a == kEscape) {
+        work.clear();
+        return true;
+      }
       work.push(a, {});
     }
     ready[i].clear();
-    while (!work.empty()) {
-      auto [addr, window] = work.pop();
-      std::size_t pos = kNone;
-      while (true) {
-        if (addr == kEscape) {
-          return Eval::kYes;
-        }
-        pos = index_of(fn.insn_addrs, addr, pos + 1);
-        if (pos == kNone || seen[i][pos]) {
-          break;
-        }
-        seen[i][pos] = true;
-        const Insn* insn = code.insn_at(addr);
-        if (insn == nullptr) {
-          break;
-        }
-        ++visits;
-        window.push(insn);
-        bool fallthrough = false;
-        switch (insn->kind) {
-          case Kind::kRet:
-            return Eval::kYes;
-          case Kind::kCallDirect: {
-            const std::uint64_t callee = *insn->target;
-            const std::size_t c = index_of(entries, callee, kNone);
-            if (options.noreturn_functions.count(callee) != 0) {
-              break;
-            }
-            if (c != kNone && may_return[c] == 0) {
-              waiters[c].push_back({i, addr + insn->length});
-              break;  // callee not (yet) known to return
-            }
-            if (options.conditional_noreturn.count(callee) != 0) {
-              if (sensitive[i] == 0) {
-                sensitive[i] = 1;
-                return Eval::kRestart;
-              }
-              fallthrough = first_arg_is_zero(window);
-              break;
-            }
-            fallthrough = true;
-            break;
-          }
-          case Kind::kCallIndirect:
-            fallthrough = true;
-            break;
-          case Kind::kJmpDirect:
-          case Kind::kCondJmp: {
-            const std::uint64_t target = *insn->target;
-            const std::size_t t = index_of(entries, target, kNone);
-            if (fn.contains(target)) {
-              work.push(target, window);
-            } else if (t != kNone) {
-              // Escaping jump (tail-call shaped): f returns iff target may.
-              if (may_return[t] != 0) {
-                return Eval::kYes;
-              }
-              waiters[t].push_back({i, kEscape});
-            } else if (code.is_code(target)) {
-              return Eval::kYes;  // jump outside known functions
-            }
-            fallthrough = insn->kind == Kind::kCondJmp;
-            break;
-          }
-          default:
-            // Resolved table targets are already in insn_addrs and get
-            // visited via the function's other paths; unresolved indirect
-            // jumps, ud2 and hlt end the path.
-            fallthrough = insn->kind != Kind::kJmpIndirect &&
-                          insn->kind != Kind::kUd2 && insn->kind != Kind::kHlt;
-            break;
-        }
-        if (!fallthrough) {
-          break;
-        }
-        addr += insn->length;
-      }
+    bool done = walk(code, work, claim, step);
+    if (restart) {
+      restart = false;
+      start_fresh();
+      done = walk(code, work, claim, step);
     }
-    return Eval::kNo;
-  };
-  auto evaluate = [&](std::size_t i) {
-    Eval e = traverse(i);
-    work.clear();
-    if (e == Eval::kRestart) {
-      e = traverse(i);
-      work.clear();
-    }
-    return e == Eval::kYes;
+    return done;
   };
 
   // Sweep order: a function woken by a change at a lower entry is due in
@@ -543,24 +555,25 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
 }
 
 Result analyze(const CodeView& code, const std::vector<std::uint64_t>& seeds,
-               const Options& options) {
+               const Options& options, BodyCache* cache) {
+  BodyCache own;
+  cache = cache != nullptr ? cache : &own;
   Options opts = options;
-  Result result = explore(code, seeds, opts);
+  Result result = explore_pass(code, seeds, opts, cache);
   // Iterate the noreturn fixpoint against exploration until stable (two
   // rounds suffice in practice; bound defensively).
   for (int round = 0; round < 4; ++round) {
     std::set<std::uint64_t> noreturn =
         find_noreturn_functions(code, result, opts);
-    for (const std::uint64_t f : options.noreturn_functions) {
-      noreturn.insert(f);
-    }
+    noreturn.insert(options.noreturn_functions.begin(),
+                    options.noreturn_functions.end());
     if (noreturn == opts.noreturn_functions) {
       break;
     }
     opts.noreturn_functions = std::move(noreturn);
-    result = explore(code, seeds, opts);
+    result = explore_pass(code, seeds, opts, cache);
   }
-  return result;
+  return finish(code, std::move(result));
 }
 
 }  // namespace fetch::disasm

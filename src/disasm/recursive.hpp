@@ -43,6 +43,8 @@ struct Function {
   std::uint64_t max_end = 0;
   /// All direct jmp/jcc instructions in the function.
   std::vector<FuncJump> jumps;
+  /// Targets of the function's direct calls, in visit order.
+  std::vector<std::uint64_t> callees;
   /// Jump tables resolved inside this function.
   std::vector<JumpTable> tables;
   /// Whether exploration hit an undecodable byte (never happens for
@@ -132,24 +134,45 @@ struct Result {
   std::vector<JumpTable> jump_tables;
 };
 
+/// Function bodies of the last explore() pass that used this cache, with
+/// the options (so the no-return set) and the start set they were built
+/// against. A later pass reuses a body when every start and no-return
+/// answer it consulted (jump and table targets, callees) is unchanged;
+/// building is deterministic in those answers, so reuse never changes a
+/// result. Bodies are only reused under equal options apart from
+/// `noreturn_functions`, and a cache must stay with one CodeView.
+struct BodyCache {
+  std::map<std::uint64_t, Function> bodies;
+  AddrSet starts;
+  Options options;
+};
+
 /// Runs the full safe-recursive pipeline: exploration from \p seeds,
 /// non-returning-function fixpoint, re-exploration, and per-function
-/// structure construction.
+/// structure construction. Rounds reuse each other's bodies through
+/// \p cache (a private one when null); passing the cache of an earlier
+/// analyze() over the same code lets this one rebuild only the functions
+/// whose answers changed, with results identical to a fresh run.
 [[nodiscard]] Result analyze(const CodeView& code,
                              const std::vector<std::uint64_t>& seeds,
-                             const Options& options = {});
+                             const Options& options = {},
+                             BodyCache* cache = nullptr);
 
 /// Single exploration pass without the noreturn fixpoint (used internally
 /// and by baseline emulations that want a weaker pipeline).
 [[nodiscard]] Result explore(const CodeView& code,
                              const std::vector<std::uint64_t>& seeds,
-                             const Options& options);
+                             const Options& options,
+                             BodyCache* cache = nullptr);
 
 /// Computes the may-return least fixpoint over \p result's functions:
 /// a function may return if some intra-procedural path from its entry
 /// reaches a `ret` (calls to may-return callees fall through; calls to
 /// not-yet-may-return callees block the path). Returns entries of functions
-/// that may NOT return.
+/// that may NOT return. A worklist over reverse call and escaping-jump
+/// edges: a function is re-examined only when one it waits on becomes
+/// may-return, and resumes from the paths that waited, so the work is
+/// linear in instructions plus edges (see DESIGN.md).
 [[nodiscard]] std::set<std::uint64_t> find_noreturn_functions(
     const CodeView& code, const Result& result, const Options& options);
 

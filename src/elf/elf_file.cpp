@@ -274,6 +274,21 @@ void ElfFile::build_section_index() {
       section_index_.push_back({at, events[i].at, first});
     }
   }
+  for (const SectionRun& run : section_index_) {
+    if (sections_[run.section].executable() &&
+        run.hi - run.lo > largest_code_.hi - largest_code_.lo) {
+      largest_code_ = run;
+    }
+  }
+}
+
+bool ElfFile::is_code_address(Addr addr) const {
+  // Nearly every query lands in .text, the largest code run: one compare.
+  if (addr - largest_code_.lo < largest_code_.hi - largest_code_.lo) {
+    return true;
+  }
+  const Section* s = section_at(addr);
+  return s != nullptr && s->executable();
 }
 
 const Section* ElfFile::section_at(Addr addr) const {
@@ -298,11 +313,6 @@ std::optional<std::span<const std::uint8_t>> ElfFile::bytes_at(
   }
   return subspan_checked({image_.data(), image_.size()}, s->offset + off, len,
                          "bytes_at");
-}
-
-bool ElfFile::is_code_address(Addr addr) const {
-  const Section* s = section_at(addr);
-  return s != nullptr && s->executable();
 }
 
 }  // namespace fetch::elf

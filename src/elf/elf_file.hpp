@@ -174,6 +174,7 @@ class ElfFile {
   Addr entry_ = 0;
   std::vector<Section> sections_;
   std::vector<SectionRun> section_index_;
+  SectionRun largest_code_;  ///< largest run in an executable section
   std::vector<Segment> segments_;
   std::vector<Symbol> symbols_;
   std::vector<Symbol> dyn_symbols_;

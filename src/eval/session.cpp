@@ -114,7 +114,7 @@ FileAnalysis AnalysisSession::analyze_image(
     build_span.finish();
 
     obs::Span detect_span(trace, "detect", &metrics.detect_us);
-    const core::DetectionResult result = detector.run(options_);
+    const core::DetectionResult result = detector.run(options_, trace);
     detect_span.finish();
 
     obs::Span score_span(trace, "score", &metrics.score_us);

@@ -769,15 +769,21 @@ TEST(ServiceMetrics, TraceIdsEchoAndStagesFollowCacheState) {
   ASSERT_TRUE(miss.has_value()) << error;
   EXPECT_EQ(miss->trace, "deadbeef00000042");
   EXPECT_EQ(miss->cache, "miss");
+  // The detect stage's own sub-stages (detect.*) finish inside it.
   std::vector<std::string> stage_names;
+  std::vector<std::string> detect_stages;
   for (const util::json::Value& stage : miss->stages.items()) {
     const util::json::Value* name = stage.get("stage");
     ASSERT_NE(name, nullptr);
-    stage_names.push_back(name->text());
+    (name->text().rfind("detect.", 0) == 0 ? detect_stages : stage_names)
+        .push_back(name->text());
   }
   EXPECT_EQ(stage_names,
             (std::vector<std::string>{"elf_parse", "truth", "detector_build",
                                       "detect", "score"}));
+  ASSERT_GE(detect_stages.size(), 2u);
+  EXPECT_EQ(detect_stages[0], "detect.analyze");
+  EXPECT_EQ(detect_stages[1], "detect.pointer");
 
   // No id supplied: the daemon mints a 16-hex one. A cache hit answers
   // from the stored result, so it has no stage timings to report.
