@@ -1,8 +1,5 @@
 #include "disasm/recursive.hpp"
 
-#include <functional>
-#include <queue>
-
 #include "obs/metrics.hpp"
 
 namespace fetch::disasm {
@@ -13,23 +10,10 @@ using x86::Insn;
 using x86::Kind;
 using x86::Reg;
 
-/// Per-pass work counters (global registry), added in bulk once per pass
-/// so no per-instruction path touches an atomic.
-struct EngineMetrics {
-  obs::Counter& explore_passes;
-  obs::Counter& insns_visited;
-  obs::Counter& noreturn_visits;
-
-  static EngineMetrics& get() {
-    obs::Registry& reg = obs::Registry::global();
-    static EngineMetrics metrics{
-        reg.counter("disasm_explore_passes_total"),
-        reg.counter("disasm_insns_visited_total"),
-        reg.counter("disasm_noreturn_visits_total"),
-    };
-    return metrics;
-  }
-};
+/// Adds one pass' work to a global counter: once per pass, never per insn.
+void count_work(const char* name, std::uint64_t n) {
+  obs::Registry::global().counter(name).add(n);
+}
 
 /// Backward slice of the first-argument register (edi) at a call site:
 /// returns true when edi provably holds zero. Used for the paper's
@@ -44,11 +28,8 @@ bool first_arg_is_zero(const InsnWindow& window) {
       return *insn.imm == 0;
     }
     // xor edi, edi: classified kOther, defines rdi without reading it.
-    if (insn.kind == Kind::kOther &&
-        (insn.regs_read & reg_bit(Reg::kRdi)) == 0 && !insn.mem) {
-      return true;
-    }
-    return false;  // written by something we cannot prove zero
+    return insn.kind == Kind::kOther &&
+           (insn.regs_read & reg_bit(Reg::kRdi)) == 0 && !insn.mem;
   }
   return false;  // no definition in window: assume non-zero (conservative)
 }
@@ -74,10 +55,9 @@ Flow fall_of(const Insn& insn) {
 /// Does the call to \p callee at the end of \p window fall through?
 Flow call_flow(const Options& options, const InsnWindow& window,
                std::uint64_t callee) {
-  const bool returns =
-      options.noreturn_functions.count(callee) == 0 &&
-      (options.conditional_noreturn.count(callee) == 0 ||
-       first_arg_is_zero(window));
+  const bool returns = options.noreturn_functions.count(callee) == 0 &&
+                       (options.conditional_noreturn.count(callee) == 0 ||
+                        first_arg_is_zero(window));
   return returns ? Flow::kFall : Flow::kEnd;
 }
 
@@ -96,24 +76,20 @@ struct WorkItem {
 /// bulk, so a pop never allocates and memory tracks the live items.
 class WorkQueue {
  public:
-  void push(std::uint64_t addr, const InsnWindow& window) {
-    items_.push_back({addr, window});
+  void push(std::uint64_t addr, const InsnWindow& w) {
+    items_.push_back({addr, w});
   }
   [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+  void clear() { items_.clear(), head_ = 0; }
   WorkItem pop() {
     WorkItem item = items_[head_++];
     if (head_ == items_.size()) {
       clear();
     } else if (head_ >= 1024 && 2 * head_ >= items_.size()) {
-      items_.erase(items_.begin(),
-                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      items_.erase(items_.begin(), items_.begin() + std::ptrdiff_t(head_));
       head_ = 0;
     }
     return item;
-  }
-  void clear() {
-    items_.clear();
-    head_ = 0;
   }
 
  private:
@@ -149,7 +125,7 @@ bool walk(const CodeView& code, WorkQueue& work, Claim&& claim, Step&& step) {
 /// collecting call targets, coverage, xrefs and jump tables.
 void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
               const Options& options, Result& result) {
-  AddrSet visited(code);
+  AddrSet& visited = result.insn_starts;  // undecodable addrs stay unvisited
   AddrSet queued(code);
   WorkQueue work;
   auto enqueue = [&](std::uint64_t addr, const InsnWindow& window) {
@@ -161,11 +137,11 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
   for (const std::uint64_t seed : seeds) {
     enqueue(seed, {});
   }
-  auto claim = [&](std::uint64_t addr) {
-    return visited.insert(addr) ? code.insn_at(addr) : nullptr;
+  auto claim = [&](std::uint64_t addr) -> const Insn* {
+    const Insn* insn = visited.count(addr) == 0 ? code.insn_at(addr) : nullptr;
+    return insn != nullptr && visited.insert(addr) ? insn : nullptr;
   };
   walk(code, work, claim, [&](const Insn& insn, const InsnWindow& window) {
-    result.insn_starts.insert(insn.addr);
     if (insn.mem_target) {
       result.xrefs.add(*insn.mem_target, insn.addr, RefKind::kMemory);
     }
@@ -286,25 +262,19 @@ bool still_valid(const Function& fn, const BodyCache& cache,
   auto same_start = [&](std::uint64_t t) {
     return cache.starts.count(t) == starts.count(t);
   };
-  for (const FuncJump& j : fn.jumps) {
-    if (!same_start(j.target)) {
-      return false;
-    }
-  }
-  for (const JumpTable& table : fn.tables) {
-    if (!std::all_of(table.targets.begin(), table.targets.end(), same_start)) {
-      return false;
-    }
-  }
-  return std::all_of(fn.callees.begin(), fn.callees.end(), [&](auto c) {
+  auto same_noreturn = [&](std::uint64_t c) {
     return cache.options.noreturn_functions.count(c) ==
            options.noreturn_functions.count(c);
-  });
+  };
+  return std::all_of(fn.jumps.begin(), fn.jumps.end(),
+                     [&](const FuncJump& j) { return same_start(j.target); }) &&
+         std::all_of(fn.tables.begin(), fn.tables.end(),
+                     [&](const JumpTable& t) {
+                       return std::all_of(t.targets.begin(), t.targets.end(),
+                                          same_start);
+                     }) &&
+         std::all_of(fn.callees.begin(), fn.callees.end(), same_noreturn);
 }
-
-}  // namespace
-
-namespace {
 
 /// One exploration pass, less the parts only a returned Result needs.
 Result explore_pass(const CodeView& code,
@@ -326,19 +296,18 @@ Result explore_pass(const CodeView& code,
     starts.insert(s);
   }
 
+  BodyCache none;
+  BodyCache& memo = cache != nullptr ? *cache : none;
   const bool reuse =
-      cache != nullptr &&
-      cache->options.resolve_jump_tables == options.resolve_jump_tables &&
-      cache->options.max_insns_per_function ==
-          options.max_insns_per_function &&
-      cache->options.conditional_noreturn == options.conditional_noreturn;
+      memo.options.resolve_jump_tables == options.resolve_jump_tables &&
+      memo.options.max_insns_per_function == options.max_insns_per_function &&
+      memo.options.conditional_noreturn == options.conditional_noreturn;
   BuildScratch scratch(code);
   for (const std::uint64_t entry : result.starts) {
+    const auto cached = memo.bodies.find(entry);
     Function fn;
-    const auto cached = reuse ? cache->bodies.find(entry) : decltype(
-                                    cache->bodies.find(entry)){};
-    if (reuse && cached != cache->bodies.end() &&
-        still_valid(cached->second, *cache, starts, options)) {
+    if (reuse && cached != memo.bodies.end() &&
+        still_valid(cached->second, memo, starts, options)) {
       fn = std::move(cached->second);
     } else {
       fn = build_function(code, entry, starts, options, scratch);
@@ -352,10 +321,8 @@ Result explore_pass(const CodeView& code,
     cache->starts = std::move(starts);
     cache->options = options;
   }
-
-  EngineMetrics& metrics = EngineMetrics::get();
-  metrics.explore_passes.add();
-  metrics.insns_visited.add(visited);
+  count_work("disasm_explore_passes_total", 1);
+  count_work("disasm_insns_visited_total", visited);
   return result;
 }
 
@@ -414,30 +381,51 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
     std::size_t fn;
     std::uint64_t resume;
   };
-  std::vector<std::vector<Waiter>> waiters(n);
-  std::vector<std::vector<std::uint64_t>> ready(n);
-  std::vector<std::vector<bool>> seen(n);
-  std::vector<char> may_return(n, 0);
-  // A function whose paths reach a conditional-noreturn call depends on
-  // the window of the first path to reach it, so it is re-walked from its
-  // entry like the sweep does; any other function's answer is plain
-  // reachability, so it resumes only the paths that waited.
-  std::vector<char> sensitive(n, 0);
+  struct State {
+    std::vector<Waiter> waiters;       // functions waiting on this one
+    std::vector<std::uint64_t> ready;  // resume points now unblocked
+    std::vector<bool> seen;            // by position in insn_addrs
+    bool may_return = false;
+    // Calls a conditional-noreturn callee: the answer then depends on the
+    // window of the first path to reach the call, so the function is
+    // re-walked from its entry as the sweep would. Any other function's
+    // answer is plain reachability: it resumes only the paths that waited.
+    bool sensitive = false;
+  };
+  std::vector<State> st(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    st[i].sensitive = std::any_of(
+        fns[i]->callees.begin(), fns[i]->callees.end(),
+        [&](auto c) { return options.conditional_noreturn.count(c) != 0; });
+  }
   WorkQueue work;
   std::uint64_t visits = 0;
 
   auto evaluate = [&](std::size_t i) {
     const Function& fn = *fns[i];
-    bool restart = false;
+    State& s = st[i];
+    if (s.seen.empty() || s.sensitive) {
+      s.seen.assign(fn.insn_addrs.size(), false);
+      s.ready.assign(1, fn.entry);
+    }
+    for (const std::uint64_t a : s.ready) {
+      if (a == kEscape) {
+        work.clear();
+        return true;
+      }
+      work.push(a, {});
+    }
+    s.ready.clear();
     auto claim = [&, pos = kNone](std::uint64_t addr) mutable -> const Insn* {
       pos = index_of(fn.insn_addrs, addr, pos + 1);
-      if (pos == kNone || seen[i][pos]) {
+      if (pos == kNone || s.seen[pos]) {
         return nullptr;
       }
-      seen[i][pos] = true;
+      s.seen[pos] = true;
       return code.insn_at(addr);
     };
-    auto step = [&](const Insn& insn, const InsnWindow& window) {
+    return walk(code, work, claim, [&](const Insn& insn,
+                                       const InsnWindow& window) {
       ++visits;
       const std::uint64_t target = insn.target.value_or(0);
       const std::size_t t =
@@ -446,31 +434,22 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
         case Kind::kRet:
           return Flow::kDone;
         case Kind::kCallDirect:
-          if (options.noreturn_functions.count(target) != 0) {
-            return Flow::kEnd;
-          }
-          if (t != kNone && may_return[t] == 0) {
-            waiters[t].push_back({i, insn.addr + insn.length});
+          if (t != kNone && !st[t].may_return &&
+              options.noreturn_functions.count(target) == 0) {
+            st[t].waiters.push_back({i, insn.addr + insn.length});
             return Flow::kEnd;  // callee not (yet) known to return
           }
-          if (options.conditional_noreturn.count(target) == 0) {
-            return Flow::kFall;
-          }
-          restart = sensitive[i] == 0;
-          sensitive[i] = 1;
-          return restart                     ? Flow::kDone
-                 : first_arg_is_zero(window) ? Flow::kFall
-                                             : Flow::kEnd;
+          return call_flow(options, window, target);
         case Kind::kJmpDirect:
         case Kind::kCondJmp:
           if (fn.contains(target)) {
             work.push(target, window);
           } else if (t != kNone) {
             // Escaping jump (tail-call shaped): f returns iff target may.
-            if (may_return[t] != 0) {
+            if (st[t].may_return) {
               return Flow::kDone;
             }
-            waiters[t].push_back({i, kEscape});
+            st[t].waiters.push_back({i, kEscape});
           } else if (code.is_code(target)) {
             return Flow::kDone;  // jump outside known functions
           }
@@ -481,73 +460,39 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
       // Resolved table targets are in insn_addrs and reached via the
       // function's other paths; an indirect jump ends the path.
       return fall_of(insn);
-    };
-    auto start_fresh = [&] {
-      seen[i].assign(fn.insn_addrs.size(), false);
-      ready[i].clear();
-      work.push(fn.entry, {});
-    };
-    if (seen[i].empty() || sensitive[i] != 0) {
-      start_fresh();
-    }
-    for (const std::uint64_t a : ready[i]) {
-      if (a == kEscape) {
-        work.clear();
-        return true;
-      }
-      work.push(a, {});
-    }
-    ready[i].clear();
-    bool done = walk(code, work, claim, step);
-    if (restart) {
-      restart = false;
-      start_fresh();
-      done = walk(code, work, claim, step);
-    }
-    return done;
+    });
   };
 
   // Sweep order: a function woken by a change at a lower entry is due in
   // the current sweep, one woken from a higher entry in the next.
-  using MinQueue = std::priority_queue<std::size_t, std::vector<std::size_t>,
-                                       std::greater<>>;
-  MinQueue sweep;
-  MinQueue next;
-  std::vector<char> in_sweep(n, 1);
-  std::vector<char> in_next(n, 0);
+  std::set<std::size_t> sweep;
+  std::set<std::size_t> next;
   for (std::size_t i = 0; i < n; ++i) {
-    sweep.push(i);
+    sweep.insert(sweep.end(), i);
   }
   while (!sweep.empty()) {
     while (!sweep.empty()) {
-      const std::size_t i = sweep.top();
-      sweep.pop();
-      in_sweep[i] = 0;
-      if (may_return[i] != 0 || !evaluate(i)) {
+      const std::size_t i = *sweep.begin();
+      sweep.erase(sweep.begin());
+      if (st[i].may_return || !evaluate(i)) {
         continue;
       }
-      may_return[i] = 1;
-      for (const Waiter& w : waiters[i]) {
-        if (may_return[w.fn] != 0) {
-          continue;
-        }
-        ready[w.fn].push_back(w.resume);
-        std::vector<char>& flag = w.fn > i ? in_sweep : in_next;
-        if (flag[w.fn] == 0) {
-          flag[w.fn] = 1;
-          (w.fn > i ? sweep : next).push(w.fn);
+      st[i].may_return = true;
+      for (const Waiter& w : st[i].waiters) {
+        if (!st[w.fn].may_return) {
+          st[w.fn].ready.push_back(w.resume);
+          (w.fn > i ? sweep : next).insert(w.fn);
         }
       }
-      waiters[i] = {};
+      st[i].waiters = {};
     }
     std::swap(sweep, next);
-    std::swap(in_sweep, in_next);
   }
-  EngineMetrics::get().noreturn_visits.add(visits);
+  count_work("disasm_noreturn_visits_total", visits);
 
   std::set<std::uint64_t> noreturn;
   for (std::size_t i = 0; i < n; ++i) {
-    if (may_return[i] == 0) {
+    if (!st[i].may_return) {
       noreturn.insert(noreturn.end(), entries[i]);
     }
   }
