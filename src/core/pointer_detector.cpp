@@ -5,6 +5,7 @@
 
 #include "analysis/callconv.hpp"
 #include "analysis/pointer_scan.hpp"
+#include "disasm/walk.hpp"
 
 namespace fetch::core {
 
@@ -59,104 +60,71 @@ Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
             state.insn_starts.count(addr) == 0) ||
            (s.starts.count(addr) == 0 && s.interior.count(addr) != 0);
   };
+  auto valid_target = [&](std::uint64_t t) {
+    return code.is_code(t) && !into_middle(t);  // error (iii)
+  };
 
-  std::deque<std::uint64_t> work;
-  work.push_back(start);
-  s.queued.insert(start);
-  s.queued_list.push_back(start);
-
-  while (!work.empty()) {
-    std::uint64_t addr = work.front();
-    work.pop_front();
-
-    while (true) {
-      if (s.starts.count(addr) != 0 || state.insn_starts.count(addr) != 0) {
-        break;  // rejoined known-good code
+  disasm::WorkQueue work;
+  bool rejected = false;
+  auto enqueue = [&](std::uint64_t addr) {
+    if (s.queued.insert(addr)) {
+      s.queued_list.push_back(addr);
+      work.push(addr);
+    }
+  };
+  enqueue(start);
+  auto claim = [&](std::uint64_t addr) -> const Insn* {
+    if (s.starts.count(addr) != 0 || state.insn_starts.count(addr) != 0) {
+      return nullptr;  // rejoined known-good code
+    }
+    const Insn* insn = probe.lengths.size() < kMaxProbeInsns  // runaway
+                                ? code.insn_at(addr)  // error (i): invalid
+                                : nullptr;
+    if (insn == nullptr || into_middle(addr)) {  // error (ii)
+      rejected = true;
+      work.clear();
+      return nullptr;
+    }
+    s.starts.insert(addr);
+    for (std::uint64_t b = addr + 1; b < addr + insn->length; ++b) {
+      s.interior.insert(b);
+    }
+    probe.lengths.emplace_back(addr, insn->length);
+    return insn;
+  };
+  auto step = [&](const Insn& insn, const disasm::InsnWindow&) {
+    if (insn.mem_target && code.elf().is_code_address(*insn.mem_target)) {
+      probe.constants.insert(*insn.mem_target);
+    }
+    if (insn.imm && code.elf().is_code_address(*insn.imm)) {
+      probe.constants.insert(*insn.imm);
+    }
+    if (insn.kind == Kind::kCallDirect || insn.kind == Kind::kJmpDirect ||
+        insn.kind == Kind::kCondJmp) {
+      const std::uint64_t t = *insn.target;
+      if (!valid_target(t)) {
+        return disasm::Flow::kDone;
       }
-      if (probe.lengths.size() >= kMaxProbeInsns) {
-        return probe;  // runaway: reject
-      }
-      const auto insn = code.insn_at(addr);
-      if (!insn) {
-        return probe;  // error (i): invalid opcode
-      }
-      if (into_middle(addr)) {
-        return probe;  // error (ii): middle of an existing instruction
-      }
-      s.starts.insert(addr);
-      for (std::uint64_t b = addr + 1; b < addr + insn->length; ++b) {
-        s.interior.insert(b);
-      }
-      probe.lengths.emplace_back(addr, insn->length);
-      if (insn->mem_target &&
-          code.elf().is_code_address(*insn->mem_target)) {
-        probe.constants.insert(*insn->mem_target);
-      }
-      if (insn->imm && code.elf().is_code_address(*insn->imm)) {
-        probe.constants.insert(*insn->imm);
-      }
-
-      auto check_target = [&](std::uint64_t t) -> bool {
-        if (!code.is_code(t)) {
-          return false;
-        }
-        if (into_middle(t)) {
-          return false;  // error (iii)
-        }
-        return true;
-      };
-
-      bool fallthrough = false;
-      switch (insn->kind) {
-        case Kind::kCallDirect: {
-          if (!check_target(*insn->target)) {
-            return probe;
-          }
-          fallthrough = true;  // probing assumes callees return
-          break;
-        }
-        case Kind::kCallIndirect:
-          fallthrough = true;
-          break;
-        case Kind::kJmpDirect:
-        case Kind::kCondJmp: {
-          const std::uint64_t t = *insn->target;
-          if (!check_target(t)) {
-            return probe;
-          }
-          // Follow intra-probe flow, but stop at detected functions.
-          if (state.starts.count(t) == 0 && s.starts.count(t) == 0 &&
-              state.insn_starts.count(t) == 0 && s.queued.insert(t)) {
-            s.queued_list.push_back(t);
-            work.push_back(t);
-          }
-          fallthrough = insn->kind == Kind::kCondJmp;
-          break;
-        }
-        case Kind::kJmpIndirect:
-        case Kind::kRet:
-        case Kind::kUd2:
-        case Kind::kHlt:
-          break;
-        default:
-          fallthrough = true;
-          break;
-      }
-      if (!fallthrough) {
-        break;
-      }
-      addr += insn->length;
-      if (!code.is_code(addr)) {
-        return probe;  // ran off the end of the section
+      // Follow intra-probe flow, but stop at detected functions; probing
+      // assumes callees return.
+      if (insn.kind != Kind::kCallDirect && state.starts.count(t) == 0 &&
+          s.starts.count(t) == 0 && state.insn_starts.count(t) == 0) {
+        enqueue(t);
       }
     }
-  }
+    const disasm::Flow flow = disasm::fall_of(insn);
+    if (flow == disasm::Flow::kFall &&
+        !code.is_code(insn.addr + insn.length)) {
+      return disasm::Flow::kDone;  // ran off the end of the section
+    }
+    return flow;
+  };
+  // Every kDone is a rejection: probing never succeeds early.
+  rejected = disasm::walk(code, work, claim, step) || rejected;
 
   // Error (iv): calling-convention validation.
-  if (!analysis::meets_calling_convention(code, start)) {
-    return probe;
-  }
-  probe.legitimate = true;
+  probe.legitimate =
+      !rejected && analysis::meets_calling_convention(code, start);
   return probe;
 }
 

@@ -1,5 +1,6 @@
 #include "disasm/recursive.hpp"
 
+#include "disasm/walk.hpp"
 #include "obs/metrics.hpp"
 
 namespace fetch::disasm {
@@ -34,24 +35,6 @@ bool first_arg_is_zero(const InsnWindow& window) {
   return false;  // no definition in window: assume non-zero (conservative)
 }
 
-/// How a walked path continues after an instruction.
-enum class Flow { kFall, kEnd, kDone };
-
-/// Falls through unless the instruction ends its block (direct calls are
-/// decided by the callee's no-return status instead).
-Flow fall_of(const Insn& insn) {
-  switch (insn.kind) {
-    case Kind::kJmpDirect:
-    case Kind::kJmpIndirect:
-    case Kind::kRet:
-    case Kind::kUd2:
-    case Kind::kHlt:
-      return Flow::kEnd;
-    default:
-      return Flow::kFall;
-  }
-}
-
 /// Does the call to \p callee at the end of \p window fall through?
 Flow call_flow(const Options& options, const InsnWindow& window,
                std::uint64_t callee) {
@@ -65,60 +48,6 @@ std::optional<JumpTable> table_at(const CodeView& code, const Options& options,
                                   const InsnWindow& window) {
   return options.resolve_jump_tables ? resolve_jump_table(code, window)
                                      : std::nullopt;
-}
-
-struct WorkItem {
-  std::uint64_t addr;
-  InsnWindow window;
-};
-
-/// FIFO of work items on one vector; the consumed prefix is dropped in
-/// bulk, so a pop never allocates and memory tracks the live items.
-class WorkQueue {
- public:
-  void push(std::uint64_t addr, const InsnWindow& w) {
-    items_.push_back({addr, w});
-  }
-  [[nodiscard]] bool empty() const { return head_ == items_.size(); }
-  void clear() { items_.clear(), head_ = 0; }
-  WorkItem pop() {
-    WorkItem item = items_[head_++];
-    if (head_ == items_.size()) {
-      clear();
-    } else if (head_ >= 1024 && 2 * head_ >= items_.size()) {
-      items_.erase(items_.begin(), items_.begin() + std::ptrdiff_t(head_));
-      head_ = 0;
-    }
-    return item;
-  }
-
- private:
-  std::vector<WorkItem> items_;
-  std::size_t head_ = 0;
-};
-
-/// The path walker every pass shares: pops work items and follows each
-/// path by fallthrough. `claim(addr)` yields the instruction to visit, or
-/// nullptr to end the path; `step(insn, window)` handles its successors.
-/// Returns true when a step ended the whole walk (Flow::kDone).
-template <typename Claim, typename Step>
-bool walk(const CodeView& code, WorkQueue& work, Claim&& claim, Step&& step) {
-  while (!work.empty()) {
-    auto [addr, window] = work.pop();
-    while (const Insn* insn = claim(addr)) {
-      window.push(insn);
-      const Flow flow = step(*insn, window);
-      if (flow == Flow::kDone) {
-        work.clear();
-        return true;
-      }
-      addr += insn->length;
-      if (flow == Flow::kEnd || !code.is_code(addr)) {
-        break;
-      }
-    }
-  }
-  return false;
 }
 
 /// Phase 1: global discovery. Explores every reachable instruction once,
@@ -413,7 +342,7 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
         work.clear();
         return true;
       }
-      work.push(a, {});
+      work.push(a);
     }
     s.ready.clear();
     auto claim = [&, pos = kNone](std::uint64_t addr) mutable -> const Insn* {
