@@ -11,11 +11,6 @@ using x86::Insn;
 using x86::Kind;
 using x86::Reg;
 
-/// Adds one pass' work to a global counter: once per pass, never per insn.
-void count_work(const char* name, std::uint64_t n) {
-  obs::Registry::global().counter(name).add(n);
-}
-
 /// Backward slice of the first-argument register (edi) at a call site:
 /// returns true when edi provably holds zero. Used for the paper's
 /// `error`/`error_at_line` conditional-noreturn special case.
@@ -44,17 +39,12 @@ Flow call_flow(const Options& options, const InsnWindow& window,
   return returns ? Flow::kFall : Flow::kEnd;
 }
 
-std::optional<JumpTable> table_at(const CodeView& code, const Options& options,
-                                  const InsnWindow& window) {
-  return options.resolve_jump_tables ? resolve_jump_table(code, window)
-                                     : std::nullopt;
-}
-
 /// Phase 1: global discovery. Explores every reachable instruction once,
-/// collecting call targets, coverage, xrefs and jump tables.
+/// collecting starts (code seeds and call targets), call targets, coverage,
+/// xrefs and jump tables.
 void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
               const Options& options, Result& result) {
-  AddrSet& visited = result.insn_starts;  // undecodable addrs stay unvisited
+  AddrSet& visited = result.insn_starts;
   AddrSet queued(code);
   WorkQueue work;
   auto enqueue = [&](std::uint64_t addr, const InsnWindow& window) {
@@ -64,10 +54,13 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
     }
   };
   for (const std::uint64_t seed : seeds) {
+    if (code.is_code(seed)) {
+      result.starts.insert(seed);
+    }
     enqueue(seed, {});
   }
   auto claim = [&](std::uint64_t addr) -> const Insn* {
-    const Insn* insn = visited.count(addr) == 0 ? code.insn_at(addr) : nullptr;
+    const Insn* insn = code.insn_at(addr);
     return insn != nullptr && visited.insert(addr) ? insn : nullptr;
   };
   walk(code, work, claim, [&](const Insn& insn, const InsnWindow& window) {
@@ -82,6 +75,7 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
         result.xrefs.add(*insn.target, insn.addr, RefKind::kCall);
         if (code.is_code(*insn.target)) {
           result.call_targets.insert(*insn.target);
+          result.starts.insert(*insn.target);
           enqueue(*insn.target, {});
         }
         return call_flow(options, window, *insn.target);
@@ -91,7 +85,9 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
         enqueue(*insn.target, window);
         break;
       case Kind::kJmpIndirect:
-        if (auto table = table_at(code, options, window)) {
+        if (auto table = options.resolve_jump_tables
+                             ? resolve_jump_table(code, window)
+                             : std::nullopt) {
           for (const std::uint64_t t : table->targets) {
             result.xrefs.add(t, insn.addr, RefKind::kJumpTable);
             enqueue(t, {});
@@ -106,31 +102,17 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
   });
 }
 
-/// Scratch reused by every build_function of a pass: body and queued bits
-/// are cleared through the touched lists, never reallocated.
-struct BuildScratch {
-  explicit BuildScratch(const CodeView& code) : in_body(code), queued(code) {}
-  AddrSet in_body;
-  AddrSet queued;
-  std::vector<std::uint64_t> queued_list;
-  WorkQueue work;
-};
-
 /// Phase 2: builds one function's structure against the final start set.
+/// \p in_body is clear scratch shared by a pass' builds (left clear). An
+/// address queued twice is claimed by its older item only: no dedup needed.
 Function build_function(const CodeView& code, std::uint64_t entry,
                         const AddrSet& starts, const Options& options,
-                        BuildScratch& s) {
+                        AddrSet& in_body, WorkQueue& work) {
   Function fn;
   fn.entry = entry;
-  auto enqueue = [&](std::uint64_t t, const InsnWindow& w) {
-    if (s.in_body.count(t) == 0 && s.queued.insert(t)) {
-      s.queued_list.push_back(t);
-      s.work.push(t, w);
-    }
-  };
-  enqueue(entry, {});
+  work.push(entry);
   auto claim = [&](std::uint64_t addr) -> const Insn* {
-    if (s.in_body.count(addr) != 0) {
+    if (in_body.count(addr) != 0) {
       return nullptr;
     }
     const Insn* insn = fn.insn_addrs.size() < options.max_insns_per_function
@@ -138,13 +120,13 @@ Function build_function(const CodeView& code, std::uint64_t entry,
                            : nullptr;
     fn.truncated = fn.truncated || insn == nullptr;
     if (insn != nullptr) {
-      s.in_body.insert(addr);
+      in_body.insert(addr);
       fn.insn_addrs.push_back(addr);
       fn.max_end = std::max(fn.max_end, addr + insn->length);
     }
     return insn;
   };
-  walk(code, s.work, claim, [&](const Insn& insn, const InsnWindow& window) {
+  walk(code, work, claim, [&](const Insn& insn, const InsnWindow& window) {
     const std::uint64_t target = insn.target.value_or(0);
     switch (insn.kind) {
       case Kind::kCallDirect:
@@ -155,14 +137,16 @@ Function build_function(const CodeView& code, std::uint64_t entry,
         fn.jumps.push_back({insn.addr, target, insn.kind == Kind::kCondJmp});
         if ((starts.count(target) == 0 || target == entry) &&
             code.is_code(target)) {
-          enqueue(target, window);
+          work.push(target, window);
         }
         break;
       case Kind::kJmpIndirect:
-        if (auto table = table_at(code, options, window)) {
+        if (auto table = options.resolve_jump_tables
+                             ? resolve_jump_table(code, window)
+                             : std::nullopt) {
           for (const std::uint64_t t : table->targets) {
             if (starts.count(t) == 0 || t == entry) {
-              enqueue(t, {});
+              work.push(t);
             }
           }
           fn.tables.push_back(std::move(*table));
@@ -174,12 +158,8 @@ Function build_function(const CodeView& code, std::uint64_t entry,
     return fall_of(insn);
   });
   for (const std::uint64_t a : fn.insn_addrs) {
-    s.in_body.erase(a);
+    in_body.erase(a);
   }
-  for (const std::uint64_t a : s.queued_list) {
-    s.queued.erase(a);
-  }
-  s.queued_list.clear();
   std::sort(fn.insn_addrs.begin(), fn.insn_addrs.end());
   return fn;
 }
@@ -191,18 +171,17 @@ bool still_valid(const Function& fn, const BodyCache& cache,
   auto same_start = [&](std::uint64_t t) {
     return cache.starts.count(t) == starts.count(t);
   };
-  auto same_noreturn = [&](std::uint64_t c) {
-    return cache.options.noreturn_functions.count(c) ==
-           options.noreturn_functions.count(c);
-  };
+  for (const JumpTable& table : fn.tables) {
+    if (!std::all_of(table.targets.begin(), table.targets.end(), same_start)) {
+      return false;
+    }
+  }
   return std::all_of(fn.jumps.begin(), fn.jumps.end(),
-                     [&](const FuncJump& j) { return same_start(j.target); }) &&
-         std::all_of(fn.tables.begin(), fn.tables.end(),
-                     [&](const JumpTable& t) {
-                       return std::all_of(t.targets.begin(), t.targets.end(),
-                                          same_start);
-                     }) &&
-         std::all_of(fn.callees.begin(), fn.callees.end(), same_noreturn);
+                     [&](auto& j) { return same_start(j.target); }) &&
+         std::all_of(fn.callees.begin(), fn.callees.end(), [&](auto c) {
+           return cache.options.noreturn_functions.count(c) ==
+                  options.noreturn_functions.count(c);
+         });
 }
 
 /// One exploration pass, less the parts only a returned Result needs.
@@ -213,13 +192,6 @@ Result explore_pass(const CodeView& code,
   result.insn_starts = AddrSet(code);
   discover(code, seeds, options, result);
   std::uint64_t visited = result.insn_starts.size();
-
-  for (const std::uint64_t seed : seeds) {
-    if (code.is_code(seed)) {
-      result.starts.insert(seed);
-    }
-  }
-  result.starts.insert(result.call_targets.begin(), result.call_targets.end());
   AddrSet starts(code);
   for (const std::uint64_t s : result.starts) {
     starts.insert(s);
@@ -227,19 +199,21 @@ Result explore_pass(const CodeView& code,
 
   BodyCache none;
   BodyCache& memo = cache != nullptr ? *cache : none;
-  const bool reuse =
-      memo.options.resolve_jump_tables == options.resolve_jump_tables &&
-      memo.options.max_insns_per_function == options.max_insns_per_function &&
-      memo.options.conditional_noreturn == options.conditional_noreturn;
-  BuildScratch scratch(code);
+  if (memo.options.resolve_jump_tables != options.resolve_jump_tables ||
+      memo.options.max_insns_per_function != options.max_insns_per_function ||
+      memo.options.conditional_noreturn != options.conditional_noreturn) {
+    memo.bodies.clear();  // built under other options: nothing to reuse
+  }
+  AddrSet in_body(code);
+  WorkQueue work;
   for (const std::uint64_t entry : result.starts) {
     const auto cached = memo.bodies.find(entry);
     Function fn;
-    if (reuse && cached != memo.bodies.end() &&
+    if (cached != memo.bodies.end() &&
         still_valid(cached->second, memo, starts, options)) {
       fn = std::move(cached->second);
     } else {
-      fn = build_function(code, entry, starts, options, scratch);
+      fn = build_function(code, entry, starts, options, in_body, work);
       visited += fn.insn_addrs.size();
     }
     result.functions.emplace_hint(result.functions.end(), entry,
@@ -250,8 +224,9 @@ Result explore_pass(const CodeView& code,
     cache->starts = std::move(starts);
     cache->options = options;
   }
-  count_work("disasm_explore_passes_total", 1);
-  count_work("disasm_insns_visited_total", visited);
+  // Work counters are added once per pass, never per instruction.
+  obs::Registry::global().counter("disasm_explore_passes_total").add(1);
+  obs::Registry::global().counter("disasm_insns_visited_total").add(visited);
   return result;
 }
 
@@ -285,14 +260,11 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
   // Least fixpoint of "may return", reached in the order the entry-ordered
   // sweep defines, but a function is evaluated again only when a function
   // it waits on (a callee that blocked a path, an escaping jump's target)
-  // has just become may-return. Functions are numbered in entry order.
-  std::vector<std::uint64_t> entries;
-  std::vector<const Function*> fns;
-  for (const auto& [entry, fn] : result.functions) {
-    entries.push_back(entry);
-    fns.push_back(&fn);
-  }
-  const std::size_t n = fns.size();
+  // has just become may-return. Functions are numbered in entry order. A
+  // function that calls a conditional-noreturn callee depends on the window
+  // of the first path to reach that call, so it is re-walked from its entry
+  // as the sweep would; any other function's answer is plain reachability,
+  // so it resumes only the paths that waited.
   constexpr std::size_t kNone = ~std::size_t{0};
   auto index_of = [](const std::vector<std::uint64_t>& v, std::uint64_t a,
                      std::size_t hint) {
@@ -303,37 +275,40 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
     return it != v.end() && *it == a ? std::size_t(it - v.begin()) : kNone;
   };
 
-  // A waiter resumes function `fn` at `resume` once the awaited function
-  // may return; kEscape means the wait itself was a path to a return.
+  // A waiter (function, resume point) continues at the resume point once
+  // the awaited function may return; kEscape: the wait itself was a path
+  // to a return.
   constexpr std::uint64_t kEscape = ~std::uint64_t{0};
-  struct Waiter {
-    std::size_t fn;
-    std::uint64_t resume;
-  };
+  using Waiter = std::pair<std::size_t, std::uint64_t>;
   struct State {
+    const Function* fn = nullptr;
     std::vector<Waiter> waiters;       // functions waiting on this one
     std::vector<std::uint64_t> ready;  // resume points now unblocked
     std::vector<bool> seen;            // by position in insn_addrs
     bool may_return = false;
-    // Calls a conditional-noreturn callee: the answer then depends on the
-    // window of the first path to reach the call, so the function is
-    // re-walked from its entry as the sweep would. Any other function's
-    // answer is plain reachability: it resumes only the paths that waited.
-    bool sensitive = false;
+    bool sensitive = false;  // calls a conditional-noreturn callee
   };
-  std::vector<State> st(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    st[i].sensitive = std::any_of(
-        fns[i]->callees.begin(), fns[i]->callees.end(),
-        [&](auto c) { return options.conditional_noreturn.count(c) != 0; });
+  // Sweep order: a function woken by a change at a lower entry is due in
+  // the current sweep, one woken from a higher entry in the next.
+  std::set<std::size_t> sweep;
+  std::set<std::size_t> next;
+  std::vector<std::uint64_t> entries;
+  std::vector<State> st;
+  for (const auto& [entry, fn] : result.functions) {
+    sweep.insert(sweep.end(), st.size());
+    entries.push_back(entry);
+    st.emplace_back().fn = &fn;
   }
   WorkQueue work;
   std::uint64_t visits = 0;
 
   auto evaluate = [&](std::size_t i) {
-    const Function& fn = *fns[i];
     State& s = st[i];
-    if (s.seen.empty() || s.sensitive) {
+    const Function& fn = *s.fn;
+    if (s.seen.empty() || s.sensitive) {  // first walk, or from the entry
+      s.sensitive = std::any_of(
+          fn.callees.begin(), fn.callees.end(),
+          [&](auto c) { return options.conditional_noreturn.count(c) != 0; });
       s.seen.assign(fn.insn_addrs.size(), false);
       s.ready.assign(1, fn.entry);
     }
@@ -392,13 +367,6 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
     });
   };
 
-  // Sweep order: a function woken by a change at a lower entry is due in
-  // the current sweep, one woken from a higher entry in the next.
-  std::set<std::size_t> sweep;
-  std::set<std::size_t> next;
-  for (std::size_t i = 0; i < n; ++i) {
-    sweep.insert(sweep.end(), i);
-  }
   while (!sweep.empty()) {
     while (!sweep.empty()) {
       const std::size_t i = *sweep.begin();
@@ -407,20 +375,20 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
         continue;
       }
       st[i].may_return = true;
-      for (const Waiter& w : st[i].waiters) {
-        if (!st[w.fn].may_return) {
-          st[w.fn].ready.push_back(w.resume);
-          (w.fn > i ? sweep : next).insert(w.fn);
+      for (const auto& [w, resume] : st[i].waiters) {
+        if (!st[w].may_return) {
+          st[w].ready.push_back(resume);
+          (w > i ? sweep : next).insert(w);
         }
       }
       st[i].waiters = {};
     }
     std::swap(sweep, next);
   }
-  count_work("disasm_noreturn_visits_total", visits);
+  obs::Registry::global().counter("disasm_noreturn_visits_total").add(visits);
 
   std::set<std::uint64_t> noreturn;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < st.size(); ++i) {
     if (!st[i].may_return) {
       noreturn.insert(noreturn.end(), entries[i]);
     }
