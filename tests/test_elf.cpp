@@ -102,6 +102,75 @@ TEST(ElfAddressing, BytesAtAndSectionAt) {
   EXPECT_EQ(elf.section_at(0x500004)->name, ".data");
 }
 
+/// Hostile layouts overlap sections; lookups keep the first section (in
+/// header order) that contains an address, as a linear scan would.
+TEST(ElfAddressing, OverlappingSectionsResolveToTheFirstInHeaderOrder) {
+  ElfBuilder b;
+  b.add_section(".rodata", kShtProgbits, kShfAlloc, 0x400000,
+                std::vector<std::uint8_t>(16, 0), 8);
+  b.add_section(".text", kShtProgbits, kShfAlloc | kShfExecinstr, 0x401000,
+                std::vector<std::uint8_t>(32, 0x90), 16);
+  b.add_section(".data", kShtProgbits, kShfAlloc | kShfWrite, 0x402000,
+                std::vector<std::uint8_t>(8, 0), 8);
+  std::vector<std::uint8_t> image = b.build();
+  auto patch = [&](const char* name, std::uint64_t addr, std::uint64_t size) {
+    const ElfFile parsed(image);
+    std::uint64_t shoff = 0;
+    std::memcpy(&shoff, &image[0x28], 8);
+    for (std::size_t i = 0; i < parsed.sections().size(); ++i) {
+      if (parsed.sections()[i].name == name) {
+        std::memcpy(&image[shoff + i * 64 + 16], &addr, 8);
+        std::memcpy(&image[shoff + i * 64 + 32], &size, 8);
+      }
+    }
+  };
+  patch(".rodata", 0x400ff8, 16);      // covers .text's first 8 bytes
+  patch(".data", 0x401010, 8);         // inside .text, later in header order
+  patch(".text", 0x401000, 32);
+  const ElfFile elf(image);
+  auto name_at = [&](std::uint64_t addr) -> std::string {
+    const Section* s = elf.section_at(addr);
+    return s == nullptr ? "" : s->name;
+  };
+  EXPECT_EQ(name_at(0x400ff8), ".rodata");
+  EXPECT_EQ(name_at(0x401004), ".rodata");
+  EXPECT_FALSE(elf.is_code_address(0x401004));
+  EXPECT_EQ(name_at(0x401008), ".text");
+  EXPECT_TRUE(elf.is_code_address(0x401008));
+  EXPECT_EQ(name_at(0x401012), ".text");  // .data comes later
+  EXPECT_EQ(name_at(0x401020), "");
+  // Every address agrees with a first-match linear scan.
+  for (std::uint64_t addr = 0x400ff0; addr < 0x401030; ++addr) {
+    const Section* expected = nullptr;
+    for (const Section& s : elf.sections()) {
+      if (s.contains(addr)) {
+        expected = &s;
+        break;
+      }
+    }
+    EXPECT_EQ(elf.section_at(addr), expected) << std::hex << addr;
+    EXPECT_EQ(elf.is_code_address(addr),
+              expected != nullptr && expected->executable());
+  }
+}
+
+TEST(ElfAddressing, SectionEndPastTheAddressSpaceContainsNothing) {
+  ElfBuilder b = simple_builder();
+  std::vector<std::uint8_t> image = b.build();
+  const ElfFile parsed(image);
+  std::uint64_t shoff = 0;
+  std::memcpy(&shoff, &image[0x28], 8);
+  for (std::size_t i = 0; i < parsed.sections().size(); ++i) {
+    if (parsed.sections()[i].name == ".data") {
+      const std::uint64_t addr = ~std::uint64_t{0} - 3;
+      std::memcpy(&image[shoff + i * 64 + 16], &addr, 8);
+    }
+  }
+  const ElfFile elf(image);
+  EXPECT_EQ(elf.section_at(~std::uint64_t{0} - 1), nullptr);
+  EXPECT_TRUE(elf.is_code_address(0x401000));
+}
+
 TEST(ElfParse, RejectsBadMagic) {
   auto image = simple_builder().build();
   image[0] = 0x00;

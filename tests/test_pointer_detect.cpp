@@ -159,5 +159,52 @@ TEST(PointerDetector, AcceptedCodeFeedsNewCandidates) {
   EXPECT_TRUE(pd.accepted.count(h2));
 }
 
+/// Long probes: the into-the-middle checks (§IV-E ii/iii) answer from the
+/// probe's dense state, so a probe of thousands of instructions stays
+/// linear. One pointer per hidden function, none reached by recursion.
+TEST(PointerDetector, LongProbesAreAcceptedOrRejectedExactly) {
+  constexpr int kLong = 12000;
+  Assembler a(kTextAddr);
+  Label ok = a.label();
+  Label self_middle = a.label();
+  Label runaway = a.label();
+  a.ret();
+  a.nop(8);
+  a.bind(ok);  // kLong movs then ret: legitimate
+  for (int i = 0; i < kLong; ++i) {
+    a.mov_ri32(Reg::kRax, static_cast<std::uint32_t>(i));
+  }
+  a.ret();
+  a.bind(self_middle);  // ends jumping into its own first instruction
+  for (int i = 0; i < kLong; ++i) {
+    a.mov_ri32(Reg::kRax, static_cast<std::uint32_t>(i));
+  }
+  a.jmp_abs(a.address_of(self_middle) + 1);
+  a.bind(runaway);  // longer than any probe may run
+  for (int i = 0; i < (1 << 14) + 8; ++i) {
+    a.mov_ri32(Reg::kRax, static_cast<std::uint32_t>(i));
+  }
+  a.ret();
+
+  std::vector<std::uint8_t> data;
+  for (const Label l : {ok, self_middle, runaway}) {
+    test::put_u64(data, a.address_of(l));
+  }
+  const std::uint64_t ok_addr = a.address_of(ok);
+  const std::uint64_t middle_addr = a.address_of(self_middle);
+  const std::uint64_t runaway_addr = a.address_of(runaway);
+  const elf::ElfFile elf = MiniBinary(a).data(std::move(data)).build();
+  disasm::CodeView code(elf);
+  disasm::Result state = disasm::analyze(code, {kTextAddr}, {});
+  const PointerDetectionResult pd =
+      detect_pointer_functions(code, state, {});
+  EXPECT_EQ(pd.accepted, (std::set<std::uint64_t>{ok_addr}));
+  EXPECT_EQ(state.functions.at(ok_addr).insn_addrs.size(),
+            static_cast<std::size_t>(kLong) + 1);
+  EXPECT_TRUE(state.insn_starts.count(ok_addr + 5) != 0);
+  EXPECT_FALSE(state.covered.contains(middle_addr));
+  EXPECT_FALSE(state.covered.contains(runaway_addr));
+}
+
 }  // namespace
 }  // namespace fetch::core
