@@ -250,8 +250,8 @@ Result finish(const CodeView& code, Result result) {
 }  // namespace
 
 Result explore(const CodeView& code, const std::vector<std::uint64_t>& seeds,
-               const Options& options, BodyCache* cache) {
-  return finish(code, explore_pass(code, seeds, options, cache));
+               const Options& options) {
+  return finish(code, explore_pass(code, seeds, options, nullptr));
 }
 
 std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,

@@ -162,8 +162,7 @@ struct BodyCache {
 /// and by baseline emulations that want a weaker pipeline).
 [[nodiscard]] Result explore(const CodeView& code,
                              const std::vector<std::uint64_t>& seeds,
-                             const Options& options,
-                             BodyCache* cache = nullptr);
+                             const Options& options);
 
 /// Computes the may-return least fixpoint over \p result's functions:
 /// a function may return if some intra-procedural path from its entry
@@ -172,7 +171,9 @@ struct BodyCache {
 /// that may NOT return. A worklist over reverse call and escaping-jump
 /// edges: a function is re-examined only when one it waits on becomes
 /// may-return, and resumes from the paths that waited, so the work is
-/// linear in instructions plus edges (see DESIGN.md).
+/// linear in instructions plus edges (see DESIGN.md). Reads each
+/// function's `callees`, as explore() builds them, to find the functions
+/// that call a conditional-noreturn callee.
 [[nodiscard]] std::set<std::uint64_t> find_noreturn_functions(
     const CodeView& code, const Result& result, const Options& options);
 
