@@ -25,11 +25,9 @@ struct Probe {
 /// through the probe's own instruction list afterwards.
 struct ProbeScratch {
   explicit ProbeScratch(const disasm::CodeView& code)
-      : starts(code), interior(code), queued(code) {}
+      : starts(code), interior(code) {}
   disasm::AddrSet starts;    // probed instruction starts
   disasm::AddrSet interior;  // bytes strictly inside a probed instruction
-  disasm::AddrSet queued;
-  std::vector<std::uint64_t> queued_list;
 
   void clear(const Probe& probe) {
     for (const auto& [addr, len] : probe.lengths) {
@@ -38,10 +36,6 @@ struct ProbeScratch {
         interior.erase(b);
       }
     }
-    for (const std::uint64_t a : queued_list) {
-      queued.erase(a);
-    }
-    queued_list.clear();
   }
 };
 
@@ -64,15 +58,10 @@ Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
     return code.is_code(t) && !into_middle(t);  // error (iii)
   };
 
+  // An address queued twice is claimed by its older item only: no dedup.
   disasm::WorkQueue work;
+  work.push(start);
   bool rejected = false;
-  auto enqueue = [&](std::uint64_t addr) {
-    if (s.queued.insert(addr)) {
-      s.queued_list.push_back(addr);
-      work.push(addr);
-    }
-  };
-  enqueue(start);
   auto claim = [&](std::uint64_t addr) -> const Insn* {
     if (s.starts.count(addr) != 0 || state.insn_starts.count(addr) != 0) {
       return nullptr;  // rejoined known-good code
@@ -109,7 +98,7 @@ Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
       // assumes callees return.
       if (insn.kind != Kind::kCallDirect && state.starts.count(t) == 0 &&
           s.starts.count(t) == 0 && state.insn_starts.count(t) == 0) {
-        enqueue(t);
+        work.push(t);
       }
     }
     const disasm::Flow flow = disasm::fall_of(insn);
