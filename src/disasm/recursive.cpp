@@ -40,11 +40,11 @@ Flow call_flow(const Options& options, const InsnWindow& window,
 }
 
 /// Phase 1: global discovery. Explores every reachable instruction once,
-/// collecting starts (code seeds and call targets), call targets, coverage,
-/// xrefs and jump tables.
+/// collecting starts (code seeds and call targets, also into \p starts),
+/// call targets, coverage, xrefs and jump tables.
 void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
-              const Options& options, Result& result) {
-  AddrSet& visited = result.insn_starts;
+              const Options& options, Result& result, AddrSet& starts) {
+  AddrSet& visited = result.insn_starts = AddrSet(code);
   AddrSet queued(code);
   WorkQueue work;
   auto enqueue = [&](std::uint64_t addr, const InsnWindow& window) {
@@ -55,7 +55,7 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
   };
   for (const std::uint64_t seed : seeds) {
     if (code.is_code(seed)) {
-      result.starts.insert(seed);
+      starts.insert(seed);
     }
     enqueue(seed, {});
   }
@@ -75,7 +75,7 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
         result.xrefs.add(*insn.target, insn.addr, RefKind::kCall);
         if (code.is_code(*insn.target)) {
           result.call_targets.insert(*insn.target);
-          result.starts.insert(*insn.target);
+          starts.insert(*insn.target);
           enqueue(*insn.target, {});
         }
         return call_flow(options, window, *insn.target);
@@ -100,6 +100,8 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
     }
     return fall_of(insn);
   });
+  starts.for_each(
+      [&](std::uint64_t s) { result.starts.insert(result.starts.end(), s); });
 }
 
 /// Phase 2: builds one function's structure against the final start set.
@@ -164,12 +166,12 @@ Function build_function(const CodeView& code, std::uint64_t entry,
   return fn;
 }
 
-/// True when \p fn, built under \p cache's starts and options, consulted
-/// only answers that \p starts and \p options still give.
-bool still_valid(const Function& fn, const BodyCache& cache,
+/// True when \p fn, built in generation \p then, consulted only answers
+/// that \p starts and \p options still give.
+bool still_valid(const Function& fn, const BodyCache::Generation& then,
                  const AddrSet& starts, const Options& options) {
   auto same_start = [&](std::uint64_t t) {
-    return cache.starts.count(t) == starts.count(t);
+    return then.starts.count(t) == starts.count(t);
   };
   for (const JumpTable& table : fn.tables) {
     if (!std::all_of(table.targets.begin(), table.targets.end(), same_start)) {
@@ -179,7 +181,7 @@ bool still_valid(const Function& fn, const BodyCache& cache,
   return std::all_of(fn.jumps.begin(), fn.jumps.end(),
                      [&](auto& j) { return same_start(j.target); }) &&
          std::all_of(fn.callees.begin(), fn.callees.end(), [&](auto c) {
-           return cache.options.noreturn_functions.count(c) ==
+           return then.noreturn.count(c) ==
                   options.noreturn_functions.count(c);
          });
 }
@@ -187,43 +189,40 @@ bool still_valid(const Function& fn, const BodyCache& cache,
 /// One exploration pass, less the parts only a returned Result needs.
 Result explore_pass(const CodeView& code,
                     const std::vector<std::uint64_t>& seeds,
-                    const Options& options, BodyCache* cache) {
+                    const Options& options, BodyCache& memo) {
   Result result;
-  result.insn_starts = AddrSet(code);
-  discover(code, seeds, options, result);
-  std::uint64_t visited = result.insn_starts.size();
   AddrSet starts(code);
-  for (const std::uint64_t s : result.starts) {
-    starts.insert(s);
-  }
+  discover(code, seeds, options, result, starts);
+  std::uint64_t visited = result.insn_starts.size();
 
-  BodyCache none;
-  BodyCache& memo = cache != nullptr ? *cache : none;
   if (memo.options.resolve_jump_tables != options.resolve_jump_tables ||
       memo.options.max_insns_per_function != options.max_insns_per_function ||
       memo.options.conditional_noreturn != options.conditional_noreturn) {
-    memo.bodies.clear();  // built under other options: nothing to reuse
+    memo = {};  // built under other options: nothing to reuse
   }
+  bool fresh = false;  // some body is of this pass' generation
   AddrSet in_body(code);
   WorkQueue work;
   for (const std::uint64_t entry : result.starts) {
-    const auto cached = memo.bodies.find(entry);
-    Function fn;
-    if (cached != memo.bodies.end() &&
-        still_valid(cached->second, memo, starts, options)) {
-      fn = std::move(cached->second);
-    } else {
-      fn = build_function(code, entry, starts, options, in_body, work);
-      visited += fn.insn_addrs.size();
+    auto& built = memo.bodies[entry];
+    const auto valid = std::find_if(built.rbegin(), built.rend(), [&](auto& b) {
+      return still_valid(b.second, memo.generations[b.first], starts, options);
+    });
+    const bool rebuild = valid == built.rend();
+    if (rebuild) {
+      built.emplace_back(memo.generations.size(),
+                         build_function(code, entry, starts, options, in_body,
+                                        work));
+      visited += built.back().second.insn_addrs.size();
+      fresh = true;
     }
     result.functions.emplace_hint(result.functions.end(), entry,
-                                  std::move(fn));
+                                  rebuild ? built.back().second : valid->second);
   }
-  if (cache != nullptr) {
-    cache->bodies = result.functions;
-    cache->starts = std::move(starts);
-    cache->options = options;
+  if (fresh) {
+    memo.generations.push_back({std::move(starts), options.noreturn_functions});
   }
+  memo.options = options;
   // Work counters are added once per pass, never per instruction.
   obs::Registry::global().counter("disasm_explore_passes_total").add(1);
   obs::Registry::global().counter("disasm_insns_visited_total").add(visited);
@@ -251,7 +250,8 @@ Result finish(const CodeView& code, Result result) {
 
 Result explore(const CodeView& code, const std::vector<std::uint64_t>& seeds,
                const Options& options) {
-  return finish(code, explore_pass(code, seeds, options, nullptr));
+  BodyCache none;
+  return finish(code, explore_pass(code, seeds, options, none));
 }
 
 std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
@@ -399,9 +399,9 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
 Result analyze(const CodeView& code, const std::vector<std::uint64_t>& seeds,
                const Options& options, BodyCache* cache) {
   BodyCache own;
-  cache = cache != nullptr ? cache : &own;
+  BodyCache& memo = cache != nullptr ? *cache : own;
   Options opts = options;
-  Result result = explore_pass(code, seeds, opts, cache);
+  Result result = explore_pass(code, seeds, opts, memo);
   // Iterate the noreturn fixpoint against exploration until stable (two
   // rounds suffice in practice; bound defensively).
   for (int round = 0; round < 4; ++round) {
@@ -413,7 +413,7 @@ Result analyze(const CodeView& code, const std::vector<std::uint64_t>& seeds,
       break;
     }
     opts.noreturn_functions = std::move(noreturn);
-    result = explore_pass(code, seeds, opts, cache);
+    result = explore_pass(code, seeds, opts, memo);
   }
   return finish(code, std::move(result));
 }

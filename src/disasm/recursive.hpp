@@ -134,16 +134,24 @@ struct Result {
   std::vector<JumpTable> jump_tables;
 };
 
-/// Function bodies of the last explore() pass that used this cache, with
-/// the options (so the no-return set) and the start set they were built
-/// against. A later pass reuses a body when every start and no-return
-/// answer it consulted (jump and table targets, callees) is unchanged;
-/// building is deterministic in those answers, so reuse never changes a
-/// result. Bodies are only reused under equal options apart from
+/// Every function body the explore() passes that used this cache built,
+/// each with its generation: the start and no-return sets of the pass
+/// that built it. A later pass reuses a body when every start and
+/// no-return answer it consulted (jump and table targets, callees) is
+/// unchanged; building is deterministic in those answers, so reuse never
+/// changes a result. Keeping older bodies lets the reanalysis' rounds
+/// reuse those of the first analysis' rounds under the same no-return
+/// set. Bodies are only reused under equal options apart from
 /// `noreturn_functions`, and a cache must stay with one CodeView.
 struct BodyCache {
-  std::map<std::uint64_t, Function> bodies;
-  AddrSet starts;
+  struct Generation {
+    AddrSet starts;
+    std::set<std::uint64_t> noreturn;
+  };
+  std::vector<Generation> generations;
+  /// Per entry, (generation, body) in build order.
+  std::map<std::uint64_t, std::vector<std::pair<std::size_t, Function>>>
+      bodies;
   Options options;
 };
 

@@ -440,6 +440,30 @@ TEST(Reanalysis, RebuildsBodiesWhoseStartsChanged) {
   check_reanalysis(code, seeds, {}, "split");
 }
 
+TEST(Reanalysis, RoundsReuseTheMatchingEarlierRound) {
+  // main's body differs between the rounds: round 0 assumes exit returns,
+  // round 1 knows it does not. A second analyze() over the same cache
+  // finds both rounds' bodies, so its passes only discover: 3
+  // instructions in round 0, then main's call and exit's hlt.
+  Assembler a(kTextAddr);
+  Label exit_fn = a.label();
+  a.call(exit_fn);
+  a.ret();
+  a.bind(exit_fn);
+  a.hlt();
+  const elf::ElfFile elf = MiniBinary(a).build();
+  CodeView code(elf);
+  BodyCache cache;
+  (void)analyze(code, {kTextAddr}, {}, &cache);
+  const std::uint64_t passes = counter("disasm_explore_passes_total");
+  const std::uint64_t visited = counter("disasm_insns_visited_total");
+  const Result r = analyze(code, {kTextAddr}, {}, &cache);
+  EXPECT_EQ(counter("disasm_explore_passes_total") - passes, 2u);
+  EXPECT_EQ(r.insn_starts.size(), 2u);
+  EXPECT_EQ(counter("disasm_insns_visited_total") - visited, 3u + 2u);
+  expect_same(r, uncached_analyze(code, {kTextAddr}, {}), "repeat");
+}
+
 TEST(Reanalysis, EqualsFreshAnalyzeOnSmokeCorpus) {
   for (const eval::Corpus& corpus : {eval::Corpus::self_built(smoke()),
                                      eval::Corpus::wild(smoke())}) {
