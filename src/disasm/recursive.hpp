@@ -134,15 +134,16 @@ struct Result {
   std::vector<JumpTable> jump_tables;
 };
 
-/// Every function body the explore() passes that used this cache built,
-/// each with its generation: the start and no-return sets of the pass
-/// that built it. A later pass reuses a body when every start and
-/// no-return answer it consulted (jump and table targets, callees) is
-/// unchanged; building is deterministic in those answers, so reuse never
-/// changes a result. Keeping older bodies lets the reanalysis' rounds
-/// reuse those of the first analysis' rounds under the same no-return
-/// set. Bodies are only reused under equal options apart from
-/// `noreturn_functions`, and a cache must stay with one CodeView.
+/// Every function body built by the exploration passes of the analyze()
+/// calls that used this cache, each tagged with its generation: the start
+/// and no-return sets of the pass that built it. A later pass reuses a
+/// body when every start and no-return answer it consulted (jump and
+/// table targets, callees) is unchanged; building is deterministic in
+/// those answers, so reuse never changes a result. Keeping older bodies
+/// lets the reanalysis' rounds reuse those of the first analysis' rounds
+/// under the same no-return set. Bodies are only reused under equal
+/// options apart from `noreturn_functions`, and a cache must stay with
+/// one CodeView.
 struct BodyCache {
   struct Generation {
     AddrSet starts;
