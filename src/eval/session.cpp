@@ -65,9 +65,7 @@ elf::FunctionTruth resolve_truth(const elf::ElfFile& elf,
 
 std::uint64_t AnalysisSession::content_hash(
     std::span<const std::uint8_t> bytes) {
-  util::Fnv1a hasher;
-  hasher.bytes(bytes);
-  return hasher.digest();
+  return util::xxh64(bytes);
 }
 
 FileAnalysis AnalysisSession::unreadable(const std::string& path) {

@@ -28,7 +28,7 @@ struct FileAnalysis {
   /// Metrics row (path, ok/error, truth counts, tp/fp/fn, diagnostics).
   BatchRow row;
 
-  /// FNV-1a digest of the raw input bytes — the service's cache key.
+  /// XXH64 digest of the raw input bytes — the service's cache key.
   /// Zero when the file could not be read at all.
   std::uint64_t content_hash = 0;
 
@@ -91,7 +91,7 @@ class AnalysisSession {
   /// never drift apart in wording.
   [[nodiscard]] static FileAnalysis unreadable(const std::string& path);
 
-  /// The cache key the service uses: streaming FNV-1a over the bytes.
+  /// The cache key the service uses: util::xxh64 (seed 0) of the bytes.
   [[nodiscard]] static std::uint64_t content_hash(
       std::span<const std::uint8_t> bytes);
 

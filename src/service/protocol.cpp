@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "eval/table.hpp"
+#include "util/framing.hpp"
 
 namespace fetch::service {
 
@@ -63,6 +64,42 @@ Value base_response(const char* status) {
   doc.set("schema", Value(kSchema));
   doc.set("status", Value(status));
   return doc;
+}
+
+/// How analysis_json(fa).dump(1) opens: the object and the key of its
+/// first member, "path".
+constexpr std::string_view kResultOpen = "{\n    \"path\": ";
+
+/// ok_response(Op::kQuery) as dumped, minus its closing "\n}", so the
+/// query members can follow it. Built once from the tree, so the two
+/// cannot disagree.
+const std::string& query_envelope() {
+  static const std::string head = [] {
+    std::string text = ok_response(Op::kQuery).dump();
+    text.resize(text.size() - 2);
+    return text;
+  }();
+  return head;
+}
+
+/// Wire bytes: the 4-byte little-endian length header, then \p payload.
+void append_header(std::size_t payload_size, std::string* wire) {
+  const auto len = static_cast<std::uint32_t>(payload_size);
+  wire->push_back(static_cast<char>(len & 0xff));
+  wire->push_back(static_cast<char>((len >> 8) & 0xff));
+  wire->push_back(static_cast<char>((len >> 16) & 0xff));
+  wire->push_back(static_cast<char>((len >> 24) & 0xff));
+}
+
+/// The in-band error that replaces a reply too large for one frame.
+std::string oversize_frame(std::size_t payload_size) {
+  // A result too large for one frame (a binary with millions of detected
+  // functions) must not degrade into a silent hangup — and must not be
+  // retried against the cache forever with the same outcome. Tell the
+  // client what happened instead.
+  return encode_frame(error_response("result of " +
+                                     std::to_string(payload_size) +
+                                     " bytes exceeds the frame cap"));
 }
 
 }  // namespace
@@ -172,6 +209,54 @@ Value error_response(const std::string& message, const std::string& code) {
   Value doc = error_response(message);
   doc.set("code", Value(code));
   return doc;
+}
+
+std::string encode_frame(const Value& response) {
+  const std::string payload = response.dump();
+  if (payload.size() > util::kMaxFrameBytes) {
+    return oversize_frame(payload.size());
+  }
+  std::string wire;
+  wire.reserve(payload.size() + 4);
+  append_header(payload.size(), &wire);
+  wire.append(payload);
+  return wire;
+}
+
+std::string encode_result_body(const eval::FileAnalysis& fa) {
+  std::string text = analysis_json(fa).dump(1);
+  text.erase(0, kResultOpen.size() + Value(fa.row.path).dump().size());
+  return text;
+}
+
+std::string query_frame(std::string_view cache, const std::string& path,
+                        std::string_view body, const std::string& trace,
+                        const Value& stages) {
+  const std::string cache_json = Value(std::string(cache)).dump();
+  const std::string path_json = Value(path).dump();
+  const std::string trace_json = Value(trace).dump();
+  const std::string stages_json = stages.dump(1);
+  const std::string_view parts[] = {
+      query_envelope(),
+      ",\n  \"cache\": ",  cache_json,
+      ",\n  \"result\": ", kResultOpen, path_json, body,
+      ",\n  \"trace\": ",  trace_json,
+      ",\n  \"stages\": ", stages_json,
+      "\n}"};
+  std::size_t size = 0;
+  for (const std::string_view part : parts) {
+    size += part.size();
+  }
+  if (size > util::kMaxFrameBytes) {
+    return oversize_frame(size);
+  }
+  std::string wire;
+  wire.reserve(size + 4);
+  append_header(size, &wire);
+  for (const std::string_view part : parts) {
+    wire.append(part);
+  }
+  return wire;
 }
 
 Value analysis_json(const eval::FileAnalysis& fa) {

@@ -18,9 +18,11 @@
 /// Responses always carry "schema" and "status" ("ok"/"error"); error
 /// responses add "error". Query responses add "cache" ("hit", "miss", or
 /// "joined" for a request that waited on another client's in-flight
-/// analysis of the same content), "content_hash" (16 hex digits),
-/// "result" (the serialized eval::FileAnalysis), "trace" (the request's
-/// trace id — echoed when the client supplied one, minted by the daemon
+/// analysis of the same content), "result" (the serialized
+/// eval::FileAnalysis; its "content_hash" member is the cache key, the
+/// XXH64 of the file's bytes as "0x" + 16 hex digits, and its "path" is
+/// always the path this request named), "trace" (the request's trace id
+/// — echoed when the client supplied one, minted by the daemon
 /// otherwise), and "stages" (per-stage microsecond timings for a miss;
 /// empty for hits/joins). Stats and shutdown responses add "stats"
 /// (cache counters). Metrics responses add "metrics" (a fetch-metrics-v1
@@ -30,6 +32,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "eval/session.hpp"
 #include "util/json.hpp"
@@ -83,6 +86,28 @@ struct Request {
 /// are JSON numbers; addresses travel as hex strings so 64-bit values
 /// cannot lose precision in a double.
 [[nodiscard]] util::json::Value analysis_json(const eval::FileAnalysis& fa);
+
+/// The cached form of one analysis: analysis_json(fa) as it is dumped
+/// inside a query reply's "result" member, minus the opening brace and
+/// the "path" member. query_frame writes those back with the requested
+/// path, so one entry answers for the same bytes under any name.
+[[nodiscard]] std::string encode_result_body(const eval::FileAnalysis& fa);
+
+/// Wire bytes (4-byte little-endian header + payload) of \p response, or
+/// of an in-band error response when the payload exceeds
+/// util::kMaxFrameBytes.
+[[nodiscard]] std::string encode_frame(const util::json::Value& response);
+
+/// Wire bytes of a query reply, byte-identical to encode_frame of
+/// ok_response(Op::kQuery) with "cache", "result" (path + \p body),
+/// "trace" and "stages" set in that order — assembled by appending into
+/// one reservation, so a hit's cost does not grow with a tree of the
+/// result. The frame cap applies to the assembled size.
+[[nodiscard]] std::string query_frame(std::string_view cache,
+                                      const std::string& path,
+                                      std::string_view body,
+                                      const std::string& trace,
+                                      const util::json::Value& stages);
 
 /// Inverse of analysis_json. nullopt + *error on a malformed document.
 [[nodiscard]] std::optional<eval::FileAnalysis> analysis_from_json(

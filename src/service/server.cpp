@@ -61,9 +61,8 @@ std::uint64_t now_us() {
 std::uint64_t idle_timer_id(std::uint64_t conn_id) { return conn_id * 2; }
 std::uint64_t write_timer_id(std::uint64_t conn_id) { return conn_id * 2 + 1; }
 
-const char* outcome_name(
-    util::ShardedLru<eval::FileAnalysis>::Outcome outcome) {
-  using Outcome = util::ShardedLru<eval::FileAnalysis>::Outcome;
+const char* outcome_name(util::ShardedLru<std::string>::Outcome outcome) {
+  using Outcome = util::ShardedLru<std::string>::Outcome;
   switch (outcome) {
     case Outcome::kHit:
       return "hit";
@@ -73,30 +72,6 @@ const char* outcome_name(
       return "joined";
   }
   return "?";
-}
-
-/// Serializes a response into wire bytes (4-byte LE header + payload),
-/// substituting an in-band error for a result too large to frame.
-std::string encode_frame(const util::json::Value& response) {
-  std::string payload = response.dump();
-  if (payload.size() > util::kMaxFrameBytes) {
-    // A result too large for one frame (a binary with millions of
-    // detected functions) must not degrade into a silent hangup — and
-    // must not be retried against the cache forever with the same
-    // outcome. Tell the client what happened instead.
-    payload = error_response("result of " + std::to_string(payload.size()) +
-                             " bytes exceeds the frame cap")
-                  .dump();
-  }
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  std::string wire;
-  wire.reserve(payload.size() + 4);
-  wire.push_back(static_cast<char>(len & 0xff));
-  wire.push_back(static_cast<char>((len >> 8) & 0xff));
-  wire.push_back(static_cast<char>((len >> 16) & 0xff));
-  wire.push_back(static_cast<char>((len >> 24) & 0xff));
-  wire.append(payload);
-  return wire;
 }
 
 void bump_high_water(std::atomic<std::uint64_t>* high_water,
@@ -642,6 +617,7 @@ util::json::Value ServiceServer::metrics_response() const {
   snap.set_histogram("service_queue_wait_us",
                      obs::freeze_histogram(queue_wait_us_));
   snap.set_histogram("service_query_us", obs::freeze_histogram(query_us_));
+  snap.set_histogram("service_hash_us", obs::freeze_histogram(hash_us_));
 
   util::json::Value response = ok_response(Op::kMetrics);
   response.set("metrics", snap.json());
@@ -864,12 +840,12 @@ std::string ServiceServer::run_query(const Job& job) {
   std::span<const std::uint8_t> bytes;
   std::optional<util::MappedFile> mapped = util::MappedFile::map(path);
   std::vector<std::uint8_t> fallback;
-  util::json::Value response = ok_response(Op::kQuery);
   if (mapped) {
     bytes = mapped->bytes();
   } else if (util::read_file_bytes(path, &fallback)) {
     bytes = {fallback.data(), fallback.size()};
   } else {
+    util::json::Value response = ok_response(Op::kQuery);
     response.set("cache", util::json::Value("none"));
     response.set("result",
                  analysis_json(eval::AnalysisSession::unreadable(path)));
@@ -877,18 +853,18 @@ std::string ServiceServer::run_query(const Job& job) {
     response.set("stages", trace.stages_json());
     return encode_frame(response);
   }
+  obs::Span hash_span(nullptr, "hash", &hash_us_);
   const std::uint64_t key = eval::AnalysisSession::content_hash(bytes);
-  const auto [analysis, outcome] = cache_.get_or_compute(key, [&] {
+  hash_span.finish();
+  const auto [body, outcome] = cache_.get_or_compute(key, [&] {
     // Only a miss runs the pipeline, so only a miss has stage timings;
-    // hits and joins echo an empty stages array.
-    return session_.analyze_image(bytes, path,
-                                  eval::AnalysisSession::Detail::kFull,
-                                  &trace);
+    // hits and joins echo an empty stages array. The result is encoded
+    // here, once, and every later hit copies the encoded bytes.
+    return encode_result_body(session_.analyze_image(
+        bytes, path, eval::AnalysisSession::Detail::kFull, &trace));
   });
-  response.set("cache", util::json::Value(outcome_name(outcome)));
-  response.set("result", analysis_json(*analysis));
-  response.set("trace", util::json::Value(trace.id()));
-  response.set("stages", trace.stages_json());
+  std::string frame = query_frame(outcome_name(outcome), path, *body,
+                                  trace.id(), trace.stages_json());
   query_span.finish();
 
   const std::uint64_t elapsed_ms = (now_us() - started_us) / 1000;
@@ -908,7 +884,7 @@ std::string ServiceServer::run_query(const Job& job) {
                    {"cache", outcome_name(outcome)},
                    {"stages", stages}});
   }
-  return encode_frame(response);
+  return frame;
 }
 
 }  // namespace fetch::service

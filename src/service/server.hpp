@@ -189,7 +189,8 @@ class ServiceServer {
   ServerOptions options_;
   std::size_t effective_queue_depth_ = 0;
   eval::AnalysisSession session_;
-  util::ShardedLru<eval::FileAnalysis> cache_;
+  /// Content hash -> encode_result_body of that content's analysis.
+  util::ShardedLru<std::string> cache_;
   util::Fd listener_;
   util::Fd epoll_;
   util::Fd wake_event_;   ///< eventfd: worker completions + stop() wakeups
@@ -238,6 +239,7 @@ class ServiceServer {
   // in-process servers — the tests run several — never share them).
   obs::Histogram queue_wait_us_;  ///< enqueue → worker dequeue
   obs::Histogram query_us_;       ///< worker dequeue → response encoded
+  obs::Histogram hash_us_;        ///< content hash of one readable query
 };
 
 }  // namespace fetch::service

@@ -4,7 +4,7 @@
 /// Sharded, capacity-bounded LRU cache with single-flight computation —
 /// the result-cache primitive behind the analysis service (src/service/).
 ///
-/// Keys are 64-bit content hashes (util/hash.hpp FNV-1a digests). Values
+/// Keys are 64-bit content hashes (util/hash.hpp XXH64 digests). Values
 /// are handed out as shared_ptr<const V>, so a hit shares the cached
 /// object with zero copying and an entry evicted while a reader still
 /// holds it stays alive until the last reader drops it.

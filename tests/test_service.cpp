@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "eval/session.hpp"
+#include "obs/trace.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -263,6 +265,10 @@ TEST(Service, CacheIsContentAddressedNotPathAddressed) {
   ASSERT_TRUE(second.has_value()) << error;
   EXPECT_EQ(second->cache, "hit");
   EXPECT_EQ(second->analysis.content_hash, first->analysis.content_hash);
+  // The shared entry still reports the path this query asked about, as a
+  // one-shot run of the copy would.
+  EXPECT_EQ(second->analysis.row.path, copy);
+  EXPECT_EQ(first->analysis.row.path, path);
   EXPECT_EQ(server.server().cache_stats().misses, 1u);
 }
 
@@ -745,6 +751,9 @@ TEST(ServiceMetrics, MetricsOpReturnsSchemaValidSnapshot) {
   ASSERT_TRUE(histograms.count("service_query_us") != 0);
   ASSERT_TRUE(histograms.count("service_queue_wait_us") != 0);
   EXPECT_GE(histograms.at("service_query_us").count, 2u);
+  // One content hash per query served, hit or miss.
+  ASSERT_TRUE(histograms.count("service_hash_us") != 0);
+  EXPECT_EQ(histograms.at("service_hash_us").count, 2u);
 
   const auto& gauges = snapshot->gauges();
   ASSERT_TRUE(gauges.count("service_workers") != 0);
@@ -752,7 +761,9 @@ TEST(ServiceMetrics, MetricsOpReturnsSchemaValidSnapshot) {
 
   // The snapshot doubles as the Prometheus source; rendering must not
   // choke on any live metric name or value.
-  EXPECT_NE(obs::prometheus_text(*snapshot).find("fetch_cache_hits_total"),
+  const std::string prometheus = obs::prometheus_text(*snapshot);
+  EXPECT_NE(prometheus.find("fetch_cache_hits_total"), std::string::npos);
+  EXPECT_NE(prometheus.find("fetch_service_hash_us_bucket"),
             std::string::npos);
 }
 
@@ -958,6 +969,155 @@ TEST(Service, AnalysisJsonRoundTripsExactly) {
             service::analysis_json(fa).dump());
   EXPECT_EQ(back->content_hash, fa.content_hash);
   EXPECT_EQ(back->functions, fa.functions);
+}
+
+// --- Reply bytes ------------------------------------------------------------
+
+/// A query reply built the way the service built every reply before hits
+/// were answered from cached bytes: the response tree, dumped, behind the
+/// 4-byte length header, with the in-band error for an over-cap payload.
+std::string tree_built_frame(const std::string& cache,
+                             const eval::FileAnalysis& fa,
+                             const std::string& trace,
+                             const util::json::Value& stages) {
+  util::json::Value response = service::ok_response(service::Op::kQuery);
+  response.set("cache", util::json::Value(cache));
+  response.set("result", service::analysis_json(fa));
+  response.set("trace", util::json::Value(trace));
+  response.set("stages", stages);
+  std::string payload = response.dump();
+  if (payload.size() > util::kMaxFrameBytes) {
+    payload = service::error_response("result of " +
+                                      std::to_string(payload.size()) +
+                                      " bytes exceeds the frame cap")
+                  .dump();
+  }
+  const std::vector<std::uint8_t> wire = wire_frame(payload);
+  return std::string(wire.begin(), wire.end());
+}
+
+/// Byte offset of the first difference (the shorter size when one is a
+/// prefix of the other): a readable failure for multi-KiB frames.
+std::size_t first_difference(const std::string& a, const std::string& b) {
+  return static_cast<std::size_t>(
+      std::mismatch(a.begin(), a.begin() + std::min(a.size(), b.size()),
+                    b.begin())
+          .first -
+      a.begin());
+}
+
+void expect_same_frame(const std::string& assembled,
+                       const std::string& expected) {
+  EXPECT_TRUE(assembled == expected)
+      << "sizes " << assembled.size() << " vs " << expected.size()
+      << ", first difference at byte "
+      << first_difference(assembled, expected);
+}
+
+TEST(ServiceReply, AssembledFramesMatchTreeBuiltFrames) {
+  const eval::AnalysisSession session;
+  const eval::FileAnalysis fa = session.analyze_file(
+      write_sample_binary("svc_reply.bin", 2, 0x5e71));
+  ASSERT_TRUE(fa.row.ok) << fa.row.error;
+  const std::string garbage = "definitely not an ELF";
+  const eval::FileAnalysis bad = session.analyze_image(
+      {reinterpret_cast<const std::uint8_t*>(garbage.data()),
+       garbage.size()},
+      "/srv/not-an-elf");
+  ASSERT_FALSE(bad.row.ok);
+
+  obs::Trace trace("deadbeef00000001");
+  trace.record("elf_parse", 12);
+  trace.record("detect", 3456);
+  const util::json::Value miss_stages = trace.stages_json();
+  const util::json::Value no_stages = util::json::Value::array();
+
+  // A minted id, and a client-supplied one that needs escaping.
+  for (const std::string& trace_id :
+       {std::string("0123456789abcdef"), std::string("client \"id\"\\\n")}) {
+    for (const eval::FileAnalysis* analysis : {&fa, &bad}) {
+      const std::string body = service::encode_result_body(*analysis);
+      const std::string& path = analysis->row.path;
+      expect_same_frame(
+          service::query_frame("hit", path, body, trace_id, no_stages),
+          tree_built_frame("hit", *analysis, trace_id, no_stages));
+      expect_same_frame(
+          service::query_frame("joined", path, body, trace_id, no_stages),
+          tree_built_frame("joined", *analysis, trace_id, no_stages));
+      expect_same_frame(
+          service::query_frame("miss", path, body, trace_id, miss_stages),
+          tree_built_frame("miss", *analysis, trace_id, miss_stages));
+
+      // One cached body answers for the same bytes under another name.
+      eval::FileAnalysis renamed = *analysis;
+      renamed.row.path = "/other/dir/copy \"of\" it";
+      expect_same_frame(service::query_frame("hit", renamed.row.path, body,
+                                             trace_id, no_stages),
+                        tree_built_frame("hit", renamed, trace_id, no_stages));
+    }
+  }
+}
+
+TEST(ServiceReply, OversizeResultGetsTheInBandError) {
+  // Every control byte escapes to six ("\u0001"), so the error member
+  // alone dumps past the frame cap.
+  eval::FileAnalysis fa;
+  fa.row.path = "/srv/huge";
+  fa.row.ok = false;
+  fa.row.error.assign(util::kMaxFrameBytes / 6 + 1, '\x01');
+  const util::json::Value no_stages = util::json::Value::array();
+  const std::string expected = tree_built_frame("miss", fa, "t", no_stages);
+  const std::string assembled = service::query_frame(
+      "miss", fa.row.path, service::encode_result_body(fa), "t", no_stages);
+  expect_same_frame(assembled, expected);
+
+  const auto doc = util::json::Value::parse(assembled.substr(4));
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_EQ(doc->get("status")->text(), "error");
+  EXPECT_NE(doc->get("error")->text().find("exceeds the frame cap"),
+            std::string::npos);
+}
+
+TEST(ServiceReply, ServedHitsAreTreeBuiltFramesForTheRequestedPath) {
+  TestServer server;
+  const std::string path =
+      write_sample_binary("svc_reply_served.bin", 3, 0x5e72);
+  const std::string copy =
+      ::testing::TempDir() + "/svc_reply_served_copy.bin";
+  std::filesystem::copy_file(
+      path, copy, std::filesystem::copy_options::overwrite_existing);
+  const eval::AnalysisSession session;
+
+  std::string error;
+  auto fd = util::unix_connect(server.socket(), &error);
+  ASSERT_TRUE(fd.has_value()) << error;
+  auto served = [&](const std::string& query_path) {
+    service::Request request;
+    request.op = service::Op::kQuery;
+    request.path = query_path;
+    request.trace = "client-trace-7";
+    EXPECT_TRUE(util::write_frame(
+        fd->get(), service::request_json(request).dump(), &error))
+        << error;
+    std::string reply;
+    EXPECT_EQ(util::read_frame(fd->get(), &reply, &error),
+              util::FrameStatus::kOk)
+        << error;
+    return wire_frame(reply);
+  };
+  auto as_string = [](const std::vector<std::uint8_t>& wire) {
+    return std::string(wire.begin(), wire.end());
+  };
+
+  const auto miss = util::json::Value::parse(as_string(served(path)).substr(4));
+  ASSERT_TRUE(miss.has_value());
+  EXPECT_EQ(miss->get("cache")->text(), "miss");
+  const util::json::Value no_stages = util::json::Value::array();
+  for (const std::string& query_path : {path, copy}) {
+    expect_same_frame(as_string(served(query_path)),
+                      tree_built_frame("hit", session.analyze_file(query_path),
+                                       "client-trace-7", no_stages));
+  }
 }
 
 // --- Hostile-corpus regression ----------------------------------------------

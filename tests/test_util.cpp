@@ -5,10 +5,13 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
+#include "eval/session.hpp"
 #include "util/byte_cursor.hpp"
 #include "util/byte_writer.hpp"
+#include "util/hash.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -299,6 +302,103 @@ TEST(ThreadPool, DefaultJobsHonorsEnvVariable) {
   EXPECT_GE(util::default_jobs(), 1u);
   ::unsetenv("FETCH_JOBS");
   EXPECT_GE(util::default_jobs(), 1u);
+}
+
+std::uint64_t xxh64_of(std::string_view text) {
+  return util::xxh64({reinterpret_cast<const std::uint8_t*>(text.data()),
+                      text.size()});
+}
+
+/// XXH64 (seed 0) as the specification states it, one step at a time:
+/// the independent check on util::xxh64's lane loads and tail handling.
+std::uint64_t xxh64_reference(const std::vector<std::uint8_t>& in,
+                              std::size_t len) {
+  const std::uint64_t p1 = 0x9E3779B185EBCA87ULL;
+  const std::uint64_t p2 = 0xC2B2AE3D27D4EB4FULL;
+  const std::uint64_t p3 = 0x165667B19E3779F9ULL;
+  const std::uint64_t p4 = 0x85EBCA77C2B2AE63ULL;
+  const std::uint64_t p5 = 0x27D4EB2F165667C5ULL;
+  auto rotl = [](std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); };
+  auto read = [&](std::size_t at, std::size_t width) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+      v |= static_cast<std::uint64_t>(in[at + i]) << (8 * i);
+    }
+    return v;
+  };
+  auto round = [&](std::uint64_t acc, std::uint64_t lane) {
+    acc += lane * p2;
+    acc = rotl(acc, 31);
+    return acc * p1;
+  };
+  std::size_t i = 0;
+  std::uint64_t h = 0;
+  if (len >= 32) {
+    std::uint64_t acc[4] = {p1 + p2, p2, 0, 0 - p1};
+    for (; i + 32 <= len; i += 32) {
+      for (std::size_t lane = 0; lane < 4; ++lane) {
+        acc[lane] = round(acc[lane], read(i + 8 * lane, 8));
+      }
+    }
+    h = rotl(acc[0], 1) + rotl(acc[1], 7) + rotl(acc[2], 12) +
+        rotl(acc[3], 18);
+    for (const std::uint64_t a : acc) {
+      h ^= round(0, a);
+      h = h * p1 + p4;
+    }
+  } else {
+    h = p5;
+  }
+  h += len;
+  for (; i + 8 <= len; i += 8) {
+    h ^= round(0, read(i, 8));
+    h = rotl(h, 27) * p1 + p4;
+  }
+  if (i + 4 <= len) {
+    h ^= read(i, 4) * p1;
+    h = rotl(h, 23) * p2 + p3;
+    i += 4;
+  }
+  for (; i < len; ++i) {
+    h ^= in[i] * p5;
+    h = rotl(h, 11) * p1;
+  }
+  h ^= h >> 33;
+  h *= p2;
+  h ^= h >> 29;
+  h *= p3;
+  h ^= h >> 32;
+  return h;
+}
+
+TEST(Xxh64, MatchesPublishedVectors) {
+  EXPECT_EQ(xxh64_of(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(xxh64_of("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(xxh64_of("abc"), 0x44BC2CF5AD770999ULL);
+  // 39 and 43 bytes: one 32-byte stripe, then 8-, 4- and 1-byte tails.
+  EXPECT_EQ(xxh64_of("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ULL);
+  EXPECT_EQ(xxh64_of("The quick brown fox jumps over the lazy dog"),
+            0x0B242D361FDA71BCULL);
+}
+
+TEST(Xxh64, EveryTailLengthMatchesTheReference) {
+  std::vector<std::uint8_t> buffer(3 * 32);
+  for (std::size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<std::uint8_t>(i * 167 + 13);
+  }
+  // 0-31 bytes take the short path; 32-95 cover every tail after one and
+  // two full stripes.
+  for (std::size_t len = 0; len < buffer.size(); ++len) {
+    EXPECT_EQ(util::xxh64({buffer.data(), len}),
+              xxh64_reference(buffer, len))
+        << "length " << len;
+  }
+}
+
+TEST(Xxh64, IsTheServiceContentHash) {
+  const std::vector<std::uint8_t> bytes = {0x7f, 'E', 'L', 'F', 2, 1, 1, 0};
+  EXPECT_EQ(eval::AnalysisSession::content_hash(bytes), util::xxh64(bytes));
 }
 
 TEST(TimerWheel, FiresExactlyOnceAtOrAfterDeadline) {
