@@ -705,15 +705,30 @@ TEST(ServiceOverload, StatsOpSurfacesRobustnessCounters) {
   }
   const auto stats = client.stats(&error);
   ASSERT_TRUE(stats.has_value()) << error;
+  const auto keys = [](const util::json::Value& object) {
+    std::vector<std::string> out;
+    for (const auto& [key, value] : object.members()) {
+      out.push_back(key);
+    }
+    return out;
+  };
+  // The reply's keys, in order: scripts parse this document and the
+  // flattened `query --op stats` lines, so a rename or reorder is a
+  // compatibility break.
+  EXPECT_EQ(keys(*stats),
+            (std::vector<std::string>{"entries", "capacity", "shards", "hits",
+                                      "misses", "joined", "evictions",
+                                      "server"}));
   const util::json::Value* nested = stats->get("server");
   ASSERT_NE(nested, nullptr) << "stats reply lacks the server object";
-  for (const char* key :
-       {"accepted", "active", "peak_active", "rejected_connections",
-        "emfile_rejections", "idle_timeouts", "write_stall_timeouts",
-        "queries_shed", "frames_shed", "queue_depth", "queue_high_water",
-        "slow_queries", "uptime_ms", "workers"}) {
-    ASSERT_NE(nested->get(key), nullptr) << key;
-  }
+  EXPECT_EQ(keys(*nested),
+            (std::vector<std::string>{
+                "accepted", "active", "peak_active", "rejected_connections",
+                "emfile_rejections", "idle_timeouts", "write_stall_timeouts",
+                "queries_shed", "frames_shed", "queue_depth",
+                "queue_high_water", "slow_queries", "uptime_ms", "workers"}));
+  ASSERT_NE(nested->get("rejected_connections"), nullptr);
+  ASSERT_NE(nested->get("accepted"), nullptr);
   EXPECT_GE(nested->get("rejected_connections")->as_double(), 1.0);
   EXPECT_GE(nested->get("accepted")->as_double(), 1.0);
 }
