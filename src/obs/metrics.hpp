@@ -19,11 +19,13 @@
 /// [a-z_][a-z0-9_]*.
 ///
 /// Registries: Registry::global() holds library-level metrics (decode
-/// cache, analysis session, batch engine). The service daemon owns a
-/// *separate* per-server Registry for its connection/queue/query
-/// counters so that in-process servers (tests spin up several per
-/// binary) never bleed into one another; the metrics op merges both
-/// into one Snapshot.
+/// cache, disassembly, analysis session, batch engine). Each service
+/// daemon owns a *separate* Registry for its connection, queue and
+/// query metrics, so that in-process servers (tests spin up several per
+/// binary) never bleed into one another. ServiceServer::metrics()
+/// snapshots it with the result cache's counters; the metrics op merges
+/// that with the global registry, and the stats op is a fixed view of
+/// it (service::stats_view).
 
 #include <atomic>
 #include <bit>

@@ -78,22 +78,26 @@ class Span {
 
   ~Span() { finish(); }
 
-  void finish() {
+  /// Returns the microseconds recorded, so a caller that also needs the
+  /// duration reads no second clock: 0 when neither sink is attached,
+  /// the same value on every call after the first.
+  std::uint64_t finish() {
     if (done_ || (trace_ == nullptr && histogram_ == nullptr)) {
       done_ = true;
-      return;
+      return us_;
     }
     done_ = true;
-    const auto us = static_cast<std::uint64_t>(
+    us_ = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start_)
             .count());
     if (trace_ != nullptr) {
-      trace_->record(stage_, us);
+      trace_->record(stage_, us_);
     }
     if (histogram_ != nullptr) {
-      histogram_->record_us(us);
+      histogram_->record_us(us_);
     }
+    return us_;
   }
 
  private:
@@ -101,6 +105,7 @@ class Span {
   const char* stage_;
   Histogram* histogram_;
   std::chrono::steady_clock::time_point start_{};
+  std::uint64_t us_ = 0;
   bool done_ = false;
 };
 

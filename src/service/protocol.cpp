@@ -5,6 +5,8 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
+#include <utility>
 
 #include "eval/table.hpp"
 #include "util/framing.hpp"
@@ -90,6 +92,34 @@ void append_header(std::size_t payload_size, std::string* wire) {
   wire->push_back(static_cast<char>((len >> 16) & 0xff));
   wire->push_back(static_cast<char>((len >> 24) & 0xff));
 }
+
+/// The stats reply, in reply order: each key and the metric it shows.
+/// Keys under kServerPrefix go into the nested "server" object, and the
+/// flattened `query --op stats` lines print them with the prefix.
+constexpr std::string_view kServerPrefix = "server.";
+constexpr std::pair<std::string_view, const char*> kStatsView[] = {
+    {"entries", "cache_entries"},
+    {"capacity", "cache_capacity"},
+    {"shards", "cache_shards"},
+    {"hits", "cache_hits_total"},
+    {"misses", "cache_misses_total"},
+    {"joined", "cache_joined_total"},
+    {"evictions", "cache_evictions_total"},
+    {"server.accepted", "service_accepted_total"},
+    {"server.active", "service_active_connections"},
+    {"server.peak_active", "service_peak_active_connections"},
+    {"server.rejected_connections", "service_rejected_connections_total"},
+    {"server.emfile_rejections", "service_emfile_rejections_total"},
+    {"server.idle_timeouts", "service_idle_timeouts_total"},
+    {"server.write_stall_timeouts", "service_write_stall_timeouts_total"},
+    {"server.queries_shed", "service_queries_shed_total"},
+    {"server.frames_shed", "service_frames_shed_total"},
+    {"server.queue_depth", "service_queue_depth"},
+    {"server.queue_high_water", "service_queue_high_water"},
+    {"server.slow_queries", "service_slow_queries_total"},
+    {"server.uptime_ms", "service_uptime_ms"},
+    {"server.workers", "service_workers"},
+};
 
 /// The in-band error that replaces a reply too large for one frame.
 std::string oversize_frame(std::size_t payload_size) {
@@ -364,37 +394,27 @@ std::optional<eval::FileAnalysis> analysis_from_json(
   return fa;
 }
 
-Value stats_json(const util::LruStats& stats, std::size_t capacity,
-                 std::size_t shards) {
-  Value doc = Value::object();
-  doc.set("entries", json_count(stats.entries));
-  doc.set("capacity", json_count(capacity));
-  doc.set("shards", json_count(shards));
-  doc.set("hits", json_count(static_cast<std::size_t>(stats.hits)));
-  doc.set("misses", json_count(static_cast<std::size_t>(stats.misses)));
-  doc.set("joined", json_count(static_cast<std::size_t>(stats.joined)));
-  doc.set("evictions",
-          json_count(static_cast<std::size_t>(stats.evictions)));
-  return doc;
-}
-
-Value server_stats_json(const ServerStats& stats) {
-  Value doc = Value::object();
-  doc.set("accepted", Value::number(stats.accepted));
-  doc.set("active", Value::number(stats.active));
-  doc.set("peak_active", Value::number(stats.peak_active));
-  doc.set("rejected_connections", Value::number(stats.rejected_connections));
-  doc.set("emfile_rejections", Value::number(stats.emfile_rejections));
-  doc.set("idle_timeouts", Value::number(stats.idle_timeouts));
-  doc.set("write_stall_timeouts", Value::number(stats.write_stall_timeouts));
-  doc.set("queries_shed", Value::number(stats.queries_shed));
-  doc.set("frames_shed", Value::number(stats.frames_shed));
-  doc.set("queue_depth", Value::number(stats.queue_depth));
-  doc.set("queue_high_water", Value::number(stats.queue_high_water));
-  doc.set("slow_queries", Value::number(stats.slow_queries));
-  doc.set("uptime_ms", Value::number(stats.uptime_ms));
-  doc.set("workers", Value::number(stats.workers));
-  return doc;
+Value stats_view(const obs::Snapshot& snapshot) {
+  Value stats = Value::object();
+  Value server = Value::object();
+  for (const auto& [key, metric] : kStatsView) {
+    std::uint64_t value = 0;
+    if (const auto it = snapshot.counters().find(metric);
+        it != snapshot.counters().end()) {
+      value = it->second;
+    } else if (const auto gauge = snapshot.gauges().find(metric);
+               gauge != snapshot.gauges().end()) {
+      value = static_cast<std::uint64_t>(gauge->second);
+    }
+    if (key.starts_with(kServerPrefix)) {
+      server.set(std::string(key.substr(kServerPrefix.size())),
+                 Value::number(value));
+    } else {
+      stats.set(std::string(key), Value::number(value));
+    }
+  }
+  stats.set("server", std::move(server));
+  return stats;
 }
 
 bool response_ok(const util::json::Value& response, std::string* error) {

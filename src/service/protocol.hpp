@@ -25,9 +25,10 @@
 /// — echoed when the client supplied one, minted by the daemon
 /// otherwise), and "stages" (per-stage microsecond timings for a miss;
 /// empty for hits/joins). Stats and shutdown responses add "stats"
-/// (cache counters). Metrics responses add "metrics" (a fetch-metrics-v1
-/// document, src/obs/metrics.hpp). See DESIGN.md, "Analysis service"
-/// and "Observability" for the full schemas.
+/// (cache and robustness counters, stats_view below). Metrics responses
+/// add "metrics" (a fetch-metrics-v1 document, src/obs/metrics.hpp).
+/// See DESIGN.md, "Analysis service" and "Observability" for the full
+/// schemas.
 
 #include <cstdint>
 #include <optional>
@@ -35,8 +36,8 @@
 #include <string_view>
 
 #include "eval/session.hpp"
+#include "obs/metrics.hpp"
 #include "util/json.hpp"
-#include "util/lru.hpp"
 
 namespace fetch::service {
 
@@ -113,31 +114,11 @@ struct Request {
 [[nodiscard]] std::optional<eval::FileAnalysis> analysis_from_json(
     const util::json::Value& doc, std::string* error);
 
-[[nodiscard]] util::json::Value stats_json(const util::LruStats& stats,
-                                           std::size_t capacity,
-                                           std::size_t shards);
-
-/// Robustness counters the event-loop server maintains alongside the
-/// cache counters; serialized as the "server" object nested inside the
-/// stats response so existing cache-shape consumers are unaffected.
-struct ServerStats {
-  std::uint64_t accepted = 0;            ///< connections ever accepted
-  std::uint64_t active = 0;              ///< connections open right now
-  std::uint64_t peak_active = 0;         ///< high-water mark of active
-  std::uint64_t rejected_connections = 0;///< over the --max-connections cap
-  std::uint64_t emfile_rejections = 0;   ///< shed via the reserve-fd path
-  std::uint64_t idle_timeouts = 0;       ///< connections evicted for idling
-  std::uint64_t write_stall_timeouts = 0;///< evicted for not draining writes
-  std::uint64_t queries_shed = 0;        ///< queries answered "overloaded"
-  std::uint64_t frames_shed = 0;         ///< frames dropped (poisoned stream)
-  std::uint64_t queue_depth = 0;         ///< analysis queue depth right now
-  std::uint64_t queue_high_water = 0;    ///< max queue depth ever observed
-  std::uint64_t slow_queries = 0;        ///< queries over --slow-query-ms
-  std::uint64_t uptime_ms = 0;           ///< ms since the loop started
-  std::uint64_t workers = 0;             ///< analysis worker threads
-};
-
-[[nodiscard]] util::json::Value server_stats_json(const ServerStats& stats);
+/// The "stats" member of a stats or shutdown reply: a fixed set of
+/// metrics from \p snapshot (a ServiceServer::metrics() snapshot) under
+/// their stats names, in a fixed order — the cache counters first, then
+/// the server's robustness counters nested in a "server" object.
+[[nodiscard]] util::json::Value stats_view(const obs::Snapshot& snapshot);
 
 /// True when \p response has schema fetch-service-v1 and status "ok";
 /// otherwise fills *error from the response (or with a schema complaint).

@@ -74,21 +74,29 @@ const char* outcome_name(util::ShardedLru<std::string>::Outcome outcome) {
   return "?";
 }
 
-void bump_high_water(std::atomic<std::uint64_t>* high_water,
-                     std::uint64_t value) {
-  std::uint64_t seen = high_water->load(std::memory_order_relaxed);
-  while (value > seen &&
-         !high_water->compare_exchange_weak(seen, value,
-                                            std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 ServiceServer::ServiceServer(ServerOptions options)
     : options_(std::move(options)),
       session_(options_.detector),
-      cache_(options_.cache_capacity, options_.cache_shards) {
+      cache_(options_.cache_capacity, options_.cache_shards),
+      accepted_(registry_.counter("service_accepted_total")),
+      rejected_connections_(
+          registry_.counter("service_rejected_connections_total")),
+      emfile_rejections_(registry_.counter("service_emfile_rejections_total")),
+      idle_timeouts_(registry_.counter("service_idle_timeouts_total")),
+      write_stall_timeouts_(
+          registry_.counter("service_write_stall_timeouts_total")),
+      queries_shed_(registry_.counter("service_queries_shed_total")),
+      frames_shed_(registry_.counter("service_frames_shed_total")),
+      slow_queries_(registry_.counter("service_slow_queries_total")),
+      active_(registry_.gauge("service_active_connections")),
+      peak_active_(registry_.gauge("service_peak_active_connections")),
+      queue_depth_(registry_.gauge("service_queue_depth")),
+      queue_high_water_(registry_.gauge("service_queue_high_water")),
+      queue_wait_us_(registry_.histogram("service_queue_wait_us")),
+      query_us_(registry_.histogram("service_query_us")),
+      hash_us_(registry_.histogram("service_hash_us")) {
   if (options_.socket_path.empty()) {
     options_.socket_path = default_socket_path();
   }
@@ -98,6 +106,12 @@ ServiceServer::ServiceServer(ServerOptions options)
   effective_queue_depth_ = options_.queue_depth != 0
                                ? options_.queue_depth
                                : std::max<std::size_t>(32, 8 * options_.workers);
+  registry_.gauge("service_workers")
+      .set(static_cast<std::int64_t>(options_.workers));
+  registry_.gauge("cache_capacity")
+      .set(static_cast<std::int64_t>(cache_.capacity()));
+  registry_.gauge("cache_shards")
+      .set(static_cast<std::int64_t>(cache_.shard_count()));
 }
 
 ServiceServer::~ServiceServer() {
@@ -136,25 +150,22 @@ bool ServiceServer::start(std::string* error) {
   return true;
 }
 
-ServerStats ServiceServer::server_stats() const {
-  ServerStats stats;
-  stats.accepted = accepted_.load(std::memory_order_relaxed);
-  stats.active = active_.load(std::memory_order_relaxed);
-  stats.peak_active = peak_active_.load(std::memory_order_relaxed);
-  stats.rejected_connections =
-      rejected_connections_.load(std::memory_order_relaxed);
-  stats.emfile_rejections = emfile_rejections_.load(std::memory_order_relaxed);
-  stats.idle_timeouts = idle_timeouts_.load(std::memory_order_relaxed);
-  stats.write_stall_timeouts =
-      write_stall_timeouts_.load(std::memory_order_relaxed);
-  stats.queries_shed = queries_shed_.load(std::memory_order_relaxed);
-  stats.frames_shed = frames_shed_.load(std::memory_order_relaxed);
-  stats.queue_depth = queue_depth_.load(std::memory_order_relaxed);
-  stats.queue_high_water = queue_high_water_.load(std::memory_order_relaxed);
-  stats.slow_queries = slow_queries_.load(std::memory_order_relaxed);
-  stats.uptime_ms = start_ms_ != 0 ? now_ms() - start_ms_ : 0;
-  stats.workers = static_cast<std::uint64_t>(options_.workers);
-  return stats;
+obs::Snapshot ServiceServer::metrics() const {
+  obs::Snapshot snap;
+  registry_.collect(&snap);
+  const util::LruStats cache = cache_.stats();
+  snap.set_counter("cache_hits_total", cache.hits);
+  snap.set_counter("cache_misses_total", cache.misses);
+  snap.set_counter("cache_joined_total", cache.joined);
+  snap.set_counter("cache_evictions_total", cache.evictions);
+  // lookups() == hits + misses + joined; exported so consumers (and the
+  // conservation test) need no client-side arithmetic.
+  snap.set_counter("cache_lookups_total", cache.lookups());
+  snap.set_gauge("cache_entries", static_cast<std::int64_t>(cache.entries));
+  snap.set_gauge("service_uptime_ms",
+                 static_cast<std::int64_t>(
+                     start_ms_ != 0 ? now_ms() - start_ms_ : 0));
+  return snap;
 }
 
 void ServiceServer::run() {
@@ -273,11 +284,21 @@ void ServiceServer::run() {
   workers_.clear();
 
   connections_.clear();
-  active_.store(0, std::memory_order_relaxed);
-  obs::log_info("service", "stopped",
-                {{"socket", options_.socket_path},
-                 {"uptime_ms",
-                  std::to_string(start_ms_ != 0 ? now_ms() - start_ms_ : 0)}});
+  active_.set(0);
+  const obs::Snapshot last = metrics();
+  const auto counter = [&last](const char* name) {
+    return std::to_string(last.counters().at(name));
+  };
+  obs::log_info(
+      "service", "stopped",
+      {{"socket", options_.socket_path},
+       {"uptime_ms", std::to_string(last.gauges().at("service_uptime_ms"))},
+       {"hits", counter("cache_hits_total")},
+       {"misses", counter("cache_misses_total")},
+       {"joined", counter("cache_joined_total")},
+       {"evictions", counter("cache_evictions_total")},
+       {"shed", counter("service_queries_shed_total")},
+       {"rejected", counter("service_rejected_connections_total")}});
   // epoll_ and wake_event_ stay open until destruction: a racing stop()
   // from another thread may still poke the eventfd, and writing into a
   // recycled descriptor would be far worse than holding two fds.
@@ -358,13 +379,13 @@ void ServiceServer::accept_ready(std::uint64_t now) {
       }
       return;  // transient (ECONNABORTED etc.): keep serving
     }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
+    accepted_.add();
     if (connections_.size() >= options_.max_connections) {
       // Over the hard cap: tell the client it is load, not protocol,
       // then hang up. Best-effort — the socket buffer of a freshly
       // accepted connection is empty, so the frame virtually always
       // fits without blocking.
-      rejected_connections_.fetch_add(1, std::memory_order_relaxed);
+      rejected_connections_.add();
       obs::log_warn("service", "connection rejected: at --max-connections",
                     {{"active", std::to_string(connections_.size())}});
       const std::string frame = encode_frame(error_response(
@@ -387,9 +408,9 @@ void ServiceServer::accept_ready(std::uint64_t now) {
     }
     arm_idle(conn.get(), now);
     connections_.emplace(id, std::move(conn));
-    const auto active = static_cast<std::uint64_t>(connections_.size());
-    active_.store(active, std::memory_order_relaxed);
-    bump_high_water(&peak_active_, active);
+    const auto active = static_cast<std::int64_t>(connections_.size());
+    active_.set(active);
+    peak_active_.bump_max(active);
   }
 }
 
@@ -400,7 +421,7 @@ void ServiceServer::handle_emfile() {
   // connection (the client sees a hangup instead of a dead socket),
   // then park the listener briefly so the loop stays quiet even if the
   // backlog is full of further connections we cannot serve.
-  emfile_rejections_.fetch_add(1, std::memory_order_relaxed);
+  emfile_rejections_.add();
   obs::log_warn("service", "out of file descriptors: shedding via reserve fd");
   if (reserve_fd_.valid()) {
     reserve_fd_.reset();
@@ -430,7 +451,7 @@ void ServiceServer::read_ready(Connection* conn, std::uint64_t now) {
       if (!conn->assembler.push({buf, static_cast<std::size_t>(n)}, &perr)) {
         // Oversize header: the stream cannot be resynchronized. Answer
         // with the reason, then close once the reply has flushed.
-        frames_shed_.fetch_add(1, std::memory_order_relaxed);
+        frames_shed_.add();
         dispatch_frames(conn, now);  // frames completed before the poison
         if (connections_.find(id) == connections_.end()) {
           return;
@@ -465,7 +486,7 @@ void ServiceServer::read_ready(Connection* conn, std::uint64_t now) {
     if (conn->assembler.mid_frame()) {
       // Mid-frame disconnect: nobody is left to read a reply; count it
       // and let the close path run.
-      frames_shed_.fetch_add(1, std::memory_order_relaxed);
+      frames_shed_.add();
     }
     update_interest(conn);
     if (conn->inflight == 0 && !conn->output_pending()) {
@@ -541,14 +562,14 @@ void ServiceServer::handle_frame(Connection* conn, const std::string& payload,
                            request->trace.empty() ? obs::mint_trace_id()
                                                   : request->trace,
                            now_us()});
-      const auto depth = static_cast<std::uint64_t>(queue_.size());
-      queue_depth_.store(depth, std::memory_order_relaxed);
-      bump_high_water(&queue_high_water_, depth);
+      const auto depth = static_cast<std::int64_t>(queue_.size());
+      queue_depth_.set(depth);
+      queue_high_water_.bump_max(depth);
       enqueued = true;
     }
   }
   if (!enqueued) {
-    queries_shed_.fetch_add(1, std::memory_order_relaxed);
+    queries_shed_.add();
     obs::log_warn("service", "query shed: analysis queue is full",
                   {{"path", request->path}});
     queue_reply(
@@ -564,61 +585,15 @@ void ServiceServer::handle_frame(Connection* conn, const std::string& payload,
 
 util::json::Value ServiceServer::stats_response(Op op) const {
   util::json::Value response = ok_response(op);
-  util::json::Value stats =
-      stats_json(cache_stats(), cache_.capacity(), cache_.shard_count());
-  stats.set("server", server_stats_json(server_stats()));
-  response.set("stats", std::move(stats));
+  response.set("stats", stats_view(metrics()));
   return response;
 }
 
 util::json::Value ServiceServer::metrics_response() const {
-  obs::Snapshot snap;
-  // Library-level metrics first (decode cache, session stages, batch);
-  // per-server values follow and win any (unexpected) name collision.
+  obs::Snapshot snap = metrics();
+  // The global registry's names (codeview_, disasm_, session_, batch_)
+  // never collide with this server's (service_, cache_).
   obs::Registry::global().collect(&snap);
-
-  const ServerStats server = server_stats();
-  snap.set_counter("service_accepted_total", server.accepted);
-  snap.set_counter("service_rejected_connections_total",
-                   server.rejected_connections);
-  snap.set_counter("service_emfile_rejections_total",
-                   server.emfile_rejections);
-  snap.set_counter("service_idle_timeouts_total", server.idle_timeouts);
-  snap.set_counter("service_write_stall_timeouts_total",
-                   server.write_stall_timeouts);
-  snap.set_counter("service_queries_shed_total", server.queries_shed);
-  snap.set_counter("service_frames_shed_total", server.frames_shed);
-  snap.set_counter("service_slow_queries_total", server.slow_queries);
-  snap.set_gauge("service_active_connections",
-                 static_cast<std::int64_t>(server.active));
-  snap.set_gauge("service_peak_active_connections",
-                 static_cast<std::int64_t>(server.peak_active));
-  snap.set_gauge("service_queue_depth",
-                 static_cast<std::int64_t>(server.queue_depth));
-  snap.set_gauge("service_queue_high_water",
-                 static_cast<std::int64_t>(server.queue_high_water));
-  snap.set_gauge("service_uptime_ms",
-                 static_cast<std::int64_t>(server.uptime_ms));
-  snap.set_gauge("service_workers",
-                 static_cast<std::int64_t>(server.workers));
-
-  const util::LruStats cache = cache_stats();
-  snap.set_counter("cache_hits_total", cache.hits);
-  snap.set_counter("cache_misses_total", cache.misses);
-  snap.set_counter("cache_joined_total", cache.joined);
-  snap.set_counter("cache_evictions_total", cache.evictions);
-  // lookups() == hits + misses + joined; exported so consumers (and the
-  // conservation test) need no client-side arithmetic.
-  snap.set_counter("cache_lookups_total", cache.lookups());
-  snap.set_gauge("cache_entries", static_cast<std::int64_t>(cache.entries));
-  snap.set_gauge("cache_capacity",
-                 static_cast<std::int64_t>(cache_.capacity()));
-
-  snap.set_histogram("service_queue_wait_us",
-                     obs::freeze_histogram(queue_wait_us_));
-  snap.set_histogram("service_query_us", obs::freeze_histogram(query_us_));
-  snap.set_histogram("service_hash_us", obs::freeze_histogram(hash_us_));
-
   util::json::Value response = ok_response(Op::kMetrics);
   response.set("metrics", snap.json());
   return response;
@@ -745,7 +720,7 @@ void ServiceServer::expire_timers(std::uint64_t now) {
         arm_idle(conn, now);
         continue;
       }
-      idle_timeouts_.fetch_add(1, std::memory_order_relaxed);
+      idle_timeouts_.add();
       close_conn(conn_id);
     } else {
       if (conn->write_deadline_ms == 0 || now < conn->write_deadline_ms) {
@@ -757,7 +732,7 @@ void ServiceServer::expire_timers(std::uint64_t now) {
       if (conn->out_off >= conn->outbuf.size()) {
         continue;  // drained in the meantime; flush already disarmed
       }
-      write_stall_timeouts_.fetch_add(1, std::memory_order_relaxed);
+      write_stall_timeouts_.add();
       close_conn(conn_id);
     }
   }
@@ -772,8 +747,7 @@ void ServiceServer::close_conn(std::uint64_t id) {
   timers_.cancel(write_timer_id(id));
   ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, it->second->fd.get(), nullptr);
   connections_.erase(it);
-  active_.store(static_cast<std::uint64_t>(connections_.size()),
-                std::memory_order_relaxed);
+  active_.set(static_cast<std::int64_t>(connections_.size()));
 }
 
 // --- Worker side ------------------------------------------------------------
@@ -809,8 +783,7 @@ void ServiceServer::worker_loop() {
       }
       job = std::move(queue_.front());
       queue_.pop_front();
-      queue_depth_.store(static_cast<std::uint64_t>(queue_.size()),
-                         std::memory_order_relaxed);
+      queue_depth_.set(static_cast<std::int64_t>(queue_.size()));
     }
     queue_wait_us_.record_us(now_us() - job.enqueue_us);
     std::string frame = run_query(job);
@@ -829,7 +802,6 @@ std::string ServiceServer::run_query(const Job& job) {
   const std::string& path = job.path;
   obs::Trace trace(job.trace_id);
   obs::Span query_span(nullptr, "query", &query_us_);
-  const std::uint64_t started_us = now_us();
 
   // Query: hash the content first, then consult the cache. Reading the
   // file on every query is what makes the cache content-addressed — a
@@ -865,11 +837,9 @@ std::string ServiceServer::run_query(const Job& job) {
   });
   std::string frame = query_frame(outcome_name(outcome), path, *body,
                                   trace.id(), trace.stages_json());
-  query_span.finish();
-
-  const std::uint64_t elapsed_ms = (now_us() - started_us) / 1000;
+  const std::uint64_t elapsed_ms = query_span.finish() / 1000;
   if (options_.slow_query_ms != 0 && elapsed_ms >= options_.slow_query_ms) {
-    slow_queries_.fetch_add(1, std::memory_order_relaxed);
+    slow_queries_.add();
     std::string stages;
     for (const obs::Trace::Stage& stage : trace.stages()) {
       if (!stages.empty()) {

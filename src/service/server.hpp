@@ -108,9 +108,13 @@ class ServiceServer {
   [[nodiscard]] const std::string& socket_path() const {
     return options_.socket_path;
   }
-  [[nodiscard]] util::LruStats cache_stats() const { return cache_.stats(); }
-  [[nodiscard]] ServerStats server_stats() const;
   [[nodiscard]] const ServerOptions& options() const { return options_; }
+
+  /// This server's metrics: every name in its Registry (connection,
+  /// queue and query counters, gauges and latency histograms), the
+  /// result cache's counters, and the uptime. The `metrics` op adds
+  /// obs::Registry::global() to it; the `stats` op is stats_view of it.
+  [[nodiscard]] obs::Snapshot metrics() const;
 
  private:
   /// Per-connection state, owned exclusively by the I/O thread.
@@ -177,9 +181,8 @@ class ServiceServer {
   void begin_drain(std::uint64_t now_ms);
   [[nodiscard]] bool drain_complete() const;
   [[nodiscard]] util::json::Value stats_response(Op op) const;
-  /// fetch-metrics-v1 snapshot of this server (connection/queue/query
-  /// counters, latency histograms, cache counters) merged with
-  /// obs::Registry::global() (decode cache, session stages).
+  /// fetch-metrics-v1 document: metrics() merged with
+  /// obs::Registry::global() (decode cache, disassembly, session stages).
   [[nodiscard]] util::json::Value metrics_response() const;
 
   // --- worker-side ---
@@ -220,26 +223,28 @@ class ServiceServer {
   /// consumed — the drain barrier for graceful shutdown.
   std::atomic<std::uint64_t> jobs_outstanding_{0};
 
-  // Robustness counters (relaxed: monotonic telemetry, not synchronization).
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> peak_active_{0};
-  std::atomic<std::uint64_t> rejected_connections_{0};
-  std::atomic<std::uint64_t> emfile_rejections_{0};
-  std::atomic<std::uint64_t> idle_timeouts_{0};
-  std::atomic<std::uint64_t> write_stall_timeouts_{0};
-  std::atomic<std::uint64_t> queries_shed_{0};
-  std::atomic<std::uint64_t> frames_shed_{0};
-  std::atomic<std::uint64_t> queue_depth_{0};
-  std::atomic<std::uint64_t> queue_high_water_{0};
-  std::atomic<std::uint64_t> active_{0};
-  std::atomic<std::uint64_t> slow_queries_{0};
   std::uint64_t start_ms_ = 0;  ///< set by start(); uptime anchor
 
-  // Per-server latency histograms (NOT in the global registry, so two
-  // in-process servers — the tests run several — never share them).
-  obs::Histogram queue_wait_us_;  ///< enqueue → worker dequeue
-  obs::Histogram query_us_;       ///< worker dequeue → response encoded
-  obs::Histogram hash_us_;        ///< content hash of one readable query
+  /// Per-server metrics, NOT in the global registry, so two in-process
+  /// servers (the tests run several) never share them. The constructor
+  /// registers every name, so each exists at zero, and resolves these
+  /// handles once: updating one takes no lock and no name lookup.
+  obs::Registry registry_;
+  obs::Counter& accepted_;              ///< connections ever accepted
+  obs::Counter& rejected_connections_;  ///< over the --max-connections cap
+  obs::Counter& emfile_rejections_;     ///< shed via the reserve-fd path
+  obs::Counter& idle_timeouts_;         ///< connections evicted for idling
+  obs::Counter& write_stall_timeouts_;  ///< evicted for not draining writes
+  obs::Counter& queries_shed_;          ///< queries answered "overloaded"
+  obs::Counter& frames_shed_;           ///< frames dropped (poisoned stream)
+  obs::Counter& slow_queries_;          ///< queries over --slow-query-ms
+  obs::Gauge& active_;                  ///< connections open right now
+  obs::Gauge& peak_active_;             ///< high-water mark of active_
+  obs::Gauge& queue_depth_;             ///< analysis queue depth right now
+  obs::Gauge& queue_high_water_;        ///< max queue depth ever observed
+  obs::Histogram& queue_wait_us_;       ///< enqueue → worker dequeue
+  obs::Histogram& query_us_;            ///< worker dequeue → reply encoded
+  obs::Histogram& hash_us_;             ///< content hash of one readable query
 };
 
 }  // namespace fetch::service

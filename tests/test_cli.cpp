@@ -3,6 +3,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -10,9 +11,13 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "synth/codegen.hpp"
 #include "synth/corpus.hpp"
+#include "util/json.hpp"
 
 namespace fetch {
 namespace {
@@ -292,6 +297,38 @@ TEST(Cli, ServedQueryIsByteIdenticalToDetect) {
   EXPECT_EQ(run_shell(cli + " query --socket " + sock +
                       " /nonexistent-file >/dev/null 2>/dev/null"),
             1);
+
+  // `--op stats`: the default lines and the table list the same
+  // flattened keys in the same order; the raw document parses.
+  const CommandResult lines = run_cli("query --socket " + sock + " --op stats");
+  const CommandResult table =
+      run_cli("query --socket " + sock + " --op stats --format table");
+  const CommandResult json =
+      run_cli("query --socket " + sock + " --op stats --format json");
+  ASSERT_EQ(lines.status, 0) << lines.output;
+  ASSERT_EQ(table.status, 0) << table.output;
+  ASSERT_EQ(json.status, 0) << json.output;
+  std::vector<std::string> line_keys;
+  std::istringstream line_in(lines.output);
+  for (std::string line; std::getline(line_in, line);) {
+    line_keys.push_back(line.substr(0, line.find(": ")));
+  }
+  std::vector<std::string> table_keys;
+  std::istringstream table_in(table.output);
+  std::string line;
+  std::getline(table_in, line);  // column headers
+  std::getline(table_in, line);  // rule
+  for (std::string key; table_in >> key;) {
+    table_keys.push_back(key);
+    std::getline(table_in, line);  // the value
+  }
+  EXPECT_EQ(line_keys, table_keys);
+  EXPECT_NE(std::find(line_keys.begin(), line_keys.end(), "server.accepted"),
+            line_keys.end())
+      << lines.output;
+  const auto doc = util::json::Value::parse(json.output);
+  ASSERT_TRUE(doc.has_value()) << json.output;
+  EXPECT_NE(doc->get("server"), nullptr) << json.output;
 
   // Graceful stop; a second shutdown finds nobody listening and exits
   // with the distinct "daemon unreachable" code.

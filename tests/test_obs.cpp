@@ -231,14 +231,17 @@ TEST(ObsTrace, SpansRecordStagesInOrder) {
   {
     Span span(&trace, "elf_parse", &histogram);
   }
+  std::uint64_t detect_us = 0;
   {
     Span span(&trace, "detect");
-    span.finish();
-    span.finish();  // idempotent: no duplicate stage
+    detect_us = span.finish();
+    // Idempotent: no duplicate stage, and the same duration again.
+    EXPECT_EQ(span.finish(), detect_us);
   }
   ASSERT_EQ(trace.stages().size(), 2u);
   EXPECT_EQ(trace.stages()[0].name, "elf_parse");
   EXPECT_EQ(trace.stages()[1].name, "detect");
+  EXPECT_EQ(trace.stages()[1].us, detect_us);
   EXPECT_EQ(histogram.count(), 1u);
 
   const util::json::Value stages = trace.stages_json();
@@ -253,7 +256,7 @@ TEST(ObsTrace, NullSinksAreNoops) {
   // A span with neither a trace nor a histogram must be safe (this is
   // the disabled-instrumentation fast path).
   Span span(nullptr, "noop", nullptr);
-  span.finish();
+  EXPECT_EQ(span.finish(), 0u);
 }
 
 // --- Logger -----------------------------------------------------------------

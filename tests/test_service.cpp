@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,6 +48,20 @@ std::string write_sample_binary(const char* name, std::size_t project,
   out.write(reinterpret_cast<const char*>(bin.image.data()),
             static_cast<std::streamsize>(bin.image.size()));
   return path;
+}
+
+/// A counter or gauge of a metrics snapshot, by name (gauges here are
+/// never negative).
+std::uint64_t metric(const obs::Snapshot& snapshot, const std::string& name) {
+  if (const auto it = snapshot.counters().find(name);
+      it != snapshot.counters().end()) {
+    return it->second;
+  }
+  const auto gauge = snapshot.gauges().find(name);
+  EXPECT_NE(gauge, snapshot.gauges().end()) << "no metric " << name;
+  return gauge == snapshot.gauges().end()
+             ? 0
+             : static_cast<std::uint64_t>(gauge->second);
 }
 
 /// In-process daemon on a private socket; stops and joins on destruction.
@@ -241,10 +256,10 @@ TEST(Service, QueryMissThenHitReturnsIdenticalResults) {
   EXPECT_EQ(service::analysis_json(hit->analysis).dump(),
             service::analysis_json(miss->analysis).dump());
 
-  const util::LruStats stats = server.server().cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.entries, 1u);
+  const obs::Snapshot metrics = server.server().metrics();
+  EXPECT_EQ(metric(metrics, "cache_misses_total"), 1u);
+  EXPECT_EQ(metric(metrics, "cache_hits_total"), 1u);
+  EXPECT_EQ(metric(metrics, "cache_entries"), 1u);
 }
 
 TEST(Service, CacheIsContentAddressedNotPathAddressed) {
@@ -269,7 +284,7 @@ TEST(Service, CacheIsContentAddressedNotPathAddressed) {
   // one-shot run of the copy would.
   EXPECT_EQ(second->analysis.row.path, copy);
   EXPECT_EQ(first->analysis.row.path, path);
-  EXPECT_EQ(server.server().cache_stats().misses, 1u);
+  EXPECT_EQ(metric(server.server().metrics(), "cache_misses_total"), 1u);
 }
 
 TEST(Service, EvictionIsCapacityBoundedAndDeterministic) {
@@ -297,11 +312,11 @@ TEST(Service, EvictionIsCapacityBoundedAndDeterministic) {
   ASSERT_TRUE(again_c.has_value()) << error;
   EXPECT_EQ(again_c->cache, "hit");
 
-  const util::LruStats stats = server.server().cache_stats();
-  EXPECT_EQ(stats.misses, 4u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.entries, 2u);
+  const obs::Snapshot metrics = server.server().metrics();
+  EXPECT_EQ(metric(metrics, "cache_misses_total"), 4u);
+  EXPECT_EQ(metric(metrics, "cache_hits_total"), 1u);
+  EXPECT_EQ(metric(metrics, "cache_evictions_total"), 2u);
+  EXPECT_EQ(metric(metrics, "cache_entries"), 2u);
 }
 
 TEST(Service, UnreadableAndMalformedFilesBecomeErrorRows) {
@@ -359,9 +374,11 @@ TEST(Service, EightConcurrentClientsOneAnalysis) {
     EXPECT_EQ(hashes[i], hashes[0]);
   }
   // ...and the server ran exactly one analysis for them.
-  const util::LruStats stats = server.server().cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits + stats.joined, static_cast<std::uint64_t>(kClients - 1));
+  const obs::Snapshot metrics = server.server().metrics();
+  EXPECT_EQ(metric(metrics, "cache_misses_total"), 1u);
+  EXPECT_EQ(metric(metrics, "cache_hits_total") +
+                metric(metrics, "cache_joined_total"),
+            static_cast<std::uint64_t>(kClients - 1));
 }
 
 // --- Malformed requests -----------------------------------------------------
@@ -486,20 +503,21 @@ std::vector<std::uint8_t> wire_request(const service::Request& request) {
   return wire_frame(service::request_json(request).dump());
 }
 
-/// Polls \p predicate against the server's robustness counters until it
+/// Polls \p predicate against the server's metric \p name until it
 /// holds or \p deadline_ms passes.
 template <typename Predicate>
-bool stats_eventually(service::ServiceServer& server, Predicate predicate,
-                      int deadline_ms = 5000) {
+bool metric_eventually(const service::ServiceServer& server,
+                       const std::string& name, Predicate predicate,
+                       int deadline_ms = 5000) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(deadline_ms);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (predicate(server.server_stats())) {
+    if (predicate(metric(server.metrics(), name))) {
       return true;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  return predicate(server.server_stats());
+  return predicate(metric(server.metrics(), name));
 }
 
 TEST(ServiceOverload, IdleCamperIsEvictedOnDeadline) {
@@ -514,9 +532,8 @@ TEST(ServiceOverload, IdleCamperIsEvictedOnDeadline) {
       << "camper still connected after 5 s";
   std::uint8_t scratch[8];
   EXPECT_EQ(::recv(fd->get(), scratch, sizeof(scratch), 0), 0);
-  EXPECT_TRUE(stats_eventually(server.server(), [](const auto& s) {
-    return s.idle_timeouts >= 1;
-  }));
+  EXPECT_TRUE(metric_eventually(server.server(), "service_idle_timeouts_total",
+                                [](std::uint64_t v) { return v >= 1; }));
   // The daemon itself is fine.
   auto client = server.connect();
   EXPECT_TRUE(client.ping(&error)) << error;
@@ -550,9 +567,8 @@ TEST(ServiceOverload, SlowLorisTrickleDoesNotResetIdleClock) {
     }
   }
   EXPECT_TRUE(evicted);
-  EXPECT_TRUE(stats_eventually(server.server(), [](const auto& s) {
-    return s.idle_timeouts >= 1;
-  }));
+  EXPECT_TRUE(metric_eventually(server.server(), "service_idle_timeouts_total",
+                                [](std::uint64_t v) { return v >= 1; }));
 }
 
 TEST(ServiceOverload, QueueFullGetsImmediateOverloadedReply) {
@@ -602,9 +618,9 @@ TEST(ServiceOverload, QueueFullGetsImmediateOverloadedReply) {
   EXPECT_EQ(ok_replies + overloaded_replies, kBurst);
   EXPECT_GE(overloaded_replies, 1u);
   EXPECT_GE(ok_replies, 1u);  // shedding is not a blanket refusal
-  const service::ServerStats stats = server.server().server_stats();
-  EXPECT_EQ(stats.queries_shed, overloaded_replies);
-  EXPECT_GE(stats.queue_high_water, 1u);
+  const obs::Snapshot metrics = server.server().metrics();
+  EXPECT_EQ(metric(metrics, "service_queries_shed_total"), overloaded_replies);
+  EXPECT_GE(metric(metrics, "service_queue_high_water"), 1u);
 }
 
 TEST(ServiceOverload, ConnectionLimitRejectsAtAccept) {
@@ -631,13 +647,14 @@ TEST(ServiceOverload, ConnectionLimitRejectsAtAccept) {
       << reply;
   EXPECT_EQ(util::read_frame(fd->get(), &reply, &error),
             util::FrameStatus::kEof);
-  EXPECT_GE(server.server().server_stats().rejected_connections, 1u);
+  EXPECT_GE(metric(server.server().metrics(),
+                   "service_rejected_connections_total"),
+            1u);
 
   // Capacity frees up as soon as a pinned client leaves.
   first = std::move(second);  // drops first's connection
-  EXPECT_TRUE(stats_eventually(server.server(), [](const auto& s) {
-    return s.active <= 1;
-  }));
+  EXPECT_TRUE(metric_eventually(server.server(), "service_active_connections",
+                                [](std::uint64_t v) { return v <= 1; }));
   auto third = server.connect();
   EXPECT_TRUE(third.ping(&error)) << error;
 }
@@ -653,9 +670,8 @@ TEST(ServiceOverload, MidFrameDisconnectsLeaveServerHealthy) {
     ASSERT_EQ(::send(fd->get(), partial, sizeof(partial), MSG_NOSIGNAL), 2);
     fd.reset();
   }
-  EXPECT_TRUE(stats_eventually(server.server(), [](const auto& s) {
-    return s.frames_shed >= 5;
-  }));
+  EXPECT_TRUE(metric_eventually(server.server(), "service_frames_shed_total",
+                                [](std::uint64_t v) { return v >= 5; }));
   auto client = server.connect();
   EXPECT_TRUE(client.ping(&error)) << error;
 }
@@ -682,9 +698,9 @@ TEST(ServiceOverload, StalledReaderIsEvictedByWriteDeadline) {
       sent += static_cast<std::size_t>(n);
     }
   }
-  EXPECT_TRUE(stats_eventually(server.server(), [](const auto& s) {
-    return s.write_stall_timeouts >= 1;
-  }));
+  EXPECT_TRUE(metric_eventually(server.server(),
+                                "service_write_stall_timeouts_total",
+                                [](std::uint64_t v) { return v >= 1; }));
   auto client = server.connect();
   EXPECT_TRUE(client.ping(&error)) << error;
 }
@@ -780,6 +796,88 @@ TEST(ServiceMetrics, MetricsOpReturnsSchemaValidSnapshot) {
   EXPECT_NE(prometheus.find("fetch_cache_hits_total"), std::string::npos);
   EXPECT_NE(prometheus.find("fetch_service_hash_us_bucket"),
             std::string::npos);
+}
+
+TEST(ServiceMetrics, StatsAgreesWithMetrics) {
+  service::ServerOptions options;
+  options.max_connections = 1;
+  TestServer server(options);
+  auto client = server.connect();
+  std::string error;
+  const std::string path =
+      write_sample_binary("svc_stats_view.bin", 2, 0x57a75);
+  // One miss and two hits, so the hit and miss counts differ.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.query(path, &error).has_value()) << error;
+  }
+  {
+    // Over the one-connection cap: rejected at accept.
+    auto fd = util::unix_connect(server.socket(), &error);
+    ASSERT_TRUE(fd.has_value()) << error;
+    std::string reply;
+    ASSERT_EQ(util::read_frame(fd->get(), &reply, &error),
+              util::FrameStatus::kOk)
+        << error;
+  }
+
+  // Quiesced: nothing runs between the two requests but the clock.
+  const auto stats = client.stats(&error);
+  ASSERT_TRUE(stats.has_value()) << error;
+  const auto doc = client.metrics(&error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const auto metrics = obs::Snapshot::from_json(*doc, &error);
+  ASSERT_TRUE(metrics.has_value()) << error;
+
+  // Every stats key, flattened as `query --op stats` prints it, and the
+  // metric it shows.
+  const std::map<std::string, std::string> view = {
+      {"entries", "cache_entries"},
+      {"capacity", "cache_capacity"},
+      {"shards", "cache_shards"},
+      {"hits", "cache_hits_total"},
+      {"misses", "cache_misses_total"},
+      {"joined", "cache_joined_total"},
+      {"evictions", "cache_evictions_total"},
+      {"server.accepted", "service_accepted_total"},
+      {"server.active", "service_active_connections"},
+      {"server.peak_active", "service_peak_active_connections"},
+      {"server.rejected_connections", "service_rejected_connections_total"},
+      {"server.emfile_rejections", "service_emfile_rejections_total"},
+      {"server.idle_timeouts", "service_idle_timeouts_total"},
+      {"server.write_stall_timeouts", "service_write_stall_timeouts_total"},
+      {"server.queries_shed", "service_queries_shed_total"},
+      {"server.frames_shed", "service_frames_shed_total"},
+      {"server.queue_depth", "service_queue_depth"},
+      {"server.queue_high_water", "service_queue_high_water"},
+      {"server.slow_queries", "service_slow_queries_total"},
+      {"server.uptime_ms", "service_uptime_ms"},
+      {"server.workers", "service_workers"},
+  };
+  std::vector<std::pair<std::string, std::uint64_t>> flat;
+  for (const auto& [key, value] : stats->members()) {
+    if (!value.is_object()) {
+      flat.emplace_back(key, static_cast<std::uint64_t>(value.as_double()));
+      continue;
+    }
+    for (const auto& [sub_key, sub_value] : value.members()) {
+      flat.emplace_back(key + "." + sub_key,
+                        static_cast<std::uint64_t>(sub_value.as_double()));
+    }
+  }
+  EXPECT_EQ(flat.size(), view.size());
+  for (const auto& [key, value] : flat) {
+    SCOPED_TRACE(key);
+    const auto it = view.find(key);
+    ASSERT_NE(it, view.end());
+    if (key == "server.uptime_ms") {
+      EXPECT_LE(value, metric(*metrics, it->second));
+    } else {
+      EXPECT_EQ(value, metric(*metrics, it->second));
+    }
+  }
+  EXPECT_EQ(metric(*metrics, "cache_misses_total"), 1u);
+  EXPECT_EQ(metric(*metrics, "cache_hits_total"), 2u);
+  EXPECT_EQ(metric(*metrics, "service_rejected_connections_total"), 1u);
 }
 
 TEST(ServiceMetrics, TraceIdsEchoAndStagesFollowCacheState) {
@@ -882,7 +980,7 @@ TEST(Service, ManyClientsSustainedMixedLoad) {
     t.join();
   }
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_LE(server.server().cache_stats().entries, 2u);
+  EXPECT_LE(metric(server.server().metrics(), "cache_entries"), 2u);
 }
 
 // The second: a shutdown racing a whole fleet of in-flight queries. Every

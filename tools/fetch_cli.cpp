@@ -477,16 +477,6 @@ int cmd_serve(std::size_t jobs, const ServiceArgs& service) {
     std::error_code ec;
     std::filesystem::remove(service.pidfile, ec);
   }
-  const util::LruStats stats = server.cache_stats();
-  const service::ServerStats robustness = server.server_stats();
-  obs::log_info(
-      "serve", "stopped",
-      {{"hits", std::to_string(stats.hits)},
-       {"misses", std::to_string(stats.misses)},
-       {"joined", std::to_string(stats.joined)},
-       {"evictions", std::to_string(stats.evictions)},
-       {"shed", std::to_string(robustness.queries_shed)},
-       {"rejected", std::to_string(robustness.rejected_connections)}});
   return 0;
 }
 
@@ -497,37 +487,32 @@ service::ClientOptions client_options(const ServiceArgs& service) {
   return options;
 }
 
-/// `query --op stats`: dump the daemon's cache + robustness counters,
-/// one `key: value` line each (the nested "server" object is flattened
-/// with a `server.` prefix).
-int render_stats(const util::json::Value& stats) {
+/// `query --op stats`: the daemon's cache + robustness counters, one
+/// `key: value` line each, or with `--format table` an aligned
+/// two-column table of the same lines. The nested "server" object is
+/// flattened with a `server.` prefix.
+int render_stats(const util::json::Value& stats, bool table) {
+  eval::TextTable text_table({"metric", "value"});
+  const auto emit = [&](const std::string& key,
+                        const util::json::Value& value) {
+    if (table) {
+      text_table.add_row({key, value.dump()});
+    } else {
+      std::cout << key << ": " << value.dump() << "\n";
+    }
+  };
   for (const auto& [key, value] : stats.members()) {
-    if (value.is_object()) {
-      for (const auto& [sub_key, sub_value] : value.members()) {
-        std::cout << key << "." << sub_key << ": " << sub_value.dump()
-                  << "\n";
-      }
+    if (!value.is_object()) {
+      emit(key, value);
       continue;
     }
-    std::cout << key << ": " << value.dump() << "\n";
-  }
-  return 0;
-}
-
-/// `query --op stats --format table`: the same flattened keys as the
-/// default rendering, aligned in a two-column table.
-int render_stats_table(const util::json::Value& stats) {
-  eval::TextTable table({"metric", "value"});
-  for (const auto& [key, value] : stats.members()) {
-    if (value.is_object()) {
-      for (const auto& [sub_key, sub_value] : value.members()) {
-        table.add_row({key + "." + sub_key, sub_value.dump()});
-      }
-      continue;
+    for (const auto& [sub_key, sub_value] : value.members()) {
+      emit(key + "." + sub_key, sub_value);
     }
-    table.add_row({key, value.dump()});
   }
-  table.print(std::cout);
+  if (table) {
+    text_table.print(std::cout);
+  }
   return 0;
 }
 
@@ -558,10 +543,7 @@ int cmd_query(const std::vector<const char*>& args,
       std::cout << stats->dump() << "\n";
       return 0;
     }
-    if (service.format == "table") {
-      return render_stats_table(*stats);
-    }
-    return render_stats(*stats);
+    return render_stats(*stats, service.format == "table");
   }
   if (service.op == "metrics") {
     const auto metrics = client->metrics(&error);

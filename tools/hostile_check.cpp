@@ -390,12 +390,12 @@ bool wait_for_eviction(int fd, const std::atomic<bool>& stop) {
 /// ISSUE's shape (4 workers, 64 connections, bounded queue, short
 /// deadlines) under \p clients adversarial connections, probed by a
 /// healthy client throughout. Appends human-readable violations;
-/// returns the counters for the JSON report.
-service::ServerStats run_client_phase(std::size_t clients,
-                                      const std::string& socket_path,
-                                      std::vector<std::string>* violations,
-                                      std::size_t* probe_answers,
-                                      std::size_t* probe_overloaded) {
+/// returns the server's metrics for the report.
+obs::Snapshot run_client_phase(std::size_t clients,
+                               const std::string& socket_path,
+                               std::vector<std::string>* violations,
+                               std::size_t* probe_answers,
+                               std::size_t* probe_overloaded) {
   constexpr std::uint64_t kIdleMs = 1'500;
   constexpr std::uint64_t kStallMs = 1'500;
   // ThreadSanitizer slows this CPU-bound pipeline by roughly an order
@@ -525,7 +525,7 @@ service::ServerStats run_client_phase(std::size_t clients,
           }
           // Hold the connection open without ever reading: the unread
           // responses pin the server's outbuf until its write-stall
-          // clock evicts us (server_stats().write_stall_timeouts is the
+          // clock evicts us (service_write_stall_timeouts_total is the
           // authoritative witness; unread data masks the EOF here).
           while (!stop.load(std::memory_order_relaxed)) {
             std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -618,14 +618,15 @@ service::ServerStats run_client_phase(std::size_t clients,
     }
   }
 
-  const service::ServerStats stats = server.server_stats();
-  if (stats.idle_timeouts == 0) {
+  const obs::Snapshot metrics = server.metrics();
+  const auto& counters = metrics.counters();
+  if (counters.at("service_idle_timeouts_total") == 0) {
     violations->push_back("clients: no idle camper was ever evicted");
   }
-  if (stats.write_stall_timeouts == 0) {
+  if (counters.at("service_write_stall_timeouts_total") == 0) {
     violations->push_back("clients: no stalled reader was ever evicted");
   }
-  if (stats.rejected_connections == 0) {
+  if (counters.at("service_rejected_connections_total") == 0) {
     violations->push_back(
         "clients: rejected_connections stayed 0 despite the over-limit "
         "flood");
@@ -639,7 +640,7 @@ service::ServerStats run_client_phase(std::size_t clients,
   runner.join();
   ::unlink(socket_path.c_str());
   ::unlink(sample_path.c_str());
-  return stats;
+  return metrics;
 }
 
 }  // namespace
@@ -811,12 +812,12 @@ int main(int argc, char** argv) {
   }
 
   // --- Phase 3: adversarial clients against an overload-shaped daemon.
-  service::ServerStats client_stats;
+  obs::Snapshot client_metrics;
   std::size_t probe_answers = 0;
   std::size_t probe_overloaded = 0;
   if (clients != 0) {
-    client_stats = run_client_phase(clients, socket_path, &violations,
-                                    &probe_answers, &probe_overloaded);
+    client_metrics = run_client_phase(clients, socket_path, &violations,
+                                      &probe_answers, &probe_overloaded);
   }
 
   // --- Memory bound.
@@ -839,11 +840,15 @@ int main(int argc, char** argv) {
               << " live pings";
   }
   if (clients != 0) {
+    const auto& client_counters = client_metrics.counters();
     std::cout << ", " << clients << " hostile clients (" << probe_answers
               << " probe answers, " << probe_overloaded << " overloaded, "
-              << client_stats.idle_timeouts << " idle evictions, "
-              << client_stats.write_stall_timeouts << " stall evictions, "
-              << client_stats.rejected_connections << " rejected)";
+              << client_counters.at("service_idle_timeouts_total")
+              << " idle evictions, "
+              << client_counters.at("service_write_stall_timeouts_total")
+              << " stall evictions, "
+              << client_counters.at("service_rejected_connections_total")
+              << " rejected)";
   }
   std::cout << ", peak RSS " << max_rss_kb / 1024 << " MiB\n";
   for (const std::string& v : violations) {
@@ -882,7 +887,8 @@ int main(int argc, char** argv) {
       clients_doc.set("probe_overloaded",
                       util::json::Value::number(
                           static_cast<std::uint64_t>(probe_overloaded)));
-      clients_doc.set("server", service::server_stats_json(client_stats));
+      clients_doc.set("server",
+                      *service::stats_view(client_metrics).get("server"));
       doc.set("clients", std::move(clients_doc));
     }
     doc.set("max_rss_kb", util::json::Value::number(
