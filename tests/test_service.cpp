@@ -64,6 +64,23 @@ std::uint64_t metric(const obs::Snapshot& snapshot, const std::string& name) {
              : static_cast<std::uint64_t>(gauge->second);
 }
 
+/// Polls \p predicate against the server's metric \p name until it
+/// holds or \p deadline_ms passes.
+template <typename Predicate>
+bool metric_eventually(const service::ServiceServer& server,
+                       const std::string& name, Predicate predicate,
+                       int deadline_ms = 5000) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(deadline_ms);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (predicate(metric(server.metrics(), name))) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return predicate(metric(server.metrics(), name));
+}
+
 /// In-process daemon on a private socket; stops and joins on destruction.
 class TestServer {
  public:
@@ -469,8 +486,10 @@ TEST(Service, ShutdownCompletesInFlightRequests) {
     }
   });
 
-  // Give the query a moment to be in flight, then shut down mid-stream.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // Shut down once the query is in flight: queued or running on a
+  // worker (a fixed sleep here lost the race to a slow scheduler).
+  EXPECT_TRUE(metric_eventually(*server, "service_queue_high_water",
+                                [](std::uint64_t v) { return v >= 1; }));
   auto shutdown_client =
       service::ServiceClient::connect(options.socket_path, &error);
   ASSERT_TRUE(shutdown_client.has_value()) << error;
@@ -501,23 +520,6 @@ std::vector<std::uint8_t> wire_frame(const std::string& payload) {
 
 std::vector<std::uint8_t> wire_request(const service::Request& request) {
   return wire_frame(service::request_json(request).dump());
-}
-
-/// Polls \p predicate against the server's metric \p name until it
-/// holds or \p deadline_ms passes.
-template <typename Predicate>
-bool metric_eventually(const service::ServiceServer& server,
-                       const std::string& name, Predicate predicate,
-                       int deadline_ms = 5000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(deadline_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (predicate(metric(server.metrics(), name))) {
-      return true;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return predicate(metric(server.metrics(), name));
 }
 
 TEST(ServiceOverload, IdleCamperIsEvictedOnDeadline) {
