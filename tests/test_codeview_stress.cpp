@@ -143,6 +143,40 @@ TEST(CodeViewBoundary, WindowIsClampedAtSectionEnd) {
   EXPECT_NE(code.insn_at(kTextAddr + head.size() + tail.size() - 1), nullptr);
 }
 
+TEST(CodeViewBoundary, OverlappingSectionsResolveToTheLastStartAtOrBelow) {
+  // Hostile layout: .text.b sits inside .text, which is the larger
+  // section. An address resolves to the section with the greatest start
+  // at or below it, and only if that section holds it: inside .text.b
+  // the bytes are .text.b's, and past .text.b's end nothing decodes,
+  // although .text still covers those addresses.
+  elf::ElfBuilder b;
+  b.add_section(".text", elf::kShtProgbits,
+                elf::kShfAlloc | elf::kShfExecinstr, kTextAddr,
+                std::vector<std::uint8_t>(64, 0x90), 1);  // nops
+  b.add_section(".text.b", elf::kShtProgbits,
+                elf::kShfAlloc | elf::kShfExecinstr, kTextAddr + 32,
+                std::vector<std::uint8_t>(16, 0xC3), 1);  // rets
+  b.set_entry(kTextAddr);
+  const elf::ElfFile elf(b.build());
+  const CodeView code(elf);
+  auto kind_at = [&](std::uint64_t addr) -> std::string {
+    const x86::Insn* insn = code.insn_at(addr);
+    return insn == nullptr ? "none"
+           : insn->kind == x86::Kind::kNop ? "nop"
+           : insn->kind == x86::Kind::kRet ? "ret"
+                                           : "other";
+  };
+  EXPECT_EQ(kind_at(kTextAddr), "nop");
+  EXPECT_EQ(kind_at(kTextAddr + 31), "nop");   // last byte before .text.b
+  EXPECT_EQ(kind_at(kTextAddr + 32), "ret");   // .text.b's first byte
+  EXPECT_EQ(kind_at(kTextAddr + 40), "ret");
+  EXPECT_EQ(kind_at(kTextAddr + 47), "ret");   // .text.b's last byte
+  EXPECT_EQ(kind_at(kTextAddr + 48), "none");  // past .text.b, inside .text
+  EXPECT_EQ(kind_at(kTextAddr + 63), "none");  // .text's last byte
+  EXPECT_EQ(kind_at(kTextAddr + 64), "none");  // past both
+  EXPECT_EQ(kind_at(kTextAddr - 1), "none");
+}
+
 TEST(CodeViewDense, ResyncFailureRunCostsNoRecords) {
   // 256 bytes that never decode (0x06 is invalid in 64-bit mode), then a
   // ret. The old map cached one heap node per failed resync byte; the
