@@ -54,62 +54,65 @@ Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
             state.insn_starts.count(addr) == 0) ||
            (s.starts.count(addr) == 0 && s.interior.count(addr) != 0);
   };
-  auto valid_target = [&](std::uint64_t t) {
-    return code.is_code(t) && !into_middle(t);  // error (iii)
-  };
 
   // An address queued twice is claimed by its older item only: no dedup.
   disasm::WorkQueue work;
   work.push(start);
   bool rejected = false;
-  auto claim = [&](std::uint64_t addr) -> const Insn* {
+  auto claim = [&](std::uint64_t addr) -> disasm::CodeView::Rec {
     if (s.starts.count(addr) != 0 || state.insn_starts.count(addr) != 0) {
-      return nullptr;  // rejoined known-good code
+      return {};  // rejoined known-good code
     }
-    const Insn* insn = probe.lengths.size() < kMaxProbeInsns  // runaway
-                                ? code.insn_at(addr)  // error (i): invalid
-                                : nullptr;
-    if (insn == nullptr || into_middle(addr)) {  // error (ii)
+    const disasm::CodeView::Rec rec =
+        probe.lengths.size() < kMaxProbeInsns  // runaway
+            ? code.rec_at(addr)                // error (i): invalid
+            : disasm::CodeView::Rec{};
+    if (rec.step == nullptr || into_middle(addr)) {  // error (ii)
       rejected = true;
       work.clear();
-      return nullptr;
+      return {};
     }
+    const std::uint8_t length = rec.step->length;
     s.starts.insert(addr);
-    for (std::uint64_t b = addr + 1; b < addr + insn->length; ++b) {
+    for (std::uint64_t b = addr + 1; b < addr + length; ++b) {
       s.interior.insert(b);
     }
-    probe.lengths.emplace_back(addr, insn->length);
-    return insn;
+    probe.lengths.emplace_back(addr, length);
+    return rec;
   };
-  auto step = [&](const Insn& insn, const disasm::InsnWindow&) {
-    if (insn.mem_target && code.elf().is_code_address(*insn.mem_target)) {
-      probe.constants.insert(*insn.mem_target);
+  auto visit = [&](std::uint64_t, const disasm::Step& step,
+                   const disasm::InsnWindow& window) {
+    using disasm::Step;
+    if (step.has(Step::kMemIsCode | Step::kImmIsCode)) {
+      const Insn& insn = code.record(window.back());
+      if (step.has(Step::kMemIsCode)) {
+        probe.constants.insert(*insn.mem_target);
+      }
+      if (step.has(Step::kImmIsCode)) {
+        probe.constants.insert(*insn.imm);
+      }
     }
-    if (insn.imm && code.elf().is_code_address(*insn.imm)) {
-      probe.constants.insert(*insn.imm);
-    }
-    if (insn.kind == Kind::kCallDirect || insn.kind == Kind::kJmpDirect ||
-        insn.kind == Kind::kCondJmp) {
-      const std::uint64_t t = *insn.target;
-      if (!valid_target(t)) {
+    if (step.kind == Kind::kCallDirect || step.kind == Kind::kJmpDirect ||
+        step.kind == Kind::kCondJmp) {
+      const std::uint64_t t = step.target;
+      if (!step.has(Step::kTargetIsCode) || into_middle(t)) {  // error (iii)
         return disasm::Flow::kDone;
       }
       // Follow intra-probe flow, but stop at detected functions; probing
       // assumes callees return.
-      if (insn.kind != Kind::kCallDirect && state.starts.count(t) == 0 &&
+      if (step.kind != Kind::kCallDirect && state.starts.count(t) == 0 &&
           s.starts.count(t) == 0 && state.insn_starts.count(t) == 0) {
         work.push(t);
       }
     }
-    const disasm::Flow flow = disasm::fall_of(insn);
-    if (flow == disasm::Flow::kFall &&
-        !code.is_code(insn.addr + insn.length)) {
+    const disasm::Flow flow = disasm::fall_of(step);
+    if (flow == disasm::Flow::kFall && !step.has(Step::kNextIsCode)) {
       return disasm::Flow::kDone;  // ran off the end of the section
     }
     return flow;
   };
   // Every kDone is a rejection: probing never succeeds early.
-  rejected = disasm::walk(code, work, claim, step) || rejected;
+  rejected = disasm::walk(work, claim, visit) || rejected;
 
   // Error (iv): calling-convention validation.
   probe.legitimate =

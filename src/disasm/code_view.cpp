@@ -18,9 +18,12 @@ namespace {
 constexpr std::uint64_t kMaxInsnBytes = 15;
 
 // The arena stores instructions as flat, trivially-copyable records — a
-// publish is a plain struct copy followed by one release store.
+// publish is a plain struct copy followed by one release store — and frees
+// its raw buckets without running a destructor.
 static_assert(std::is_trivially_copyable_v<x86::Insn>,
               "arena records must be flat copyable structs");
+static_assert(std::is_trivially_destructible_v<x86::Insn>,
+              "arena buckets are freed without destroying records");
 
 /// Cold-path decode-cache counters (global registry: CodeViews are
 /// per-binary and ephemeral, the aggregate is what matters). Looked up
@@ -66,6 +69,23 @@ CodeView::CodeView(const elf::ElfFile& elf) : elf_(elf) {
   }
   std::sort(shards_.begin(), shards_.end(),
             [](const Shard& a, const Shard& b) { return a.addr < b.addr; });
+  // The fast path needs a shard whose range does not wrap past the top of
+  // the address space and that no other shard's range meets.
+  const auto largest = std::max_element(
+      shards_.begin(), shards_.end(), [](const Shard& a, const Shard& b) {
+        return a.slot_count < b.slot_count;
+      });
+  if (largest != shards_.end() &&
+      largest->slot_count - 1 <= ~largest->addr &&
+      std::none_of(shards_.begin(), shards_.end(), [&](const Shard& s) {
+        return &s != &*largest &&
+               (s.addr - largest->addr < largest->slot_count ||
+                largest->addr - s.addr < s.slot_count);
+      })) {
+    fast_ = &*largest;
+    fast_addr_ = largest->addr;
+    fast_count_ = largest->slot_count;
+  }
 }
 
 std::vector<CodeView::SlotRange> CodeView::slot_ranges() const {
@@ -78,13 +98,9 @@ std::vector<CodeView::SlotRange> CodeView::slot_ranges() const {
   return ranges;
 }
 
-CodeView::~CodeView() {
-  for (std::atomic<x86::Insn*>& bucket : buckets_) {
-    delete[] bucket.load(std::memory_order_relaxed);
-  }
-}
+CodeView::~CodeView() = default;
 
-const CodeView::Shard* CodeView::shard_at(std::uint64_t addr) const {
+const CodeView::Shard* CodeView::search_shard(std::uint64_t addr) const {
   // Binaries have a handful of executable sections at most; an upper_bound
   // over the sorted shard list keeps the hot path branch-poor.
   const auto it = std::upper_bound(
@@ -97,38 +113,36 @@ const CodeView::Shard* CodeView::shard_at(std::uint64_t addr) const {
   return addr - shard.addr < shard.slot_count ? &shard : nullptr;
 }
 
-std::uint32_t CodeView::append_record(const x86::Insn& insn) const {
-  const std::uint32_t index =
-      arena_next_.fetch_add(1, std::memory_order_relaxed);
-  FETCH_ASSERT(index < (bucket_base(kMaxBuckets - 1) +
-                        bucket_capacity(kMaxBuckets - 1)) -
-                           kFirstRecord);
-  const unsigned b = bucket_of(index);
-  x86::Insn* bucket = buckets_[b].load(std::memory_order_acquire);
-  if (bucket == nullptr) {
-    x86::Insn* fresh = new x86::Insn[bucket_capacity(b)];
-    if (buckets_[b].compare_exchange_strong(bucket, fresh,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-      bucket = fresh;
-    } else {
-      delete[] fresh;  // another thread won the allocation race
-    }
-  }
-  bucket[index - bucket_base(b)] = insn;
-  return index;
+Step CodeView::make_step(const x86::Insn& insn) const {
+  Step step;
+  step.target = insn.target.value_or(0);
+  step.length = insn.length;
+  step.kind = insn.kind;
+  auto set = [&](std::uint8_t flag, bool on) {
+    step.flags |= on ? flag : 0;
+  };
+  set(Step::kNextIsCode, elf_.is_code_address(insn.addr + insn.length));
+  set(Step::kTargetIsCode,
+      insn.target && elf_.is_code_address(*insn.target));
+  set(Step::kHasMemTarget, insn.mem_target.has_value());
+  set(Step::kImmInSection,
+      insn.imm && elf_.section_at(*insn.imm) != nullptr);
+  set(Step::kMemIsCode,
+      insn.mem_target && elf_.is_code_address(*insn.mem_target));
+  set(Step::kImmIsCode, insn.imm && elf_.is_code_address(*insn.imm));
+  return step;
 }
 
-const x86::Insn* CodeView::decode_slot(const Shard& shard, std::uint64_t off,
-                                       std::uint64_t addr) const {
+std::uint32_t CodeView::decode_slot(const Shard& shard, std::uint64_t off,
+                                    std::uint64_t addr) const {
   std::atomic<std::uint32_t>& slot = shard.slots[off];
   std::uint32_t state = slot.load(std::memory_order_acquire);
   for (;;) {
     if (state >= kFirstRecord) {
-      return record_at(state - kFirstRecord);
+      return state - kFirstRecord;
     }
     if (state == kInvalid) {
-      return nullptr;
+      return kNoRecord;
     }
     if (state == kEmpty &&
         slot.compare_exchange_strong(state, kDecoding,
@@ -144,12 +158,16 @@ const x86::Insn* CodeView::decode_slot(const Shard& shard, std::uint64_t off,
       if (!insn) {
         metrics.invalid.add();
         slot.store(kInvalid, std::memory_order_release);
-        return nullptr;
+        return kNoRecord;
       }
-      const std::uint32_t index = append_record(*insn);
+      const std::uint32_t index =
+          arena_next_.fetch_add(1, std::memory_order_relaxed);
+      FETCH_ASSERT(index < Arena<Step>::kCapacity - kFirstRecord);
+      records_.publish(index, *insn);
+      steps_.publish(index, make_step(*insn));
       metrics.decoded.add();
       slot.store(index + kFirstRecord, std::memory_order_release);
-      return record_at(index);
+      return index;
     }
     if (state == kDecoding) {
       // Another thread holds the claim; decoding is a few hundred ns, so
@@ -185,9 +203,9 @@ void CodeView::predecode(std::size_t jobs) const {
     std::uint64_t off = range.lo;
     std::uint64_t resync_failures = 0;
     while (off < range.hi) {
-      const x86::Insn* insn = insn_at(range.shard->addr + off);
-      if (insn != nullptr) {
-        off += insn->length;
+      const Rec rec = rec_at(range.shard->addr + off);
+      if (rec.step != nullptr) {
+        off += rec.step->length;
       } else {
         off += 1;  // one-byte resynchronization
         ++resync_failures;

@@ -24,6 +24,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "elf/elf_file.hpp"
@@ -31,31 +32,58 @@
 
 namespace fetch::disasm {
 
-/// The last (up to) 32 instructions on a path, oldest first: a fixed ring
-/// copied by value, so forking a path never allocates. The pointers point
-/// into a CodeView's record arena and stay valid for its lifetime.
+/// The flow facts a walk reads per instruction: 16 bytes published beside
+/// each decoded record, at the same arena index. Each flag bit is the
+/// answer of an ElfFile query made once at decode, so a walk step makes no
+/// section lookup and reads the full record only for the few instructions
+/// whose flags say they carry reference or pointer material. The packing
+/// follows X86Emu's per-instruction decode flags.
+struct Step {
+  static constexpr std::uint8_t kNextIsCode = 1;     ///< addr + length
+  static constexpr std::uint8_t kTargetIsCode = 2;   ///< direct target
+  static constexpr std::uint8_t kHasMemTarget = 4;   ///< RIP-relative operand
+  static constexpr std::uint8_t kImmInSection = 8;   ///< imm in any section
+  static constexpr std::uint8_t kMemIsCode = 16;     ///< mem_target in code
+  static constexpr std::uint8_t kImmIsCode = 32;     ///< imm in code
+
+  std::uint64_t target = 0;  ///< direct call/jmp/jcc target, else 0
+  std::uint8_t length = 0;
+  x86::Kind kind = x86::Kind::kOther;
+  std::uint8_t flags = 0;
+
+  /// True when any of the \p flag bits is set.
+  [[nodiscard]] bool has(std::uint8_t flag) const {
+    return (flags & flag) != 0;
+  }
+  friend bool operator==(const Step&, const Step&) = default;
+};
+static_assert(sizeof(Step) == 16, "a flow step is one 16-byte record");
+
+/// The last (up to) 32 instructions on a path, oldest first, as record
+/// indices into a CodeView's arenas: a fixed ring copied by value, so
+/// forking a path never allocates.
 class InsnWindow {
  public:
   static constexpr std::size_t kCapacity = 32;
 
-  void push(const x86::Insn* insn) {
+  void push(std::uint32_t index) {
     if (size_ < kCapacity) {
-      slots_[(start_ + size_++) % kCapacity] = insn;
+      slots_[(start_ + size_++) % kCapacity] = index;
     } else {
-      slots_[start_] = insn;
+      slots_[start_] = index;
       start_ = (start_ + 1) % kCapacity;
     }
   }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   /// \p i = 0 is the oldest instruction, size() - 1 the newest.
-  [[nodiscard]] const x86::Insn* operator[](std::size_t i) const {
+  [[nodiscard]] std::uint32_t operator[](std::size_t i) const {
     return slots_[(start_ + i) % kCapacity];
   }
-  [[nodiscard]] const x86::Insn* back() const { return (*this)[size_ - 1]; }
+  [[nodiscard]] std::uint32_t back() const { return (*this)[size_ - 1]; }
 
  private:
-  std::array<const x86::Insn*, kCapacity> slots_{};
+  std::array<std::uint32_t, kCapacity> slots_{};
   std::uint8_t start_ = 0;
   std::uint8_t size_ = 0;
 };
@@ -81,24 +109,24 @@ class CodeView {
   /// from multiple threads; reads of already-decoded addresses are
   /// wait-free.
   [[nodiscard]] const x86::Insn* insn_at(std::uint64_t addr) const {
-    const Shard* shard = shard_at(addr);
-    if (shard == nullptr) {
-      return nullptr;
-    }
-    const std::uint64_t off = addr - shard->addr;
-    // Deliberately uninstrumented: even a striped relaxed fetch_add is
-    // an atomic RMW (~6 ns) on this ~4 ns read, which the
-    // warm_speedup_vs_mutex_map bench gate rejects. The decode (cold)
-    // path carries the codeview_* counters instead.
-    const std::uint32_t slot =
-        shard->slots[off].load(std::memory_order_acquire);
-    if (slot >= kFirstRecord) {
-      return record_at(slot - kFirstRecord);
-    }
-    if (slot == kInvalid) {
-      return nullptr;
-    }
-    return decode_slot(*shard, off, addr);
+    const std::uint32_t index = index_at(addr);
+    return index == kNoRecord ? nullptr : &record(index);
+  }
+
+  /// A decoded address' arena index and flow step; `step` is null where
+  /// insn_at gives nullptr.
+  struct Rec {
+    std::uint32_t index = 0;
+    const Step* step = nullptr;
+  };
+  /// insn_at's lookup, returning the 16-byte step instead of the record.
+  [[nodiscard]] Rec rec_at(std::uint64_t addr) const {
+    const std::uint32_t index = index_at(addr);
+    return index == kNoRecord ? Rec{} : Rec{index, &steps_[index]};
+  }
+  /// The full record behind an index from rec_at (or an InsnWindow).
+  [[nodiscard]] const x86::Insn& record(std::uint32_t index) const {
+    return records_[index];
   }
 
   /// Eagerly decodes every executable section (linear sweep with one-byte
@@ -158,39 +186,123 @@ class CodeView {
   static constexpr std::uint32_t kDecoding = 1;
   static constexpr std::uint32_t kInvalid = 2;
   static constexpr std::uint32_t kFirstRecord = 3;
+  /// index_at's "no instruction here".
+  static constexpr std::uint32_t kNoRecord = ~std::uint32_t{0};
 
-  // The record arena grows in geometrically sized buckets (bucket b holds
-  // 2^b * kBucket0Size records), so memory stays proportional to the
-  // number of decoded instructions while published records never move.
-  static constexpr unsigned kBucket0Shift = 8;  // 256 records
-  static constexpr unsigned kMaxBuckets = 24;
+  /// An append-only arena that grows in geometrically sized buckets
+  /// (bucket b holds 2^b * 256 records), so memory stays proportional to
+  /// the number of decoded instructions while published records never
+  /// move. Buckets are raw storage and a record is constructed when it is
+  /// published, so a bucket's pages are touched only as records land in
+  /// them.
+  template <typename T>
+  class Arena {
+   public:
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena buckets are freed without destroying records");
+    static constexpr unsigned kBucket0Shift = 8;  // 256 records
+    static constexpr unsigned kMaxBuckets = 24;
+    static constexpr std::uint64_t kCapacity =
+        ((std::uint64_t{1} << kMaxBuckets) - 1) << kBucket0Shift;
 
-  [[nodiscard]] static unsigned bucket_of(std::uint32_t index) {
-    // One instruction on the warm-read path (vs a shift loop).
-    return static_cast<unsigned>(
-        std::bit_width((index >> kBucket0Shift) + 1u) - 1);
-  }
-  [[nodiscard]] static std::uint32_t bucket_base(unsigned bucket) {
-    return ((1u << bucket) - 1u) << kBucket0Shift;
-  }
-  [[nodiscard]] static std::uint32_t bucket_capacity(unsigned bucket) {
-    return 1u << (bucket + kBucket0Shift);
-  }
+    Arena() = default;
+    Arena(const Arena&) = delete;
+    Arena& operator=(const Arena&) = delete;
+    ~Arena() {
+      for (unsigned b = 0; b < kMaxBuckets; ++b) {
+        if (T* bucket = buckets_[b].load(std::memory_order_relaxed)) {
+          std::allocator<T>().deallocate(bucket, capacity(b));
+        }
+      }
+    }
 
-  [[nodiscard]] const Shard* shard_at(std::uint64_t addr) const;
-  [[nodiscard]] const x86::Insn* record_at(std::uint32_t index) const {
-    const unsigned b = bucket_of(index);
-    return buckets_[b].load(std::memory_order_acquire) + (index - bucket_base(b));
+    [[nodiscard]] const T& operator[](std::uint32_t index) const {
+      const unsigned b = bucket_of(index);
+      return buckets_[b].load(std::memory_order_acquire)[index - base(b)];
+    }
+    /// Constructs the record at \p index; each index is published once.
+    void publish(std::uint32_t index, const T& value) {
+      const unsigned b = bucket_of(index);
+      T* bucket = buckets_[b].load(std::memory_order_acquire);
+      if (bucket == nullptr) {
+        T* fresh = std::allocator<T>().allocate(capacity(b));
+        if (buckets_[b].compare_exchange_strong(bucket, fresh,
+                                                std::memory_order_acq_rel,
+                                                std::memory_order_acquire)) {
+          bucket = fresh;
+        } else {  // another thread won the allocation race
+          std::allocator<T>().deallocate(fresh, capacity(b));
+        }
+      }
+      std::construct_at(bucket + (index - base(b)), value);
+    }
+
+   private:
+    [[nodiscard]] static unsigned bucket_of(std::uint32_t index) {
+      // One instruction on the warm-read path (vs a shift loop).
+      return static_cast<unsigned>(
+          std::bit_width((index >> kBucket0Shift) + 1u) - 1);
+    }
+    [[nodiscard]] static std::uint32_t base(unsigned bucket) {
+      return ((1u << bucket) - 1u) << kBucket0Shift;
+    }
+    [[nodiscard]] static std::size_t capacity(unsigned bucket) {
+      return std::size_t{1} << (bucket + kBucket0Shift);
+    }
+
+    std::atomic<T*> buckets_[kMaxBuckets] = {};
+  };
+
+  /// The shard holding \p addr: the one with the greatest start at or
+  /// below it, if that one holds it. The largest shard answers with one
+  /// compare when no other shard overlaps it, which leaves the answer
+  /// unchanged; hostile overlapping layouts take the search.
+  [[nodiscard]] const Shard* shard_at(std::uint64_t addr) const {
+    if (addr - fast_addr_ < fast_count_) {
+      return fast_;
+    }
+    return search_shard(addr);
   }
-  [[nodiscard]] std::uint32_t append_record(const x86::Insn& insn) const;
-  [[nodiscard]] const x86::Insn* decode_slot(const Shard& shard,
-                                             std::uint64_t off,
-                                             std::uint64_t addr) const;
+  [[nodiscard]] const Shard* search_shard(std::uint64_t addr) const;
+  /// The arena index of the instruction at \p addr (decoding it on first
+  /// touch), or kNoRecord.
+  [[nodiscard]] std::uint32_t index_at(std::uint64_t addr) const {
+    const Shard* shard = shard_at(addr);
+    if (shard == nullptr) {
+      return kNoRecord;
+    }
+    const std::uint64_t off = addr - shard->addr;
+    // Deliberately uninstrumented: even a striped relaxed fetch_add is
+    // an atomic RMW (~6 ns) on this ~4 ns read, which the
+    // warm_speedup_vs_mutex_map bench gate rejects. The decode (cold)
+    // path carries the codeview_* counters instead.
+    const std::uint32_t slot =
+        shard->slots[off].load(std::memory_order_acquire);
+    if (slot >= kFirstRecord) {
+      return slot - kFirstRecord;
+    }
+    if (slot == kInvalid) {
+      return kNoRecord;
+    }
+    return decode_slot(*shard, off, addr);
+  }
+  [[nodiscard]] std::uint32_t decode_slot(const Shard& shard,
+                                          std::uint64_t off,
+                                          std::uint64_t addr) const;
+  [[nodiscard]] Step make_step(const x86::Insn& insn) const;
 
   const elf::ElfFile& elf_;
   std::vector<Shard> shards_;  // sorted by addr; slots mutated atomically
+  // shard_at's fast path: the largest shard, or an empty range when
+  // another shard overlaps it.
+  const Shard* fast_ = nullptr;
+  std::uint64_t fast_addr_ = 0;
+  std::uint64_t fast_count_ = 0;
   mutable std::atomic<std::uint32_t> arena_next_{0};
-  mutable std::atomic<x86::Insn*> buckets_[kMaxBuckets] = {};
+  // Records and their steps share indices; both are published before the
+  // slot's release store.
+  mutable Arena<x86::Insn> records_;
+  mutable Arena<Step> steps_;
 };
 
 /// A set of addresses stored as one bit per decode slot of a CodeView,

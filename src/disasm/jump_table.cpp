@@ -14,12 +14,13 @@ using x86::Reg;
 /// Searches the window backwards (before index \p from) for `cmp I, imm`
 /// followed somewhere later by a `ja`/`jae` — the bound check guarding the
 /// table. Returns the number of table entries.
-std::optional<std::uint64_t> find_bound(const InsnWindow& window,
+std::optional<std::uint64_t> find_bound(const CodeView& code,
+                                        const InsnWindow& window,
                                         std::size_t from, Reg index_reg) {
   // The bound check may sit a few instructions above the dispatch sequence.
   std::size_t checked = 0;
   for (std::size_t i = from; i-- > 0 && checked < 12; ++checked) {
-    const Insn& insn = *window[i];
+    const Insn& insn = code.record(window[i]);
     // cmp index_reg, imm  (group1 /7 keeps imm in insn.imm, register in
     // rm_reg, and marks only reads).
     if (insn.kind == Kind::kOther && insn.imm && insn.rm_reg == index_reg &&
@@ -96,7 +97,7 @@ std::optional<JumpTable> resolve_jump_table(const CodeView& code,
   if (window.empty()) {
     return std::nullopt;
   }
-  const Insn& jmp = *window.back();
+  const Insn& jmp = code.record(window.back());
   if (jmp.kind != Kind::kJmpIndirect) {
     return std::nullopt;
   }
@@ -106,7 +107,7 @@ std::optional<JumpTable> resolve_jump_table(const CodeView& code,
   if (jmp.mem && !jmp.mem->base && jmp.mem->index && jmp.mem->scale == 8 &&
       !jmp.mem->rip_relative) {
     const Reg index = *jmp.mem->index;
-    const auto entries = find_bound(window, last, index);
+    const auto entries = find_bound(code, window, last, index);
     if (!entries || *entries == 0 || *entries > 4096) {
       return std::nullopt;
     }
@@ -130,7 +131,7 @@ std::optional<JumpTable> resolve_jump_table(const CodeView& code,
   // Scan back for: add jreg, T
   std::optional<std::size_t> add_pos;
   for (std::size_t k = i; k-- > 0;) {
-    const Insn& insn = *window[k];
+    const Insn& insn = code.record(window[k]);
     if (insn.kind == Kind::kOther &&
         (insn.regs_written & reg_bit(jreg)) != 0 && insn.rm_reg == jreg &&
         insn.reg_op && !insn.mem && !insn.imm) {
@@ -150,7 +151,7 @@ std::optional<JumpTable> resolve_jump_table(const CodeView& code,
   // Scan back for: movsxd jreg, dword [table_reg + I*4]
   bool found_movsxd = false;
   for (std::size_t k = *add_pos; k-- > 0;) {
-    const Insn& insn = *window[k];
+    const Insn& insn = code.record(window[k]);
     if (insn.kind == Kind::kMov && insn.mem && insn.mem->base == *table_reg &&
         insn.mem->index && insn.mem->scale == 4 && insn.reg_op == jreg) {
       index_reg = insn.mem->index;
@@ -169,7 +170,7 @@ std::optional<JumpTable> resolve_jump_table(const CodeView& code,
   // Scan back for: lea table_reg, [rip + table]
   bool found_lea = false;
   for (std::size_t k = movsxd_pos; k-- > 0;) {
-    const Insn& insn = *window[k];
+    const Insn& insn = code.record(window[k]);
     if (insn.kind == Kind::kLea && insn.reg_op == *table_reg &&
         insn.mem_target) {
       table_addr = *insn.mem_target;
@@ -184,7 +185,7 @@ std::optional<JumpTable> resolve_jump_table(const CodeView& code,
     return std::nullopt;
   }
 
-  const auto entries = find_bound(window, movsxd_pos, *index_reg);
+  const auto entries = find_bound(code, window, movsxd_pos, *index_reg);
   if (!entries || *entries == 0 || *entries > 4096) {
     return std::nullopt;
   }

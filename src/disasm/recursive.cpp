@@ -2,6 +2,7 @@
 
 #include "disasm/walk.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace fetch::disasm {
 
@@ -11,12 +12,43 @@ using x86::Insn;
 using x86::Kind;
 using x86::Reg;
 
+/// The engine's work counters and per-step latency histograms (global
+/// registry), looked up once; each is recorded once per pass or step,
+/// never per instruction.
+struct EngineMetrics {
+  obs::Counter& passes;
+  obs::Counter& visited;
+  obs::Counter& noreturn_visits;
+  obs::Counter& bodies_built;
+  obs::Counter& bodies_reused;
+  obs::Histogram& discover_us;
+  obs::Histogram& bodies_us;
+  obs::Histogram& noreturn_us;
+  obs::Histogram& finish_us;
+
+  static EngineMetrics& get() {
+    obs::Registry& r = obs::Registry::global();
+    static EngineMetrics metrics{
+        r.counter("disasm_explore_passes_total"),
+        r.counter("disasm_insns_visited_total"),
+        r.counter("disasm_noreturn_visits_total"),
+        r.counter("disasm_bodies_built_total"),
+        r.counter("disasm_bodies_reused_total"),
+        r.histogram("disasm_discover_us"),
+        r.histogram("disasm_bodies_us"),
+        r.histogram("disasm_noreturn_us"),
+        r.histogram("disasm_finish_us"),
+    };
+    return metrics;
+  }
+};
+
 /// Backward slice of the first-argument register (edi) at a call site:
 /// returns true when edi provably holds zero. Used for the paper's
 /// `error`/`error_at_line` conditional-noreturn special case.
-bool first_arg_is_zero(const InsnWindow& window) {
+bool first_arg_is_zero(const CodeView& code, const InsnWindow& window) {
   for (std::size_t i = window.size(); i-- > 0;) {
-    const Insn& insn = *window[i];
+    const Insn& insn = code.record(window[i]);
     if ((insn.regs_written & reg_bit(Reg::kRdi)) == 0) {
       continue;
     }
@@ -30,66 +62,93 @@ bool first_arg_is_zero(const InsnWindow& window) {
   return false;  // no definition in window: assume non-zero (conservative)
 }
 
-/// Does the call to \p callee at the end of \p window fall through?
-Flow call_flow(const Options& options, const InsnWindow& window,
-               std::uint64_t callee) {
-  const bool returns = options.noreturn_functions.count(callee) == 0 &&
-                       (options.conditional_noreturn.count(callee) == 0 ||
-                        first_arg_is_zero(window));
-  return returns ? Flow::kFall : Flow::kEnd;
-}
+/// A pass' no-return and conditional-noreturn sets as dense sets, built
+/// once per pass for the per-call question: does a call fall through?
+struct CallSets {
+  CallSets(const CodeView& code, const Options& options)
+      : code(code), noreturn(code), conditional(code) {
+    for (const std::uint64_t a : options.noreturn_functions) {
+      noreturn.insert(a);
+    }
+    for (const std::uint64_t a : options.conditional_noreturn) {
+      conditional.insert(a);
+    }
+  }
+
+  /// Does the call to \p callee at the end of \p window fall through?
+  [[nodiscard]] Flow flow(const InsnWindow& window,
+                          std::uint64_t callee) const {
+    const bool returns =
+        noreturn.count(callee) == 0 &&
+        (conditional.count(callee) == 0 || first_arg_is_zero(code, window));
+    return returns ? Flow::kFall : Flow::kEnd;
+  }
+
+  const CodeView& code;
+  AddrSet noreturn;
+  AddrSet conditional;
+};
 
 /// Phase 1: global discovery. Explores every reachable instruction once,
 /// collecting starts (code seeds and call targets, also into \p starts),
 /// call targets, coverage, xrefs and jump tables.
 void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
-              const Options& options, Result& result, AddrSet& starts) {
+              const Options& options, const CallSets& calls, Result& result,
+              AddrSet& starts) {
   AddrSet& visited = result.insn_starts = AddrSet(code);
   AddrSet queued(code);
+  AddrSet call_targets(code);
   WorkQueue work;
+  // Callers queue code addresses only.
   auto enqueue = [&](std::uint64_t addr, const InsnWindow& window) {
-    if (code.is_code(addr) && visited.count(addr) == 0 &&
-        queued.insert(addr)) {
+    if (visited.count(addr) == 0 && queued.insert(addr)) {
       work.push(addr, window);
     }
   };
   for (const std::uint64_t seed : seeds) {
     if (code.is_code(seed)) {
       starts.insert(seed);
+      enqueue(seed, {});
     }
-    enqueue(seed, {});
   }
-  auto claim = [&](std::uint64_t addr) -> const Insn* {
-    const Insn* insn = code.insn_at(addr);
-    return insn != nullptr && visited.insert(addr) ? insn : nullptr;
+  auto claim = [&](std::uint64_t addr) {
+    const CodeView::Rec rec = code.rec_at(addr);
+    return rec.step != nullptr && visited.insert(addr) ? rec : CodeView::Rec{};
   };
-  walk(code, work, claim, [&](const Insn& insn, const InsnWindow& window) {
-    if (insn.mem_target) {
-      result.xrefs.add(*insn.mem_target, insn.addr, RefKind::kMemory);
+  walk(work, claim, [&](std::uint64_t addr, const Step& step,
+                        const InsnWindow& window) {
+    if (step.has(Step::kHasMemTarget | Step::kImmInSection)) {
+      const Insn& insn = code.record(window.back());
+      if (insn.mem_target) {
+        result.xrefs.add(*insn.mem_target, addr, RefKind::kMemory);
+      }
+      if (step.has(Step::kImmInSection)) {
+        result.xrefs.add(*insn.imm, addr, RefKind::kImmediate);
+      }
     }
-    if (insn.imm && code.elf().section_at(*insn.imm) != nullptr) {
-      result.xrefs.add(*insn.imm, insn.addr, RefKind::kImmediate);
-    }
-    switch (insn.kind) {
+    switch (step.kind) {
       case Kind::kCallDirect:
-        result.xrefs.add(*insn.target, insn.addr, RefKind::kCall);
-        if (code.is_code(*insn.target)) {
-          result.call_targets.insert(*insn.target);
-          starts.insert(*insn.target);
-          enqueue(*insn.target, {});
+        result.xrefs.add(step.target, addr, RefKind::kCall);
+        if (step.has(Step::kTargetIsCode)) {
+          call_targets.insert(step.target);
+          starts.insert(step.target);
+          enqueue(step.target, {});
         }
-        return call_flow(options, window, *insn.target);
+        return calls.flow(window, step.target);
       case Kind::kJmpDirect:
       case Kind::kCondJmp:
-        result.xrefs.add(*insn.target, insn.addr, RefKind::kJump);
-        enqueue(*insn.target, window);
+        result.xrefs.add(step.target, addr, RefKind::kJump);
+        if (step.has(Step::kTargetIsCode)) {
+          enqueue(step.target, window);
+        }
         break;
       case Kind::kJmpIndirect:
+        // A resolved table's targets are all code.
         if (auto table = options.resolve_jump_tables
                              ? resolve_jump_table(code, window)
                              : std::nullopt) {
           for (const std::uint64_t t : table->targets) {
-            result.xrefs.add(t, insn.addr, RefKind::kJumpTable);
+            result.xrefs.add(t, addr, RefKind::kJumpTable);
             enqueue(t, {});
           }
           result.jump_tables.push_back(std::move(*table));
@@ -98,10 +157,13 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
       default:
         break;
     }
-    return fall_of(insn);
+    return fall_of(step);
   });
   starts.for_each(
       [&](std::uint64_t s) { result.starts.insert(result.starts.end(), s); });
+  call_targets.for_each([&](std::uint64_t t) {
+    result.call_targets.insert(result.call_targets.end(), t);
+  });
 }
 
 /// Phase 2: builds one function's structure against the final start set.
@@ -109,36 +171,39 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
 /// address queued twice is claimed by its older item only: no dedup needed.
 Function build_function(const CodeView& code, std::uint64_t entry,
                         const AddrSet& starts, const Options& options,
-                        AddrSet& in_body, WorkQueue& work) {
+                        const CallSets& calls, AddrSet& in_body,
+                        WorkQueue& work) {
   Function fn;
   fn.entry = entry;
   work.push(entry);
-  auto claim = [&](std::uint64_t addr) -> const Insn* {
+  auto claim = [&](std::uint64_t addr) {
     if (in_body.count(addr) != 0) {
-      return nullptr;
+      return CodeView::Rec{};
     }
-    const Insn* insn = fn.insn_addrs.size() < options.max_insns_per_function
-                           ? code.insn_at(addr)
-                           : nullptr;
-    fn.truncated = fn.truncated || insn == nullptr;
-    if (insn != nullptr) {
+    const CodeView::Rec rec =
+        fn.insn_addrs.size() < options.max_insns_per_function
+            ? code.rec_at(addr)
+            : CodeView::Rec{};
+    fn.truncated = fn.truncated || rec.step == nullptr;
+    if (rec.step != nullptr) {
       in_body.insert(addr);
       fn.insn_addrs.push_back(addr);
-      fn.max_end = std::max(fn.max_end, addr + insn->length);
+      fn.max_end = std::max(fn.max_end, addr + rec.step->length);
     }
-    return insn;
+    return rec;
   };
-  walk(code, work, claim, [&](const Insn& insn, const InsnWindow& window) {
-    const std::uint64_t target = insn.target.value_or(0);
-    switch (insn.kind) {
+  walk(work, claim, [&](std::uint64_t addr, const Step& step,
+                        const InsnWindow& window) {
+    const std::uint64_t target = step.target;
+    switch (step.kind) {
       case Kind::kCallDirect:
         fn.callees.push_back(target);
-        return call_flow(options, window, target);
+        return calls.flow(window, target);
       case Kind::kJmpDirect:
       case Kind::kCondJmp:
-        fn.jumps.push_back({insn.addr, target, insn.kind == Kind::kCondJmp});
+        fn.jumps.push_back({addr, target, step.kind == Kind::kCondJmp});
         if ((starts.count(target) == 0 || target == entry) &&
-            code.is_code(target)) {
+            step.has(Step::kTargetIsCode)) {
           work.push(target, window);
         }
         break;
@@ -157,7 +222,7 @@ Function build_function(const CodeView& code, std::uint64_t entry,
       default:
         break;
     }
-    return fall_of(insn);
+    return fall_of(step);
   });
   for (const std::uint64_t a : fn.insn_addrs) {
     in_body.erase(a);
@@ -167,9 +232,9 @@ Function build_function(const CodeView& code, std::uint64_t entry,
 }
 
 /// True when \p fn, built in generation \p then, consulted only answers
-/// that \p starts and \p options still give.
+/// that \p starts and \p calls still give.
 bool still_valid(const Function& fn, const BodyCache::Generation& then,
-                 const AddrSet& starts, const Options& options) {
+                 const AddrSet& starts, const CallSets& calls) {
   auto same_start = [&](std::uint64_t t) {
     return then.starts.count(t) == starts.count(t);
   };
@@ -181,57 +246,66 @@ bool still_valid(const Function& fn, const BodyCache::Generation& then,
   return std::all_of(fn.jumps.begin(), fn.jumps.end(),
                      [&](auto& j) { return same_start(j.target); }) &&
          std::all_of(fn.callees.begin(), fn.callees.end(), [&](auto c) {
-           return then.noreturn.count(c) ==
-                  options.noreturn_functions.count(c);
+           return then.noreturn.count(c) == calls.noreturn.count(c);
          });
 }
 
 /// One exploration pass, less the parts only a returned Result needs.
 Result explore_pass(const CodeView& code,
                     const std::vector<std::uint64_t>& seeds,
-                    const Options& options, BodyCache& memo) {
+                    const Options& options, BodyCache& memo,
+                    obs::Trace* trace) {
+  EngineMetrics& metrics = EngineMetrics::get();
+  obs::Span discover_span(trace, "detect.discover", &metrics.discover_us);
+  const CallSets calls(code, options);
   Result result;
   AddrSet starts(code);
-  discover(code, seeds, options, result, starts);
+  discover(code, seeds, options, calls, result, starts);
   std::uint64_t visited = result.insn_starts.size();
+  discover_span.finish();
 
+  obs::Span bodies_span(trace, "detect.bodies", &metrics.bodies_us);
   if (memo.options.resolve_jump_tables != options.resolve_jump_tables ||
       memo.options.max_insns_per_function != options.max_insns_per_function ||
       memo.options.conditional_noreturn != options.conditional_noreturn) {
     memo = {};  // built under other options: nothing to reuse
   }
-  bool fresh = false;  // some body is of this pass' generation
+  std::uint64_t built_count = 0;  // bodies of this pass' generation
   AddrSet in_body(code);
   WorkQueue work;
   for (const std::uint64_t entry : result.starts) {
     auto& built = memo.bodies[entry];
     const auto valid = std::find_if(built.rbegin(), built.rend(), [&](auto& b) {
-      return still_valid(b.second, memo.generations[b.first], starts, options);
+      return still_valid(b.second, memo.generations[b.first], starts, calls);
     });
     const bool rebuild = valid == built.rend();
     if (rebuild) {
       built.emplace_back(memo.generations.size(),
-                         build_function(code, entry, starts, options, in_body,
-                                        work));
+                         build_function(code, entry, starts, options, calls,
+                                        in_body, work));
       visited += built.back().second.insn_addrs.size();
-      fresh = true;
+      ++built_count;
     }
     result.functions.emplace_hint(result.functions.end(), entry,
                                   rebuild ? built.back().second : valid->second);
   }
-  if (fresh) {
+  if (built_count != 0) {
     memo.generations.push_back({std::move(starts), options.noreturn_functions});
   }
   memo.options = options;
+  bodies_span.finish();
   // Work counters are added once per pass, never per instruction.
-  obs::Registry::global().counter("disasm_explore_passes_total").add(1);
-  obs::Registry::global().counter("disasm_insns_visited_total").add(visited);
+  metrics.passes.add(1);
+  metrics.visited.add(visited);
+  metrics.bodies_built.add(built_count);
+  metrics.bodies_reused.add(result.starts.size() - built_count);
   return result;
 }
 
 /// Sorts the xrefs and derives coverage: the union of every discovered
 /// instruction's bytes, fed to the interval set as maximal runs.
-Result finish(const CodeView& code, Result result) {
+Result finish(const CodeView& code, Result result, obs::Trace* trace) {
+  obs::Span span(trace, "detect.finish", &EngineMetrics::get().finish_us);
   result.xrefs.sort();
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -240,7 +314,7 @@ Result finish(const CodeView& code, Result result) {
       result.covered.add(lo, hi);
       lo = a;
     }
-    hi = std::max(hi, a + code.insn_at(a)->length);
+    hi = std::max(hi, a + code.rec_at(a).step->length);
   });
   result.covered.add(lo, hi);
   return result;
@@ -251,7 +325,8 @@ Result finish(const CodeView& code, Result result) {
 Result explore(const CodeView& code, const std::vector<std::uint64_t>& seeds,
                const Options& options) {
   BodyCache none;
-  return finish(code, explore_pass(code, seeds, options, none));
+  return finish(code, explore_pass(code, seeds, options, none, nullptr),
+                nullptr);
 }
 
 std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
@@ -299,6 +374,7 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
     entries.push_back(entry);
     st.emplace_back().fn = &fn;
   }
+  const CallSets calls(code, options);
   WorkQueue work;
   std::uint64_t visits = 0;
 
@@ -308,7 +384,7 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
     if (s.seen.empty() || s.sensitive) {  // first walk, or from the entry
       s.sensitive = std::any_of(
           fn.callees.begin(), fn.callees.end(),
-          [&](auto c) { return options.conditional_noreturn.count(c) != 0; });
+          [&](auto c) { return calls.conditional.count(c) != 0; });
       s.seen.assign(fn.insn_addrs.size(), false);
       s.ready.assign(1, fn.entry);
     }
@@ -320,41 +396,41 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
       work.push(a);
     }
     s.ready.clear();
-    auto claim = [&, pos = kNone](std::uint64_t addr) mutable -> const Insn* {
+    auto claim = [&, pos = kNone](std::uint64_t addr) mutable {
       pos = index_of(fn.insn_addrs, addr, pos + 1);
       if (pos == kNone || s.seen[pos]) {
-        return nullptr;
+        return CodeView::Rec{};
       }
       s.seen[pos] = true;
-      return code.insn_at(addr);
+      return code.rec_at(addr);
     };
-    return walk(code, work, claim, [&](const Insn& insn,
-                                       const InsnWindow& window) {
+    return walk(work, claim, [&](std::uint64_t addr, const Step& step,
+                                 const InsnWindow& window) {
       ++visits;
-      const std::uint64_t target = insn.target.value_or(0);
-      const std::size_t t =
-          insn.target ? index_of(entries, target, kNone) : kNone;
-      switch (insn.kind) {
+      const std::uint64_t target = step.target;
+      switch (step.kind) {
         case Kind::kRet:
           return Flow::kDone;
         case Kind::kCallDirect:
-          if (t != kNone && !st[t].may_return &&
-              options.noreturn_functions.count(target) == 0) {
-            st[t].waiters.push_back({i, insn.addr + insn.length});
+          if (const std::size_t t = index_of(entries, target, kNone);
+              t != kNone && !st[t].may_return &&
+              calls.noreturn.count(target) == 0) {
+            st[t].waiters.push_back({i, addr + step.length});
             return Flow::kEnd;  // callee not (yet) known to return
           }
-          return call_flow(options, window, target);
+          return calls.flow(window, target);
         case Kind::kJmpDirect:
         case Kind::kCondJmp:
           if (fn.contains(target)) {
             work.push(target, window);
-          } else if (t != kNone) {
+          } else if (const std::size_t t = index_of(entries, target, kNone);
+                     t != kNone) {
             // Escaping jump (tail-call shaped): f returns iff target may.
             if (st[t].may_return) {
               return Flow::kDone;
             }
             st[t].waiters.push_back({i, kEscape});
-          } else if (code.is_code(target)) {
+          } else if (step.has(Step::kTargetIsCode)) {
             return Flow::kDone;  // jump outside known functions
           }
           break;
@@ -363,7 +439,7 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
       }
       // Resolved table targets are in insn_addrs and reached via the
       // function's other paths; an indirect jump ends the path.
-      return fall_of(insn);
+      return fall_of(step);
     });
   };
 
@@ -385,7 +461,7 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
     }
     std::swap(sweep, next);
   }
-  obs::Registry::global().counter("disasm_noreturn_visits_total").add(visits);
+  EngineMetrics::get().noreturn_visits.add(visits);
 
   std::set<std::uint64_t> noreturn;
   for (std::size_t i = 0; i < st.size(); ++i) {
@@ -397,25 +473,27 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
 }
 
 Result analyze(const CodeView& code, const std::vector<std::uint64_t>& seeds,
-               const Options& options, BodyCache* cache) {
+               const Options& options, BodyCache* cache, obs::Trace* trace) {
   BodyCache own;
   BodyCache& memo = cache != nullptr ? *cache : own;
   Options opts = options;
-  Result result = explore_pass(code, seeds, opts, memo);
+  Result result = explore_pass(code, seeds, opts, memo, trace);
   // Iterate the noreturn fixpoint against exploration until stable (two
   // rounds suffice in practice; bound defensively).
   for (int round = 0; round < 4; ++round) {
+    obs::Span span(trace, "detect.noreturn", &EngineMetrics::get().noreturn_us);
     std::set<std::uint64_t> noreturn =
         find_noreturn_functions(code, result, opts);
+    span.finish();
     noreturn.insert(options.noreturn_functions.begin(),
                     options.noreturn_functions.end());
     if (noreturn == opts.noreturn_functions) {
       break;
     }
     opts.noreturn_functions = std::move(noreturn);
-    result = explore_pass(code, seeds, opts, memo);
+    result = explore_pass(code, seeds, opts, memo, trace);
   }
-  return finish(code, std::move(result));
+  return finish(code, std::move(result), trace);
 }
 
 }  // namespace fetch::disasm

@@ -5,13 +5,14 @@
 /// function construction, the no-return fixpoint, pointer probing): a FIFO
 /// of work items, each a start address plus the instruction window of the
 /// path that queued it, followed by fallthrough until the pass ends it.
+/// A walk reads each instruction's 16-byte Step; passes fetch the full
+/// record only where a decision needs more.
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "disasm/code_view.hpp"
-#include "x86/insn.hpp"
 
 namespace fetch::disasm {
 
@@ -21,8 +22,8 @@ enum class Flow { kFall, kEnd, kDone };
 
 /// Falls through unless the instruction ends its block (a pass decides
 /// direct calls itself).
-[[nodiscard]] inline Flow fall_of(const x86::Insn& insn) {
-  switch (insn.kind) {
+[[nodiscard]] inline Flow fall_of(const Step& step) {
+  switch (step.kind) {
     case x86::Kind::kJmpDirect:
     case x86::Kind::kJmpIndirect:
     case x86::Kind::kRet:
@@ -69,25 +70,26 @@ class WorkQueue {
 };
 
 /// Pops work items and follows each path by fallthrough while the next
-/// address is code. `claim(addr)` yields the instruction to visit, or
-/// nullptr to end the path; `step(insn, window)` handles its successors
-/// (the window already ends with \p insn). Returns true when a step ended
+/// address is code. `claim(addr)` yields the record to visit (a null step
+/// ends the path); `visit(addr, step, window)` handles its successors (the
+/// window already ends with its record). Returns true when a visit ended
 /// the whole walk with Flow::kDone.
-template <typename Claim, typename Step>
-bool walk(const CodeView& code, WorkQueue& work, Claim&& claim, Step&& step) {
+template <typename Claim, typename Visit>
+bool walk(WorkQueue& work, Claim&& claim, Visit&& visit) {
   while (!work.empty()) {
     auto [addr, window] = work.pop();
-    while (const x86::Insn* insn = claim(addr)) {
-      window.push(insn);
-      const Flow flow = step(*insn, window);
+    for (CodeView::Rec rec = claim(addr); rec.step != nullptr;
+         rec = claim(addr)) {
+      window.push(rec.index);
+      const Flow flow = visit(addr, *rec.step, window);
       if (flow == Flow::kDone) {
         work.clear();
         return true;
       }
-      addr += insn->length;
-      if (flow == Flow::kEnd || !code.is_code(addr)) {
+      if (flow == Flow::kEnd || !rec.step->has(Step::kNextIsCode)) {
         break;
       }
+      addr += rec.step->length;
     }
   }
   return false;

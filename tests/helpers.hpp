@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "disasm/code_view.hpp"
 #include "ehframe/eh_builder.hpp"
 #include "elf/elf_builder.hpp"
 #include "elf/elf_file.hpp"
@@ -70,6 +71,37 @@ class MiniBinary {
   std::vector<std::uint8_t> eh_;
   std::uint64_t entry_ = 0;
 };
+
+/// The flow step a CodeView must publish for \p insn, derived here
+/// independently: the record's fields plus the ElfFile queries the walks
+/// would otherwise make per visit.
+inline disasm::Step expected_step(const x86::Insn& insn,
+                                  const elf::ElfFile& elf) {
+  using disasm::Step;
+  Step step;
+  step.target = insn.target ? *insn.target : 0;
+  step.length = insn.length;
+  step.kind = insn.kind;
+  if (elf.is_code_address(insn.addr + insn.length)) {
+    step.flags |= Step::kNextIsCode;
+  }
+  if (insn.target && elf.is_code_address(*insn.target)) {
+    step.flags |= Step::kTargetIsCode;
+  }
+  if (insn.mem_target) {
+    step.flags |= Step::kHasMemTarget;
+    if (elf.is_code_address(*insn.mem_target)) {
+      step.flags |= Step::kMemIsCode;
+    }
+  }
+  if (insn.imm && elf.section_at(*insn.imm) != nullptr) {
+    step.flags |= Step::kImmInSection;
+  }
+  if (insn.imm && elf.is_code_address(*insn.imm)) {
+    step.flags |= Step::kImmIsCode;
+  }
+  return step;
+}
 
 /// Little-endian u64 bytes (for .data pointer slots).
 inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {

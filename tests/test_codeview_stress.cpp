@@ -300,5 +300,42 @@ TEST(CodeViewStress, PredecodeRacesOnDemandReaders) {
   EXPECT_EQ(shared.decoded_records(), shared.cache_stats().decoded);
 }
 
+// Also run under TSan: readers race rec_at on cold slots, so a step is
+// read by threads that did not publish it. Each must see the step agree
+// with its record and with the ElfFile queries the step stands for.
+TEST(CodeViewStress, ConcurrentStepReadsAgreeWithRecords) {
+  const elf::ElfFile elf(stress_binary().image);
+  const elf::Section* text = elf.section(".text");
+  ASSERT_NE(text, nullptr);
+  const std::uint64_t lo = text->addr;
+  const std::uint64_t hi = text->addr + text->size;
+
+  const CodeView shared(elf);
+  constexpr std::size_t kReaders = 8;
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&shared, &elf, lo, hi, t] {
+      // Phase-shifted so the readers claim different slots first.
+      for (std::uint64_t k = 0; k < hi - lo; ++k) {
+        const std::uint64_t a = lo + (k + t * 97) % (hi - lo);
+        const CodeView::Rec rec = shared.rec_at(a);
+        if (rec.step == nullptr) {
+          ASSERT_EQ(shared.insn_at(a), nullptr);
+          continue;
+        }
+        const x86::Insn& insn = shared.record(rec.index);
+        ASSERT_EQ(insn.addr, a);
+        ASSERT_EQ(*rec.step, test::expected_step(insn, elf));
+        ASSERT_EQ(shared.rec_at(a).step, rec.step);
+      }
+    });
+  }
+  for (std::thread& th : readers) {
+    th.join();
+  }
+  EXPECT_EQ(shared.decoded_records(), shared.cache_stats().decoded);
+}
+
 }  // namespace
 }  // namespace fetch::disasm

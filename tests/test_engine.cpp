@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "eval/runner.hpp"
 #include "helpers.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "synth/corpus.hpp"
 #include "util/fs.hpp"
 
@@ -32,9 +34,9 @@ using x86::Reg;
 
 // --- Oracle: the entry-ordered may-return sweep --------------------------
 
-bool oracle_first_arg_is_zero(const InsnWindow& window) {
+bool oracle_first_arg_is_zero(const CodeView& code, const InsnWindow& window) {
   for (std::size_t i = window.size(); i-- > 0;) {
-    const x86::Insn& insn = *window[i];
+    const x86::Insn& insn = code.record(window[i]);
     if ((insn.regs_written & reg_bit(Reg::kRdi)) == 0) {
       continue;
     }
@@ -60,11 +62,12 @@ std::set<std::uint64_t> oracle_noreturn(const CodeView& code,
       auto [addr, window] = work.front();
       work.pop_front();
       while (seen.insert(addr).second && fn.contains(addr)) {
-        const x86::Insn* insn = code.insn_at(addr);
-        if (insn == nullptr) {
+        const CodeView::Rec rec = code.rec_at(addr);
+        if (rec.step == nullptr) {
           break;
         }
-        window.push(insn);
+        window.push(rec.index);
+        const x86::Insn* insn = &code.record(rec.index);
         bool fall = false;
         const std::uint64_t t = insn->target.value_or(0);
         if (insn->kind == Kind::kRet) {
@@ -74,7 +77,7 @@ std::set<std::uint64_t> oracle_noreturn(const CodeView& code,
           if (options.noreturn_functions.count(t) == 0 &&
               (!internal || may_return.count(t) != 0)) {
             fall = options.conditional_noreturn.count(t) == 0 ||
-                   oracle_first_arg_is_zero(window);
+                   oracle_first_arg_is_zero(code, window);
           }
         } else if (insn->kind == Kind::kJmpDirect ||
                    insn->kind == Kind::kCondJmp) {
@@ -380,12 +383,20 @@ void expect_same(const Result& a, const Result& b, const std::string& what) {
 }
 
 /// analyze()'s rounds on explore() without a body cache: every function
-/// is built from scratch in every round.
+/// is built from scratch in every round. Adds each round's start count to
+/// \p pass_starts when given.
 Result uncached_analyze(const CodeView& code,
                         const std::vector<std::uint64_t>& seeds,
-                        const Options& options) {
+                        const Options& options,
+                        std::size_t* pass_starts = nullptr) {
   Options opts = options;
   Result result = explore(code, seeds, opts);
+  auto count_starts = [&] {
+    if (pass_starts != nullptr) {
+      *pass_starts += result.starts.size();
+    }
+  };
+  count_starts();
   for (int round = 0; round < 4; ++round) {
     std::set<std::uint64_t> nr = find_noreturn_functions(code, result, opts);
     nr.insert(options.noreturn_functions.begin(),
@@ -395,6 +406,7 @@ Result uncached_analyze(const CodeView& code,
     }
     opts.noreturn_functions = std::move(nr);
     result = explore(code, seeds, opts);
+    count_starts();
   }
   return result;
 }
@@ -477,15 +489,24 @@ TEST(Reanalysis, EqualsFreshAnalyzeOnSmokeCorpus) {
   }
 }
 
-TEST(Reanalysis, EqualsFreshAnalyzeOnFixtures) {
-  std::string paths = FETCH_FIXTURE_PATHS;
-  std::size_t checked = 0;
+/// The fixture binaries' bytes, by path.
+std::vector<std::pair<std::string, std::vector<std::uint8_t>>> fixtures() {
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> out;
+  const std::string paths = FETCH_FIXTURE_PATHS;
   for (std::size_t at = 0; at <= paths.size();) {
     const std::size_t end = std::min(paths.find('|', at), paths.size());
-    const std::string path = paths.substr(at, end - at);
+    std::string path = paths.substr(at, end - at);
     at = end + 1;
     std::vector<std::uint8_t> bytes;
-    ASSERT_TRUE(util::read_file_bytes(path, &bytes)) << path;
+    EXPECT_TRUE(util::read_file_bytes(path, &bytes)) << path;
+    out.emplace_back(std::move(path), std::move(bytes));
+  }
+  return out;
+}
+
+TEST(Reanalysis, EqualsFreshAnalyzeOnFixtures) {
+  std::size_t checked = 0;
+  for (const auto& [path, bytes] : fixtures()) {
     const elf::ElfFile elf(bytes);
     const core::FunctionDetector det(elf);
     check_reanalysis(det.code(), fde_seeds(det), {}, path);
@@ -505,6 +526,85 @@ TEST(Reanalysis, CacheUnderOtherOptionsIsNotReused) {
   (void)analyze(code, seeds, no_tables, &cache);
   expect_same(analyze(code, seeds, {}, &cache),
               uncached_analyze(code, seeds, {}), "switched options");
+}
+
+// --- Named engine steps -------------------------------------------------------
+
+TEST(EngineSteps, TracedAnalyzeNamesEachStepAndCountsEveryBody) {
+  const auto all = fixtures();
+  ASSERT_FALSE(all.empty());
+  const elf::ElfFile elf(all.front().second);
+  const core::FunctionDetector det(elf);
+  const auto seeds = fde_seeds(det);
+  const std::uint64_t passes = counter("disasm_explore_passes_total");
+  const std::uint64_t built = counter("disasm_bodies_built_total");
+  const std::uint64_t reused = counter("disasm_bodies_reused_total");
+  const std::uint64_t discovers =
+      obs::Registry::global().histogram("disasm_discover_us").count();
+  obs::Trace trace;
+  (void)analyze(det.code(), seeds, {}, nullptr, &trace);
+  const std::uint64_t pass_count =
+      counter("disasm_explore_passes_total") - passes;
+  const std::uint64_t bodies = counter("disasm_bodies_built_total") - built +
+                               counter("disasm_bodies_reused_total") - reused;
+
+  std::map<std::string, std::uint64_t> spans;
+  for (const obs::Trace::Stage& stage : trace.stages()) {
+    ++spans[stage.name];
+  }
+  ASSERT_GE(pass_count, 1u);
+  EXPECT_EQ(spans.size(), 4u);
+  EXPECT_EQ(spans["detect.discover"], pass_count);
+  EXPECT_EQ(spans["detect.bodies"], pass_count);
+  EXPECT_GE(spans["detect.noreturn"], pass_count - 1);
+  EXPECT_LE(spans["detect.noreturn"], pass_count);
+  EXPECT_EQ(spans["detect.finish"], 1u);
+  EXPECT_EQ(obs::Registry::global().histogram("disasm_discover_us").count() -
+                discovers,
+            pass_count);
+
+  // Every pass places one body per start, built or reused.
+  std::size_t pass_starts = 0;
+  (void)uncached_analyze(det.code(), seeds, {}, &pass_starts);
+  EXPECT_EQ(bodies, pass_starts);
+}
+
+// --- Flow steps ---------------------------------------------------------------
+
+/// Decodes every slot of \p code and checks each published step against
+/// its record and the ElfFile queries it stands for.
+void expect_steps_match(const CodeView& code, const std::string& what) {
+  std::uint64_t decoded = 0;
+  for (const CodeView::SlotRange& range : code.slot_ranges()) {
+    for (std::uint64_t addr = range.addr; addr < range.addr + range.count;
+         ++addr) {
+      const CodeView::Rec rec = code.rec_at(addr);
+      const x86::Insn* insn = code.insn_at(addr);
+      ASSERT_EQ(rec.step == nullptr, insn == nullptr) << what << " " << addr;
+      if (insn == nullptr) {
+        continue;
+      }
+      ASSERT_EQ(&code.record(rec.index), insn) << what << " " << addr;
+      ASSERT_EQ(*rec.step, test::expected_step(*insn, code.elf()))
+          << what << " " << addr;
+      ++decoded;
+    }
+  }
+  EXPECT_EQ(decoded, code.decoded_records()) << what;
+}
+
+TEST(CodeViewSteps, StepMatchesRecordAndElf) {
+  for (const auto& [path, bytes] : fixtures()) {
+    const elf::ElfFile elf(bytes);
+    const CodeView code(elf);
+    expect_steps_match(code, path);
+  }
+  for (const eval::Corpus& corpus : {eval::Corpus::self_built(smoke()),
+                                     eval::Corpus::wild(smoke())}) {
+    for (const eval::CorpusEntry& entry : corpus.entries()) {
+      expect_steps_match(entry.detector().code(), entry.bin.name);
+    }
+  }
 }
 
 // --- Work bound -------------------------------------------------------------
@@ -581,19 +681,19 @@ TEST(DenseState, AddrSetIsExactInsideAndOutsideCode) {
 }
 
 TEST(DenseState, InsnWindowKeepsTheLast32OldestFirst) {
-  std::vector<x86::Insn> insns(40);
+  constexpr std::uint32_t kPushed = 40;  // record indices 0 .. 39
   InsnWindow w;
-  for (std::size_t i = 0; i < insns.size(); ++i) {
-    w.push(&insns[i]);
-    ASSERT_EQ(w.back(), &insns[i]);
+  for (std::uint32_t i = 0; i < kPushed; ++i) {
+    w.push(i);
+    ASSERT_EQ(w.back(), i);
   }
   ASSERT_EQ(w.size(), InsnWindow::kCapacity);
   for (std::size_t i = 0; i < w.size(); ++i) {
-    EXPECT_EQ(w[i], &insns[8 + i]);
+    EXPECT_EQ(w[i], 8 + i);
   }
   const InsnWindow copy = w;  // a fork of the path shares nothing
-  w.push(&insns[0]);
-  EXPECT_EQ(copy.back(), &insns[39]);
+  w.push(0);
+  EXPECT_EQ(copy.back(), 39u);
 }
 
 }  // namespace
