@@ -22,7 +22,8 @@ constexpr std::uint64_t kMaxInsnBytes = 15;
 // its raw buckets without running a destructor.
 static_assert(std::is_trivially_copyable_v<x86::Insn>,
               "arena records must be flat copyable structs");
-static_assert(std::is_trivially_destructible_v<x86::Insn>,
+static_assert(std::is_trivially_destructible_v<x86::Insn> &&
+                  std::is_trivially_destructible_v<Step>,
               "arena buckets are freed without destroying records");
 
 /// Cold-path decode-cache counters (global registry: CodeViews are
@@ -83,8 +84,6 @@ CodeView::CodeView(const elf::ElfFile& elf) : elf_(elf) {
                 largest->addr - s.addr < s.slot_count);
       })) {
     fast_ = &*largest;
-    fast_addr_ = largest->addr;
-    fast_count_ = largest->slot_count;
   }
 }
 

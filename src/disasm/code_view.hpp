@@ -24,7 +24,6 @@
 #include <optional>
 #include <set>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "elf/elf_file.hpp"
@@ -198,8 +197,6 @@ class CodeView {
   template <typename T>
   class Arena {
    public:
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "arena buckets are freed without destroying records");
     static constexpr unsigned kBucket0Shift = 8;  // 256 records
     static constexpr unsigned kMaxBuckets = 24;
     static constexpr std::uint64_t kCapacity =
@@ -258,7 +255,7 @@ class CodeView {
   /// compare when no other shard overlaps it, which leaves the answer
   /// unchanged; hostile overlapping layouts take the search.
   [[nodiscard]] const Shard* shard_at(std::uint64_t addr) const {
-    if (addr - fast_addr_ < fast_count_) {
+    if (fast_ != nullptr && addr - fast_->addr < fast_->slot_count) {
       return fast_;
     }
     return search_shard(addr);
@@ -293,11 +290,8 @@ class CodeView {
 
   const elf::ElfFile& elf_;
   std::vector<Shard> shards_;  // sorted by addr; slots mutated atomically
-  // shard_at's fast path: the largest shard, or an empty range when
-  // another shard overlaps it.
+  // shard_at's fast path: the largest shard, unless another overlaps it.
   const Shard* fast_ = nullptr;
-  std::uint64_t fast_addr_ = 0;
-  std::uint64_t fast_count_ = 0;
   mutable std::atomic<std::uint32_t> arena_next_{0};
   // Records and their steps share indices; both are published before the
   // slot's release store.
