@@ -12,36 +12,14 @@ using x86::Insn;
 using x86::Kind;
 using x86::Reg;
 
-/// The engine's work counters and per-step latency histograms (global
-/// registry), looked up once; each is recorded once per pass or step,
-/// never per instruction.
-struct EngineMetrics {
-  obs::Counter& passes;
-  obs::Counter& visited;
-  obs::Counter& noreturn_visits;
-  obs::Counter& bodies_built;
-  obs::Counter& bodies_reused;
-  obs::Histogram& discover_us;
-  obs::Histogram& bodies_us;
-  obs::Histogram& noreturn_us;
-  obs::Histogram& finish_us;
-
-  static EngineMetrics& get() {
-    obs::Registry& r = obs::Registry::global();
-    static EngineMetrics metrics{
-        r.counter("disasm_explore_passes_total"),
-        r.counter("disasm_insns_visited_total"),
-        r.counter("disasm_noreturn_visits_total"),
-        r.counter("disasm_bodies_built_total"),
-        r.counter("disasm_bodies_reused_total"),
-        r.histogram("disasm_discover_us"),
-        r.histogram("disasm_bodies_us"),
-        r.histogram("disasm_noreturn_us"),
-        r.histogram("disasm_finish_us"),
-    };
-    return metrics;
-  }
-};
+/// The engine's metrics live in the global registry. Each is recorded once
+/// per pass or step, never per instruction, so a by-name lookup is cheap.
+obs::Counter& counter(const char* name) {
+  return obs::Registry::global().counter(name);
+}
+obs::Histogram& histogram(const char* name) {
+  return obs::Registry::global().histogram(name);
+}
 
 /// Backward slice of the first-argument register (edi) at a call site:
 /// returns true when edi provably holds zero. Used for the paper's
@@ -255,8 +233,8 @@ Result explore_pass(const CodeView& code,
                     const std::vector<std::uint64_t>& seeds,
                     const Options& options, BodyCache& memo,
                     obs::Trace* trace) {
-  EngineMetrics& metrics = EngineMetrics::get();
-  obs::Span discover_span(trace, "detect.discover", &metrics.discover_us);
+  obs::Span discover_span(trace, "detect.discover",
+                          &histogram("disasm_discover_us"));
   const CallSets calls(code, options);
   Result result;
   AddrSet starts(code);
@@ -264,7 +242,7 @@ Result explore_pass(const CodeView& code,
   std::uint64_t visited = result.insn_starts.size();
   discover_span.finish();
 
-  obs::Span bodies_span(trace, "detect.bodies", &metrics.bodies_us);
+  obs::Span bodies_span(trace, "detect.bodies", &histogram("disasm_bodies_us"));
   if (memo.options.resolve_jump_tables != options.resolve_jump_tables ||
       memo.options.max_insns_per_function != options.max_insns_per_function ||
       memo.options.conditional_noreturn != options.conditional_noreturn) {
@@ -295,17 +273,17 @@ Result explore_pass(const CodeView& code,
   memo.options = options;
   bodies_span.finish();
   // Work counters are added once per pass, never per instruction.
-  metrics.passes.add(1);
-  metrics.visited.add(visited);
-  metrics.bodies_built.add(built_count);
-  metrics.bodies_reused.add(result.starts.size() - built_count);
+  counter("disasm_explore_passes_total").add(1);
+  counter("disasm_insns_visited_total").add(visited);
+  counter("disasm_bodies_built_total").add(built_count);
+  counter("disasm_bodies_reused_total").add(result.starts.size() - built_count);
   return result;
 }
 
 /// Sorts the xrefs and derives coverage: the union of every discovered
 /// instruction's bytes, fed to the interval set as maximal runs.
 Result finish(const CodeView& code, Result result, obs::Trace* trace) {
-  obs::Span span(trace, "detect.finish", &EngineMetrics::get().finish_us);
+  obs::Span span(trace, "detect.finish", &histogram("disasm_finish_us"));
   result.xrefs.sort();
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -461,7 +439,7 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
     }
     std::swap(sweep, next);
   }
-  EngineMetrics::get().noreturn_visits.add(visits);
+  counter("disasm_noreturn_visits_total").add(visits);
 
   std::set<std::uint64_t> noreturn;
   for (std::size_t i = 0; i < st.size(); ++i) {
@@ -481,7 +459,7 @@ Result analyze(const CodeView& code, const std::vector<std::uint64_t>& seeds,
   // Iterate the noreturn fixpoint against exploration until stable (two
   // rounds suffice in practice; bound defensively).
   for (int round = 0; round < 4; ++round) {
-    obs::Span span(trace, "detect.noreturn", &EngineMetrics::get().noreturn_us);
+    obs::Span span(trace, "detect.noreturn", &histogram("disasm_noreturn_us"));
     std::set<std::uint64_t> noreturn =
         find_noreturn_functions(code, result, opts);
     span.finish();
