@@ -9,7 +9,8 @@
 ///
 /// Layout: one atomic 32-bit slot per executable-section byte, indexed by
 /// section offset. A slot is either empty, claimed-for-decoding, invalid,
-/// or an index into an append-only arena of packed instruction records.
+/// or an index into two append-only arenas: packed instruction records
+/// and, at the same index, the 16-byte flow steps the walks read.
 /// Reads of decoded/invalid slots are a single acquire load — wait-free,
 /// no lock, no hashing, no rehash ever. The first thread to reach an
 /// address claims its slot with one compare-exchange (empty → decoding)
