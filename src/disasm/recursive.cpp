@@ -231,9 +231,8 @@ bool still_valid(const Function& fn, const BodyCache::Generation& then,
 /// One exploration pass, less the parts only a returned Result needs.
 Result explore_pass(const CodeView& code,
                     const std::vector<std::uint64_t>& seeds,
-                    const Options& options, BodyCache& memo,
-                    obs::Trace* trace) {
-  obs::Span discover_span(trace, "detect.discover",
+                    const Options& options, BodyCache& memo) {
+  obs::Span discover_span(nullptr, "detect.discover",
                           &histogram("disasm_discover_us"));
   const CallSets calls(code, options);
   Result result;
@@ -242,7 +241,8 @@ Result explore_pass(const CodeView& code,
   std::uint64_t visited = result.insn_starts.size();
   discover_span.finish();
 
-  obs::Span bodies_span(trace, "detect.bodies", &histogram("disasm_bodies_us"));
+  obs::Span bodies_span(nullptr, "detect.bodies",
+                        &histogram("disasm_bodies_us"));
   if (memo.options.resolve_jump_tables != options.resolve_jump_tables ||
       memo.options.max_insns_per_function != options.max_insns_per_function ||
       memo.options.conditional_noreturn != options.conditional_noreturn) {
@@ -282,8 +282,8 @@ Result explore_pass(const CodeView& code,
 
 /// Sorts the xrefs and derives coverage: the union of every discovered
 /// instruction's bytes, fed to the interval set as maximal runs.
-Result finish(const CodeView& code, Result result, obs::Trace* trace) {
-  obs::Span span(trace, "detect.finish", &histogram("disasm_finish_us"));
+Result finish(const CodeView& code, Result result) {
+  obs::Span span(nullptr, "detect.finish", &histogram("disasm_finish_us"));
   result.xrefs.sort();
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -303,8 +303,7 @@ Result finish(const CodeView& code, Result result, obs::Trace* trace) {
 Result explore(const CodeView& code, const std::vector<std::uint64_t>& seeds,
                const Options& options) {
   BodyCache none;
-  return finish(code, explore_pass(code, seeds, options, none, nullptr),
-                nullptr);
+  return finish(code, explore_pass(code, seeds, options, none));
 }
 
 std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
@@ -451,15 +450,16 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
 }
 
 Result analyze(const CodeView& code, const std::vector<std::uint64_t>& seeds,
-               const Options& options, BodyCache* cache, obs::Trace* trace) {
+               const Options& options, BodyCache* cache) {
   BodyCache own;
   BodyCache& memo = cache != nullptr ? *cache : own;
   Options opts = options;
-  Result result = explore_pass(code, seeds, opts, memo, trace);
+  Result result = explore_pass(code, seeds, opts, memo);
   // Iterate the noreturn fixpoint against exploration until stable (two
   // rounds suffice in practice; bound defensively).
   for (int round = 0; round < 4; ++round) {
-    obs::Span span(trace, "detect.noreturn", &histogram("disasm_noreturn_us"));
+    obs::Span span(nullptr, "detect.noreturn",
+                   &histogram("disasm_noreturn_us"));
     std::set<std::uint64_t> noreturn =
         find_noreturn_functions(code, result, opts);
     span.finish();
@@ -469,9 +469,9 @@ Result analyze(const CodeView& code, const std::vector<std::uint64_t>& seeds,
       break;
     }
     opts.noreturn_functions = std::move(noreturn);
-    result = explore_pass(code, seeds, opts, memo, trace);
+    result = explore_pass(code, seeds, opts, memo);
   }
-  return finish(code, std::move(result), trace);
+  return finish(code, std::move(result));
 }
 
 }  // namespace fetch::disasm

@@ -25,10 +25,6 @@
 #include "util/interval_set.hpp"
 #include "x86/insn.hpp"
 
-namespace fetch::obs {
-class Trace;
-}  // namespace fetch::obs
-
 namespace fetch::disasm {
 
 /// A direct jmp/jcc recorded during function construction whose target may
@@ -165,15 +161,13 @@ struct BodyCache {
 /// structure construction. Rounds reuse each other's bodies through
 /// \p cache (a private one when null); passing the cache of an earlier
 /// analyze() over the same code lets this one rebuild only the functions
-/// whose answers changed, with results identical to a fresh run. When
-/// \p trace is non-null, each step of each pass records a span into it
-/// (detect.discover, detect.bodies, detect.noreturn, detect.finish); the
-/// disasm_*_us histograms record the same steps either way.
+/// whose answers changed, with results identical to a fresh run. Each
+/// step of each pass (discover, bodies, noreturn, finish) records its
+/// time into the global disasm_*_us histograms.
 [[nodiscard]] Result analyze(const CodeView& code,
                              const std::vector<std::uint64_t>& seeds,
                              const Options& options = {},
-                             BodyCache* cache = nullptr,
-                             obs::Trace* trace = nullptr);
+                             BodyCache* cache = nullptr);
 
 /// Single exploration pass without the noreturn fixpoint (used internally
 /// and by baseline emulations that want a weaker pipeline).
