@@ -70,21 +70,6 @@ CodeView::CodeView(const elf::ElfFile& elf) : elf_(elf) {
   }
   std::sort(shards_.begin(), shards_.end(),
             [](const Shard& a, const Shard& b) { return a.addr < b.addr; });
-  // The fast path needs a shard whose range does not wrap past the top of
-  // the address space and that no other shard's range meets.
-  const auto largest = std::max_element(
-      shards_.begin(), shards_.end(), [](const Shard& a, const Shard& b) {
-        return a.slot_count < b.slot_count;
-      });
-  if (largest != shards_.end() &&
-      largest->slot_count - 1 <= ~largest->addr &&
-      std::none_of(shards_.begin(), shards_.end(), [&](const Shard& s) {
-        return &s != &*largest &&
-               (s.addr - largest->addr < largest->slot_count ||
-                largest->addr - s.addr < s.slot_count);
-      })) {
-    fast_ = &*largest;
-  }
 }
 
 std::vector<CodeView::SlotRange> CodeView::slot_ranges() const {
@@ -99,7 +84,7 @@ std::vector<CodeView::SlotRange> CodeView::slot_ranges() const {
 
 CodeView::~CodeView() = default;
 
-const CodeView::Shard* CodeView::search_shard(std::uint64_t addr) const {
+const CodeView::Shard* CodeView::shard_at(std::uint64_t addr) const {
   // Binaries have a handful of executable sections at most; an upper_bound
   // over the sorted shard list keeps the hot path branch-poor.
   const auto it = std::upper_bound(

@@ -252,16 +252,8 @@ class CodeView {
   };
 
   /// The shard holding \p addr: the one with the greatest start at or
-  /// below it, if that one holds it. The largest shard answers with one
-  /// compare when no other shard overlaps it, which leaves the answer
-  /// unchanged; hostile overlapping layouts take the search.
-  [[nodiscard]] const Shard* shard_at(std::uint64_t addr) const {
-    if (fast_ != nullptr && addr - fast_->addr < fast_->slot_count) {
-      return fast_;
-    }
-    return search_shard(addr);
-  }
-  [[nodiscard]] const Shard* search_shard(std::uint64_t addr) const;
+  /// below it, if that one holds it.
+  [[nodiscard]] const Shard* shard_at(std::uint64_t addr) const;
   /// The arena index of the instruction at \p addr (decoding it on first
   /// touch), or kNoRecord.
   [[nodiscard]] std::uint32_t index_at(std::uint64_t addr) const {
@@ -291,8 +283,6 @@ class CodeView {
 
   const elf::ElfFile& elf_;
   std::vector<Shard> shards_;  // sorted by addr; slots mutated atomically
-  // shard_at's fast path: the largest shard, unless another overlaps it.
-  const Shard* fast_ = nullptr;
   mutable std::atomic<std::uint32_t> arena_next_{0};
   // Records and their steps share indices; both are published before the
   // slot's release store.
