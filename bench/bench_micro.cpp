@@ -8,10 +8,9 @@
 ///   1. google-benchmark cases on one sample binary (quick signal while
 ///      iterating on the decoder or the detector).
 ///   2. A deterministic self-timed "hot path" report over the corpus at
-///      the selected --scale: decode throughput, cold-vs-warm insn_at
-///      cost for the lock-free dense cache vs the old mutex+unordered_map
-///      memo (kept here as a baseline replica), sharded predecode, and
-///      the cache hit rate. `--json PATH` writes the same rows as a
+///      the selected --scale: decode throughput, cold and warm insn_at
+///      cost of the lock-free dense cache, sharded predecode, and the
+///      cache hit rate. `--json PATH` writes the same rows as a
 ///      fetch-bench-v1 document — the checked-in BENCH_hotpath.json
 ///      baseline is produced by this half.
 
@@ -19,10 +18,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -41,42 +37,6 @@ namespace {
 
 using namespace fetch;
 using Clock = std::chrono::steady_clock;
-
-/// The pre-refactor CodeView memo, verbatim: one global mutex taken twice
-/// per lookup around an unordered_map probe, values returned by copy.
-/// Kept only as the measurement baseline for the dense-cache speedup.
-class MutexMapCodeView {
- public:
-  explicit MutexMapCodeView(const elf::ElfFile& elf) : elf_(elf) {}
-
-  [[nodiscard]] std::optional<x86::Insn> insn_at(std::uint64_t addr) const {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = cache_.find(addr);
-      if (it != cache_.end()) {
-        return it->second;
-      }
-    }
-    std::optional<x86::Insn> result;
-    const elf::Section* sec = elf_.section_at(addr);
-    if (sec != nullptr && sec->executable()) {
-      const std::uint64_t avail = sec->addr + sec->size - addr;
-      const auto bytes =
-          elf_.bytes_at(addr, std::min<std::uint64_t>(avail, 15));
-      if (bytes) {
-        result = x86::decode(*bytes, addr);
-      }
-    }
-    const std::lock_guard<std::mutex> lock(mu_);
-    cache_.emplace(addr, result);
-    return result;
-  }
-
- private:
-  const elf::ElfFile& elf_;
-  mutable std::mutex mu_;
-  mutable std::unordered_map<std::uint64_t, std::optional<x86::Insn>> cache_;
-};
 
 const synth::SynthBinary& sample_binary() {
   static const synth::SynthBinary bin = synth::generate(synth::make_program(
@@ -144,32 +104,6 @@ void BM_InsnAtWarmDense(benchmark::State& state) {
                           static_cast<std::int64_t>(starts.size()));
 }
 BENCHMARK(BM_InsnAtWarmDense);
-
-void BM_InsnAtWarmMutexMap(benchmark::State& state) {
-  const elf::ElfFile elf(sample_binary().image);
-  const MutexMapCodeView code(elf);
-  const elf::Section* text = elf.section(".text");
-  std::vector<std::uint64_t> starts;
-  for (std::uint64_t a = text->addr; a < text->addr + text->size;) {
-    const auto insn = code.insn_at(a);
-    if (!insn) {
-      ++a;
-      continue;
-    }
-    starts.push_back(a);
-    a += insn->length;
-  }
-  for (auto _ : state) {
-    std::uint64_t sink = 0;
-    for (const std::uint64_t a : starts) {
-      sink += code.insn_at(a)->length;
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(starts.size()));
-}
-BENCHMARK(BM_InsnAtWarmMutexMap);
 
 void BM_PredecodeSharded(benchmark::State& state) {
   const elf::ElfFile elf(sample_binary().image);
@@ -240,12 +174,10 @@ BENCHMARK(BM_FetchPipeline);
 
 struct HotPathTotals {
   double cold_dense_ns = 0;
-  double cold_map_ns = 0;
   double warm_dense_ns = 0;
-  double warm_map_ns = 0;
   double predecode_ns = 0;
   std::uint64_t cold_calls = 0;   // insn_at calls during the cold walks
-  std::uint64_t warm_calls = 0;   // per implementation
+  std::uint64_t warm_calls = 0;   // insn_at calls during the warm loops
   std::uint64_t code_bytes = 0;   // executable bytes walked (per cold pass)
   std::uint64_t dense_calls = 0;  // all dense insn_at calls (cold + warm)
   std::uint64_t dense_misses = 0;  // slots actually decoded or invalidated
@@ -257,8 +189,8 @@ double elapsed_ns(Clock::time_point start) {
       .count();
 }
 
-/// Cold + warm measurement of one corpus entry against both cache
-/// implementations. \p warm_passes controls how long the warm loops run.
+/// Cold + warm measurement of one corpus entry. \p warm_passes controls
+/// how long the warm loops run.
 void measure_entry(const elf::ElfFile& elf, std::size_t warm_passes,
                    std::size_t jobs, HotPathTotals& totals) {
   const auto ranges = code_ranges(elf);
@@ -289,26 +221,9 @@ void measure_entry(const elf::ElfFile& elf, std::size_t warm_passes,
     }
   }
 
-  // Cold, mutex+map baseline: identical walk.
-  {
-    const auto t0 = Clock::now();
-    const MutexMapCodeView code(elf);
-    std::uint64_t sink = 0;
-    for (const auto& [lo, hi] : ranges) {
-      std::uint64_t a = lo;
-      while (a < hi) {
-        const auto insn = code.insn_at(a);
-        a += insn ? insn->length : 1;
-        ++sink;
-      }
-    }
-    benchmark::DoNotOptimize(sink);
-    totals.cold_map_ns += elapsed_ns(t0);
-  }
-
-  // Warm loops: every known instruction start, repeatedly. The dense view
-  // also yields the cache-hit accounting (misses = slots that needed a
-  // decode; everything else was a wait-free hit).
+  // Warm loops: every known instruction start, repeatedly. The view also
+  // yields the cache-hit accounting (misses = slots that needed a decode;
+  // everything else was a wait-free hit).
   {
     const disasm::CodeView code(elf);
     // Warm the view with a counted linear walk so every insn_at call made
@@ -338,21 +253,6 @@ void measure_entry(const elf::ElfFile& elf, std::size_t warm_passes,
     totals.dense_calls += calls;
     totals.dense_misses += stats.decoded + stats.invalid;
   }
-  {
-    const MutexMapCodeView code(elf);
-    for (const std::uint64_t a : starts) {  // warm the map once
-      benchmark::DoNotOptimize(code.insn_at(a));
-    }
-    const auto t0 = Clock::now();
-    for (std::size_t pass = 0; pass < warm_passes; ++pass) {
-      std::uint64_t sink = 0;
-      for (const std::uint64_t a : starts) {
-        sink += code.insn_at(a)->length;
-      }
-      benchmark::DoNotOptimize(sink);
-    }
-    totals.warm_map_ns += elapsed_ns(t0);
-  }
 
   // Sharded eager predecode on a fresh view.
   {
@@ -376,12 +276,8 @@ void run_hotpath_report(const bench::BenchOptions& opts) {
 
   const double warm_dense =
       totals.warm_dense_ns / static_cast<double>(totals.warm_calls);
-  const double warm_map =
-      totals.warm_map_ns / static_cast<double>(totals.warm_calls);
   const double cold_dense =
       totals.cold_dense_ns / static_cast<double>(totals.cold_calls);
-  const double cold_map =
-      totals.cold_map_ns / static_cast<double>(totals.cold_calls);
   const double throughput_mib_s =
       static_cast<double>(totals.code_bytes) /
       (totals.cold_dense_ns / 1e9) / (1024.0 * 1024.0);
@@ -398,13 +294,7 @@ void run_hotpath_report(const bench::BenchOptions& opts) {
   };
   const std::vector<Row> rows = {
       {"insn_at_warm_dense", eval::fmt(warm_dense, 2), warm_dense, "ns/op"},
-      {"insn_at_warm_mutex_map", eval::fmt(warm_map, 2), warm_map, "ns/op"},
-      {"warm_speedup_vs_mutex_map", eval::fmt(warm_map / warm_dense, 2),
-       warm_map / warm_dense, "x"},
       {"insn_at_cold_dense", eval::fmt(cold_dense, 2), cold_dense, "ns/op"},
-      {"insn_at_cold_mutex_map", eval::fmt(cold_map, 2), cold_map, "ns/op"},
-      {"cold_speedup_vs_mutex_map", eval::fmt(cold_map / cold_dense, 2),
-       cold_map / cold_dense, "x"},
       {"decode_throughput", eval::fmt(throughput_mib_s, 1), throughput_mib_s,
        "MiB/s"},
       {"predecode_total", eval::fmt(predecode_ms, 2), predecode_ms, "ms"},

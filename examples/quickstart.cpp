@@ -5,6 +5,7 @@
 ///
 ///   ./quickstart [path-to-elf]
 
+#include <algorithm>
 #include <iomanip>
 #include <iostream>
 
@@ -54,7 +55,12 @@ int main(int argc, char** argv) {
   std::cout << "\nPipeline diagnostics:\n";
   std::cout << "  raw FDE starts:            " << result.fde_starts.size()
             << "\n";
-  std::cout << "  found by recursion:        " << result.call_targets.size()
+  std::cout << "  found only by recursion:   "
+            << std::count_if(result.functions.begin(), result.functions.end(),
+                             [](const auto& f) {
+                               return f.second ==
+                                      core::Provenance::kCallTarget;
+                             })
             << "\n";
   std::cout << "  found by pointer probing:  "
             << result.pointer_starts.size() << "\n";

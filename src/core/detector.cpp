@@ -90,7 +90,6 @@ DetectionResult FunctionDetector::run(const DetectorOptions& options,
       state.starts.insert(s);
     }
   }
-  out.call_targets = state.call_targets;
 
   // --- Function-pointer detection (§IV-E) ------------------------------------
   if (options.pointer_detection && options.recursive) {

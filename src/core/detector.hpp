@@ -77,7 +77,6 @@ struct DetectionResult {
   // --- Diagnostics for the evaluation harness -------------------------------
   std::set<std::uint64_t> fde_starts;      ///< raw FDE PC Begins
   std::set<std::uint64_t> symbol_starts;   ///< raw symbol values (if used)
-  std::set<std::uint64_t> call_targets;    ///< found by recursive disassembly
   std::set<std::uint64_t> pointer_starts;  ///< added by pointer detection
   std::set<std::uint64_t> tail_targets;    ///< added by Algorithm 1
   /// Starts removed by Algorithm 1 as non-beginning parts of

@@ -47,10 +47,10 @@ Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
   constexpr std::size_t kMaxProbeInsns = 1u << 14;
 
   // A transfer target is erroneous when it lands strictly inside a
-  // previously decoded instruction (checks ii and iii): O(1) against the
-  // probe's own dense state, O(log n) against the coverage intervals.
+  // previously decoded instruction (checks ii and iii): bit tests against
+  // the disassembly's coverage and the probe's own dense state.
   auto into_middle = [&](std::uint64_t addr) {
-    return (state.covered.contains(addr) &&
+    return (state.covered.count(addr) != 0 &&
             state.insn_starts.count(addr) == 0) ||
            (s.starts.count(addr) == 0 && s.interior.count(addr) != 0);
   };
@@ -141,7 +141,7 @@ PointerDetectionResult detect_pointer_functions(
   while (!queue.empty()) {
     const std::uint64_t p = queue.front();
     queue.pop_front();
-    if (state.covered.contains(p) || state.starts.count(p) != 0) {
+    if (state.covered.count(p) != 0 || state.starts.count(p) != 0) {
       continue;  // already known code: not a new start
     }
     ++result.probed;
@@ -157,7 +157,7 @@ PointerDetectionResult detect_pointer_functions(
     disasm::Function fn;
     fn.entry = p;
     for (const auto& [addr, len] : probe.lengths) {
-      state.covered.add(addr, addr + len);
+      state.covered.insert_range(addr, addr + len);
       state.insn_starts.insert(addr);
       fn.insn_addrs.push_back(addr);
       fn.max_end = std::max(fn.max_end, addr + len);

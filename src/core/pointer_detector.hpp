@@ -36,9 +36,11 @@ struct PointerDetectionOptions {
   bool aligned_only = false;
 };
 
-/// Probes pointer candidates against (and mutating) \p state: accepted
-/// pointers add their coverage and xrefs to \p state so later probes see
-/// them. \p options carries the noreturn knowledge of the main pass.
+/// Probes pointer candidates against (and mutating) \p state: an accepted
+/// pointer adds its start, instruction starts, covered bytes and a
+/// provisional function (entry and instructions only) to \p state, so
+/// later probes see them; it adds no xrefs. \p options is not read:
+/// probing assumes every callee returns.
 [[nodiscard]] PointerDetectionResult detect_pointer_functions(
     const disasm::CodeView& code, disasm::Result& state,
     const disasm::Options& options,

@@ -17,6 +17,7 @@
 /// and publishes the record (decoding → decoded), so no byte is ever
 /// decoded twice.
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -263,9 +264,9 @@ class CodeView {
     }
     const std::uint64_t off = addr - shard->addr;
     // Deliberately uninstrumented: even a striped relaxed fetch_add is
-    // an atomic RMW (~6 ns) on this ~4 ns read, which the
-    // warm_speedup_vs_mutex_map bench gate rejects. The decode (cold)
-    // path carries the codeview_* counters instead.
+    // an atomic RMW (~6 ns) on this ~4 ns read, more than doubling
+    // bench_micro's gated insn_at_warm_dense. The decode (cold) path
+    // carries the codeview_* counters instead.
     const std::uint32_t slot =
         shard->slots[off].load(std::memory_order_acquire);
     if (slot >= kFirstRecord) {
@@ -294,9 +295,17 @@ class CodeView {
 /// plus an ordered spill set for the rare address outside every slot, so
 /// membership is exact for any address. Drop-in for the std::set
 /// operations the analyses use; lookups probe the largest code section
-/// first, so a typical query is one compare and one bit test.
+/// first, so a typical query is one compare and one bit test. Range
+/// inserts and gap queries work a 64-bit word at a time inside slots.
 class AddrSet {
  public:
+  /// A half-open address range [lo, hi).
+  struct Range {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    friend bool operator==(const Range&, const Range&) = default;
+  };
+
   AddrSet() = default;
   explicit AddrSet(const CodeView& code) : ranges_(code.slot_ranges()) {
     for (std::size_t r = 0; r < ranges_.size(); ++r) {
@@ -324,6 +333,28 @@ class AddrSet {
     size_ += added ? 1 : 0;
     return added;
   }
+  /// Adds every address in [lo, hi); outside every slot, one spill member
+  /// per address.
+  void insert_range(std::uint64_t lo, std::uint64_t hi) {
+    while (lo < hi) {
+      const Run run = run_at(lo, hi);
+      if (run.bit == kNone) {
+        for (; lo < run.end; ++lo) {
+          size_ += spill_.insert(lo).second ? 1 : 0;
+        }
+        continue;
+      }
+      const std::uint64_t end = run.bit + (run.end - lo);
+      for (std::uint64_t i = run.bit; i < end;) {
+        const std::uint64_t n = std::min(64 - i % 64, end - i);
+        const std::uint64_t mask = (~std::uint64_t{0} >> (64 - n)) << (i % 64);
+        size_ += std::popcount(mask & ~words_[i / 64]);
+        words_[i / 64] |= mask;
+        i += n;
+      }
+      lo = run.end;
+    }
+  }
   void erase(std::uint64_t addr) {
     const std::uint64_t i = index(addr);
     if (i == kNone) {
@@ -336,8 +367,47 @@ class AddrSet {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// Calls \p f on every member: slot-backed ones in slot order (address
-  /// order unless executable sections overlap), then the spill set.
+  /// The maximal sub-ranges of [lo, hi) that hold no member, ascending.
+  [[nodiscard]] std::vector<Range> gaps(std::uint64_t lo,
+                                        std::uint64_t hi) const {
+    std::vector<Range> out;
+    auto gap = [&](std::uint64_t from, std::uint64_t to) {
+      if (!out.empty() && out.back().hi == from) {
+        out.back().hi = to;  // continues across a run boundary
+      } else {
+        out.push_back({from, to});
+      }
+    };
+    while (lo < hi) {
+      const Run run = run_at(lo, hi);
+      if (run.bit == kNone) {
+        for (auto it = spill_.lower_bound(lo); lo < run.end;) {
+          const std::uint64_t member =
+              it != spill_.end() && *it < run.end ? *it++ : run.end;
+          if (lo < member) {
+            gap(lo, member);
+          }
+          lo = member == run.end ? member : member + 1;
+        }
+        continue;
+      }
+      const std::uint64_t end = run.bit + (run.end - lo);
+      for (std::uint64_t i = run.bit; i < end;) {
+        const std::uint64_t clear = next_bit(i, end, false);
+        i = next_bit(clear, end, true);
+        if (clear < i) {
+          gap(lo + (clear - run.bit), lo + (i - run.bit));
+        }
+      }
+      lo = run.end;
+    }
+    return out;
+  }
+
+  /// Calls \p f on every member: slot-backed ones in ascending address
+  /// order, then the spill set. (Sections may overlap, but the addresses
+  /// each section's bits stand for form one range above the previous
+  /// section's.)
   template <typename F>
   void for_each(F&& f) const {
     std::size_t r = 0;
@@ -358,6 +428,8 @@ class AddrSet {
  private:
   static constexpr std::uint64_t kNone = ~std::uint64_t{0};
 
+  /// The bit of \p addr: in the largest range when that one holds it,
+  /// else in the first range in address order that does.
   [[nodiscard]] std::uint64_t index(std::uint64_t addr) const {
     if (ranges_.empty()) {
       return kNone;
@@ -372,6 +444,45 @@ class AddrSet {
       }
     }
     return kNone;
+  }
+
+  /// The addresses [addr, end) map to the consecutive bits from `bit`, or
+  /// all lie outside every slot (`bit` is kNone).
+  struct Run {
+    std::uint64_t bit = kNone;
+    std::uint64_t end = 0;
+  };
+  /// The longest such run from \p addr, cut at \p hi. Only the largest
+  /// range can take an address over from the range holding the one below
+  /// it, since an earlier range that does not hold \p addr ends at or
+  /// before it.
+  [[nodiscard]] Run run_at(std::uint64_t addr, std::uint64_t hi) const {
+    const std::uint64_t i = index(addr);
+    for (const CodeView::SlotRange& r : ranges_) {
+      if (i == kNone && r.addr > addr) {
+        hi = std::min(hi, r.addr);  // a range starts
+      } else if (i != kNone && i - r.base < r.count) {
+        hi = std::min(hi, r.addr + r.count);  // addr's range ends
+      }
+    }
+    if (i != kNone && ranges_[largest_].addr > addr) {
+      hi = std::min(hi, ranges_[largest_].addr);
+    }
+    return {i, hi};
+  }
+
+  /// The first bit in [i, end) equal to \p set, or \p end.
+  [[nodiscard]] std::uint64_t next_bit(std::uint64_t i, std::uint64_t end,
+                                       bool set) const {
+    while (i < end) {
+      const std::uint64_t word = set ? words_[i / 64] : ~words_[i / 64];
+      const std::uint64_t bits = word & (~std::uint64_t{0} << (i % 64));
+      if (bits != 0) {
+        return std::min(end, i - i % 64 + std::countr_zero(bits));
+      }
+      i += 64 - i % 64;
+    }
+    return end;
   }
 
   std::vector<CodeView::SlotRange> ranges_;  // address order

@@ -21,6 +21,9 @@ obs::Histogram& histogram(const char* name) {
   return obs::Registry::global().histogram(name);
 }
 
+/// Upper bound on instructions explored per function (defensive).
+constexpr std::size_t kMaxInsnsPerFunction = 1u << 20;
+
 /// Backward slice of the first-argument register (edi) at a call site:
 /// returns true when edi provably holds zero. Used for the paper's
 /// `error`/`error_at_line` conditional-noreturn special case.
@@ -69,13 +72,11 @@ struct CallSets {
 
 /// Phase 1: global discovery. Explores every reachable instruction once,
 /// collecting starts (code seeds and call targets, also into \p starts),
-/// call targets, coverage, xrefs and jump tables.
+/// instruction starts, xrefs and jump tables.
 void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
-              const Options& options, const CallSets& calls, Result& result,
-              AddrSet& starts) {
+              const CallSets& calls, Result& result, AddrSet& starts) {
   AddrSet& visited = result.insn_starts = AddrSet(code);
   AddrSet queued(code);
-  AddrSet call_targets(code);
   WorkQueue work;
   // Callers queue code addresses only.
   auto enqueue = [&](std::uint64_t addr, const InsnWindow& window) {
@@ -108,7 +109,6 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
       case Kind::kCallDirect:
         result.xrefs.add(step.target, addr, RefKind::kCall);
         if (step.has(Step::kTargetIsCode)) {
-          call_targets.insert(step.target);
           starts.insert(step.target);
           enqueue(step.target, {});
         }
@@ -122,9 +122,7 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
         break;
       case Kind::kJmpIndirect:
         // A resolved table's targets are all code.
-        if (auto table = options.resolve_jump_tables
-                             ? resolve_jump_table(code, window)
-                             : std::nullopt) {
+        if (auto table = resolve_jump_table(code, window)) {
           for (const std::uint64_t t : table->targets) {
             result.xrefs.add(t, addr, RefKind::kJumpTable);
             enqueue(t, {});
@@ -139,18 +137,14 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
   });
   starts.for_each(
       [&](std::uint64_t s) { result.starts.insert(result.starts.end(), s); });
-  call_targets.for_each([&](std::uint64_t t) {
-    result.call_targets.insert(result.call_targets.end(), t);
-  });
 }
 
 /// Phase 2: builds one function's structure against the final start set.
 /// \p in_body is clear scratch shared by a pass' builds (left clear). An
 /// address queued twice is claimed by its older item only: no dedup needed.
 Function build_function(const CodeView& code, std::uint64_t entry,
-                        const AddrSet& starts, const Options& options,
-                        const CallSets& calls, AddrSet& in_body,
-                        WorkQueue& work) {
+                        const AddrSet& starts, const CallSets& calls,
+                        AddrSet& in_body, WorkQueue& work) {
   Function fn;
   fn.entry = entry;
   work.push(entry);
@@ -159,7 +153,7 @@ Function build_function(const CodeView& code, std::uint64_t entry,
       return CodeView::Rec{};
     }
     const CodeView::Rec rec =
-        fn.insn_addrs.size() < options.max_insns_per_function
+        fn.insn_addrs.size() < kMaxInsnsPerFunction
             ? code.rec_at(addr)
             : CodeView::Rec{};
     fn.truncated = fn.truncated || rec.step == nullptr;
@@ -186,9 +180,7 @@ Function build_function(const CodeView& code, std::uint64_t entry,
         }
         break;
       case Kind::kJmpIndirect:
-        if (auto table = options.resolve_jump_tables
-                             ? resolve_jump_table(code, window)
-                             : std::nullopt) {
+        if (auto table = resolve_jump_table(code, window)) {
           for (const std::uint64_t t : table->targets) {
             if (starts.count(t) == 0 || t == entry) {
               work.push(t);
@@ -234,19 +226,18 @@ Result explore_pass(const CodeView& code,
                     const Options& options, BodyCache& memo) {
   obs::Span discover_span(nullptr, "detect.discover",
                           &histogram("disasm_discover_us"));
-  const CallSets calls(code, options);
+  CallSets calls(code, options);
   Result result;
   AddrSet starts(code);
-  discover(code, seeds, options, calls, result, starts);
+  discover(code, seeds, calls, result, starts);
   std::uint64_t visited = result.insn_starts.size();
   discover_span.finish();
 
   obs::Span bodies_span(nullptr, "detect.bodies",
                         &histogram("disasm_bodies_us"));
-  if (memo.options.resolve_jump_tables != options.resolve_jump_tables ||
-      memo.options.max_insns_per_function != options.max_insns_per_function ||
-      memo.options.conditional_noreturn != options.conditional_noreturn) {
+  if (memo.conditional_noreturn != options.conditional_noreturn) {
     memo = {};  // built under other options: nothing to reuse
+    memo.conditional_noreturn = options.conditional_noreturn;
   }
   std::uint64_t built_count = 0;  // bodies of this pass' generation
   AddrSet in_body(code);
@@ -259,8 +250,8 @@ Result explore_pass(const CodeView& code,
     const bool rebuild = valid == built.rend();
     if (rebuild) {
       built.emplace_back(memo.generations.size(),
-                         build_function(code, entry, starts, options, calls,
-                                        in_body, work));
+                         build_function(code, entry, starts, calls, in_body,
+                                        work));
       visited += built.back().second.insn_addrs.size();
       ++built_count;
     }
@@ -268,9 +259,8 @@ Result explore_pass(const CodeView& code,
                                   rebuild ? built.back().second : valid->second);
   }
   if (built_count != 0) {
-    memo.generations.push_back({std::move(starts), options.noreturn_functions});
+    memo.generations.push_back({std::move(starts), std::move(calls.noreturn)});
   }
-  memo.options = options;
   bodies_span.finish();
   // Work counters are added once per pass, never per instruction.
   counter("disasm_explore_passes_total").add(1);
@@ -281,20 +271,21 @@ Result explore_pass(const CodeView& code,
 }
 
 /// Sorts the xrefs and derives coverage: the union of every discovered
-/// instruction's bytes, fed to the interval set as maximal runs.
+/// instruction's bytes, inserted as maximal runs.
 Result finish(const CodeView& code, Result result) {
   obs::Span span(nullptr, "detect.finish", &histogram("disasm_finish_us"));
   result.xrefs.sort();
+  result.covered = AddrSet(code);
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
   result.insn_starts.for_each([&](std::uint64_t a) {
     if (a < lo || a > hi) {
-      result.covered.add(lo, hi);
+      result.covered.insert_range(lo, hi);
       lo = a;
     }
     hi = std::max(hi, a + code.rec_at(a).step->length);
   });
-  result.covered.add(lo, hi);
+  result.covered.insert_range(lo, hi);
   return result;
 }
 

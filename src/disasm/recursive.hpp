@@ -22,7 +22,6 @@
 
 #include "disasm/code_view.hpp"
 #include "disasm/jump_table.hpp"
-#include "util/interval_set.hpp"
 #include "x86/insn.hpp"
 
 namespace fetch::disasm {
@@ -103,10 +102,6 @@ class XRefs {
 };
 
 struct Options {
-  /// Resolve bounded jump-table patterns (safe; on by default).
-  bool resolve_jump_tables = true;
-  /// Upper bound on instructions explored per seed (defensive).
-  std::size_t max_insns_per_function = 1u << 20;
   /// Functions known to never return (call sites stop exploration).
   std::set<std::uint64_t> noreturn_functions;
   /// Functions that are non-returning unless their first argument (edi) is
@@ -119,17 +114,14 @@ struct Result {
   /// Final set of function starts: seeds plus discovered direct-call
   /// targets (deduplicated, only addresses that decode).
   std::set<std::uint64_t> starts;
-  /// Targets of direct calls (subset of starts not in the seed set counts
-  /// as "found by recursive disassembly").
-  std::set<std::uint64_t> call_targets;
   /// Per-function structure keyed by entry.
   std::map<std::uint64_t, Function> functions;
   /// Every address at which an instruction was decoded (valid instruction
   /// boundaries). Together with `covered`, lets callers detect control
   /// transfers into the *middle* of known instructions (§IV-E error ii/iii).
   AddrSet insn_starts;
-  /// Union of all instruction ranges.
-  IntervalSet covered;
+  /// Every byte of every decoded instruction.
+  AddrSet covered;
   XRefs xrefs;
   std::vector<JumpTable> jump_tables;
 };
@@ -141,19 +133,19 @@ struct Result {
 /// table targets, callees) is unchanged; building is deterministic in
 /// those answers, so reuse never changes a result. Keeping older bodies
 /// lets the reanalysis' rounds reuse those of the first analysis' rounds
-/// under the same no-return set. Bodies are only reused under equal
-/// options apart from `noreturn_functions`, and a cache must stay with
-/// one CodeView.
+/// under the same no-return set. Bodies are only reused under an equal
+/// `conditional_noreturn` set, and a cache must stay with one CodeView.
 struct BodyCache {
   struct Generation {
     AddrSet starts;
-    std::set<std::uint64_t> noreturn;
+    AddrSet noreturn;
   };
   std::vector<Generation> generations;
   /// Per entry, (generation, body) in build order.
   std::map<std::uint64_t, std::vector<std::pair<std::size_t, Function>>>
       bodies;
-  Options options;
+  /// The `Options::conditional_noreturn` the bodies were built under.
+  std::set<std::uint64_t> conditional_noreturn;
 };
 
 /// Runs the full safe-recursive pipeline: exploration from \p seeds,

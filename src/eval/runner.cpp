@@ -8,24 +8,6 @@
 
 namespace fetch::eval {
 
-Corpus Corpus::materialize(std::vector<synth::ProgramSpec> specs,
-                           std::size_t max_entries, std::size_t jobs) {
-  if (max_entries != 0 && specs.size() > max_entries) {
-    specs.resize(max_entries);
-  }
-  // Generate into stable slots so the job count cannot reorder entries.
-  std::vector<std::optional<CorpusEntry>> slots(specs.size());
-  util::parallel_for(jobs, specs.size(), [&](std::size_t i) {
-    slots[i].emplace(synth::generate(specs[i]));
-  });
-  Corpus corpus;
-  corpus.entries_.reserve(slots.size());
-  for (std::optional<CorpusEntry>& slot : slots) {
-    corpus.entries_.push_back(std::move(*slot));
-  }
-  return corpus;
-}
-
 Corpus Corpus::materialize_spec(const synth::CorpusSpec& spec,
                                 const CorpusOptions& options) {
   // One expansion serves both the content hash and (on a miss) generation.
@@ -92,14 +74,6 @@ Corpus Corpus::self_built(const CorpusOptions& options) {
 
 Corpus Corpus::wild(const CorpusOptions& options) {
   return materialize_spec(synth::CorpusSpec::wild(options.scale), options);
-}
-
-Corpus Corpus::self_built(std::size_t max_entries, std::size_t jobs) {
-  return materialize(synth::make_corpus(), max_entries, jobs);
-}
-
-Corpus Corpus::wild(std::size_t max_entries, std::size_t jobs) {
-  return materialize(synth::make_wild_suite(), max_entries, jobs);
 }
 
 core::DetectorOptions fetch_options(const synth::GroundTruth& truth) {

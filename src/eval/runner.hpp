@@ -85,16 +85,6 @@ class Corpus {
   /// The wild suite (Table I) at the requested scale.
   [[nodiscard]] static Corpus wild(const CorpusOptions& options);
 
-  /// Legacy truncation-based entry points (default scale, no cache):
-  /// \p max_entries truncates the spec list (0 = everything); \p jobs
-  /// parallelizes binary generation (0 = FETCH_JOBS/hardware default).
-  /// Generation is a pure function of each spec, so the result is
-  /// identical for any job count.
-  [[nodiscard]] static Corpus self_built(std::size_t max_entries = 0,
-                                         std::size_t jobs = 0);
-  [[nodiscard]] static Corpus wild(std::size_t max_entries = 0,
-                                   std::size_t jobs = 0);
-
   [[nodiscard]] const std::vector<CorpusEntry>& entries() const {
     return entries_;
   }
@@ -103,13 +93,10 @@ class Corpus {
   /// True when this corpus was deserialized from the on-disk cache rather
   /// than generated (diagnostics only — the bytes are identical either way).
   [[nodiscard]] bool from_cache() const { return from_cache_; }
-  /// The CorpusSpec content hash this corpus was materialized from
-  /// (0 for the legacy truncation-based entry points).
+  /// The CorpusSpec content hash this corpus was materialized from.
   [[nodiscard]] std::uint64_t spec_hash() const { return spec_hash_; }
 
  private:
-  static Corpus materialize(std::vector<synth::ProgramSpec> specs,
-                            std::size_t max_entries, std::size_t jobs);
   static Corpus materialize_spec(const synth::CorpusSpec& spec,
                                  const CorpusOptions& options);
 

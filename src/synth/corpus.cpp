@@ -704,10 +704,6 @@ std::vector<ProgramSpec> CorpusSpec::expand() const {
   return out;
 }
 
-std::vector<ProgramSpec> make_corpus() {
-  return CorpusSpec::self_built(Scale::kDefault).expand();
-}
-
 const std::vector<WildDef>& wild_defs() {
   static const std::vector<WildDef> kWild = {
       {"atom", "C++", true, false},        {"openshot", "C", true, false},
@@ -722,10 +718,6 @@ const std::vector<WildDef>& wild_defs() {
       {"binaryninja", "C++", false, true}, {"foxitreader", "C++", false, true},
   };
   return kWild;
-}
-
-std::vector<ProgramSpec> make_wild_suite() {
-  return CorpusSpec::wild(Scale::kDefault).expand();
 }
 
 }  // namespace fetch::synth

@@ -4,12 +4,12 @@
 /// Corpus definitions mirroring the paper's datasets, and the CorpusSpec
 /// model that scales them to the paper-size population:
 ///
-///  * make_corpus() — the "self-built" set (Table II) at default scale:
-///    one binary per project × compiler {gcc, llvm} × optimization
-///    {O2, O3, Os, Ofast}, with per-project size/assembly characteristics
-///    and per-opt-level rates for the constructs the experiments measure
-///    (cold splitting, tail calls, frame pointers, ...).
-///  * make_wild_suite() — the "wild" set (Table I): assorted C/C++
+///  * CorpusSpec::self_built() — the "self-built" set (Table II): at
+///    default scale one binary per project × compiler {gcc, llvm} ×
+///    optimization {O2, O3, Os, Ofast}, with per-project size/assembly
+///    characteristics and per-opt-level rates for the constructs the
+///    experiments measure (cold splitting, tail calls, frame pointers, ...).
+///  * CorpusSpec::wild() — the "wild" set (Table I): assorted C/C++
 ///    programs, some stripped of symbols.
 ///  * CorpusSpec — a declarative description of a whole corpus (kind ×
 ///    scale × compiler set × opt set × seed variants × entry limit).
@@ -164,10 +164,6 @@ struct CorpusSpec {
   [[nodiscard]] std::vector<ProgramSpec> expand() const;
 };
 
-/// The default-scale self-built corpus:
-/// projects() × {gcc,llvm} × {O2,O3,Os,Ofast}.
-[[nodiscard]] std::vector<ProgramSpec> make_corpus();
-
 /// One wild binary description (Table I).
 struct WildDef {
   std::string name;
@@ -177,6 +173,5 @@ struct WildDef {
 };
 
 [[nodiscard]] const std::vector<WildDef>& wild_defs();
-[[nodiscard]] std::vector<ProgramSpec> make_wild_suite();
 
 }  // namespace fetch::synth

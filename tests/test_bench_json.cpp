@@ -107,9 +107,8 @@ TEST(BenchJson, MicroSchemaAndTableAgree) {
 
   // The rows the perf acceptance criteria read must exist...
   for (const char* required :
-       {"insn_at_warm_dense", "insn_at_warm_mutex_map",
-        "warm_speedup_vs_mutex_map", "insn_at_cold_dense",
-        "insn_at_cold_mutex_map", "decode_throughput", "cache_hit_rate"}) {
+       {"insn_at_warm_dense", "insn_at_cold_dense", "decode_throughput",
+        "cache_hit_rate"}) {
     bool found = false;
     for (const util::json::Value& row : results->items()) {
       if (row.get("name") != nullptr && row.get("name")->text() == required) {

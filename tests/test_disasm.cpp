@@ -39,8 +39,8 @@ TEST(Recursive, FindsDirectCallTargets) {
 
   EXPECT_EQ(r.starts.size(), 3u);
   EXPECT_TRUE(r.starts.count(kTextAddr));
-  EXPECT_TRUE(r.call_targets.count(f_addr));
-  EXPECT_TRUE(r.call_targets.count(g_addr));
+  EXPECT_TRUE(r.starts.count(f_addr));
+  EXPECT_TRUE(r.starts.count(g_addr));
   EXPECT_TRUE(r.functions.at(kTextAddr).contains(kTextAddr));
 }
 
@@ -59,7 +59,7 @@ TEST(Recursive, StopsAtStructuralNoReturn) {
   const Result r = analyze(code, {kTextAddr}, {});
 
   // The garbage byte is not covered: the call was recognized noreturn.
-  EXPECT_FALSE(r.covered.contains(kTextAddr + 5));
+  EXPECT_FALSE(r.covered.count(kTextAddr + 5));
   EXPECT_FALSE(r.functions.at(kTextAddr).truncated);
 }
 
@@ -100,7 +100,7 @@ TEST(Recursive, ConditionalNoReturnSlice) {
   const Result r = analyze(code, {a.address_of(site_zero), nz}, opts);
 
   // After the zero-arg call the code continues (mov rax,1 covered).
-  EXPECT_TRUE(r.covered.contains(kTextAddr + 2 + 5));
+  EXPECT_TRUE(r.covered.count(kTextAddr + 2 + 5));
   // After the nonzero-arg call the garbage is not decoded.
   const auto fn = r.functions.at(nz);
   EXPECT_FALSE(fn.truncated);

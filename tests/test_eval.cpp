@@ -104,11 +104,19 @@ const Strategy kFetchStrategy = [](const CorpusEntry& entry) {
   return entry.detector().run(fetch_options(entry.bin.truth)).starts();
 };
 
+/// The 8-entry smoke corpus, generated by \p jobs workers, uncached.
+Corpus smoke_corpus(std::size_t jobs = 0) {
+  CorpusOptions options;
+  options.scale = synth::Scale::kSmoke;
+  options.jobs = jobs;
+  return Corpus::self_built(options);
+}
+
 TEST(Runner, CorpusLimitAndGenerationJobsAreDeterministic) {
-  const Corpus serial = Corpus::self_built(4, 1);
-  const Corpus parallel = Corpus::self_built(4, 4);
-  ASSERT_EQ(serial.size(), 4u);
-  ASSERT_EQ(parallel.size(), 4u);
+  const Corpus serial = smoke_corpus(1);
+  const Corpus parallel = smoke_corpus(4);
+  ASSERT_EQ(serial.size(), 8u);
+  ASSERT_EQ(parallel.size(), 8u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial.entries()[i].bin.name, parallel.entries()[i].bin.name);
     EXPECT_EQ(serial.entries()[i].bin.image, parallel.entries()[i].bin.image);
@@ -116,7 +124,7 @@ TEST(Runner, CorpusLimitAndGenerationJobsAreDeterministic) {
 }
 
 TEST(Runner, ParallelStrategyRunMatchesSerial) {
-  const Corpus corpus = Corpus::self_built(6);
+  const Corpus corpus = smoke_corpus();
   std::map<std::string, Aggregate> by_opt_serial;
   std::map<std::string, Aggregate> by_opt_parallel;
   const Aggregate serial =
@@ -132,7 +140,7 @@ TEST(Runner, ParallelStrategyRunMatchesSerial) {
 }
 
 TEST(Runner, MatrixCellsMatchIndependentRuns) {
-  const Corpus corpus = Corpus::self_built(4);
+  const Corpus corpus = smoke_corpus();
   const Strategy fde_only = [](const CorpusEntry& entry) {
     core::DetectorOptions options;
     options.recursive = false;
@@ -154,7 +162,7 @@ TEST(Runner, MatrixCellsMatchIndependentRuns) {
 }
 
 TEST(Runner, SharedDetectorStartSetsAreStableAcrossRepeatedRuns) {
-  const Corpus corpus = Corpus::self_built(2);
+  const Corpus corpus = smoke_corpus();
   const CorpusEntry& entry = corpus.entries()[0];
   const auto first = kFetchStrategy(entry);
   const auto second = kFetchStrategy(entry);  // memoized CodeView path

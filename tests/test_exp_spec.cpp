@@ -267,7 +267,7 @@ TEST(Tolerance, CheckedInConfigLoadsAndCoversTheBaselineMetrics) {
   ASSERT_TRUE(policy.has_value()) << error;
   EXPECT_GE(policy->listed_metrics(), 15u);
   // The headline claims must be direction-gated, not symmetric bands.
-  EXPECT_EQ(policy->for_metric("warm_speedup_vs_mutex_map").direction,
+  EXPECT_EQ(policy->for_metric("cache_hit_rate").direction,
             Direction::kHigher);
   EXPECT_EQ(policy->for_metric("decode_throughput").direction,
             Direction::kHigher);

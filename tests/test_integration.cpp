@@ -17,7 +17,7 @@ namespace {
 /// pipeline without throwing, and the invariants of the FETCH claims must
 /// hold on each.
 TEST(Integration, WildSuiteEndToEnd) {
-  const eval::Corpus wild = eval::Corpus::wild();
+  const eval::Corpus wild = eval::Corpus::wild(eval::CorpusOptions{});
   ASSERT_GT(wild.size(), 10u);
   for (const eval::CorpusEntry& entry : wild.entries()) {
     core::FunctionDetector detector(entry.elf);
@@ -38,7 +38,7 @@ TEST(Integration, WildSuiteEndToEnd) {
 TEST(Integration, SymbolsAgreeWithFdesOnWildBinaries) {
   // Table I's FDE column: on unstripped wild binaries, FDE PC Begins cover
   // (nearly) all function symbols.
-  const eval::Corpus wild = eval::Corpus::wild();
+  const eval::Corpus wild = eval::Corpus::wild(eval::CorpusOptions{});
   for (const eval::CorpusEntry& entry : wild.entries()) {
     if (!entry.elf.has_symtab()) {
       continue;

@@ -93,7 +93,7 @@ TEST(PointerDetector, AcceptsValidRejectsInvalid) {
   const elf::ElfFile elf = MiniBinary(a).data(std::move(data)).build();
   disasm::CodeView code(elf);
   disasm::Result state = disasm::analyze(code, {kTextAddr}, {});
-  ASSERT_FALSE(state.covered.contains(hidden_addr));
+  ASSERT_FALSE(state.covered.count(hidden_addr));
 
   const PointerDetectionResult pd =
       detect_pointer_functions(code, state, {});
@@ -101,7 +101,7 @@ TEST(PointerDetector, AcceptsValidRejectsInvalid) {
   EXPECT_FALSE(pd.accepted.count(garbage_addr));
   EXPECT_FALSE(pd.accepted.count(kTextAddr + 1));
   EXPECT_TRUE(state.starts.count(hidden_addr));
-  EXPECT_TRUE(state.covered.contains(hidden_addr));
+  EXPECT_TRUE(state.covered.count(hidden_addr));
 }
 
 TEST(PointerDetector, PointerIntoCoveredCodeIsNotANewStart) {
@@ -202,8 +202,8 @@ TEST(PointerDetector, LongProbesAreAcceptedOrRejectedExactly) {
   EXPECT_EQ(state.functions.at(ok_addr).insn_addrs.size(),
             static_cast<std::size_t>(kLong) + 1);
   EXPECT_TRUE(state.insn_starts.count(ok_addr + 5) != 0);
-  EXPECT_FALSE(state.covered.contains(middle_addr));
-  EXPECT_FALSE(state.covered.contains(runaway_addr));
+  EXPECT_FALSE(state.covered.count(middle_addr));
+  EXPECT_FALSE(state.covered.count(runaway_addr));
 }
 
 }  // namespace

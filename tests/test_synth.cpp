@@ -153,7 +153,7 @@ TEST(Synth, IncompleteCfiExactlyForFramePointerFunctions) {
 }
 
 TEST(Corpus, HasExpectedShape) {
-  const auto corpus = make_corpus();
+  const auto corpus = CorpusSpec::self_built(Scale::kDefault).expand();
   EXPECT_EQ(corpus.size(), projects().size() * 2 * 4);
   std::set<std::string> opts;
   std::set<std::string> compilers;
@@ -168,7 +168,7 @@ TEST(Corpus, HasExpectedShape) {
 }
 
 TEST(Corpus, WildSuiteMixesSymbolPresence) {
-  const auto wild = make_wild_suite();
+  const auto wild = CorpusSpec::wild(Scale::kDefault).expand();
   EXPECT_EQ(wild.size(), wild_defs().size());
   bool some_stripped = false;
   bool some_with_symbols = false;

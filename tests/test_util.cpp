@@ -12,7 +12,6 @@
 #include "util/byte_cursor.hpp"
 #include "util/byte_writer.hpp"
 #include "util/hash.hpp"
-#include "util/interval_set.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer_wheel.hpp"
@@ -150,71 +149,6 @@ TEST(Rng, ChanceExtremes) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
   }
-}
-
-TEST(IntervalSet, AddAndCoalesce) {
-  IntervalSet s;
-  s.add(10, 20);
-  s.add(30, 40);
-  EXPECT_EQ(s.count(), 2u);
-  s.add(20, 30);  // bridges the gap
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_TRUE(s.covers(10, 40));
-  EXPECT_EQ(s.covered_bytes(), 30u);
-}
-
-TEST(IntervalSet, ContainsBoundaries) {
-  IntervalSet s;
-  s.add(10, 20);
-  EXPECT_TRUE(s.contains(10));
-  EXPECT_TRUE(s.contains(19));
-  EXPECT_FALSE(s.contains(20));
-  EXPECT_FALSE(s.contains(9));
-}
-
-TEST(IntervalSet, OverlapAdds) {
-  IntervalSet s;
-  s.add(10, 30);
-  s.add(5, 15);
-  s.add(25, 35);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_TRUE(s.covers(5, 35));
-}
-
-TEST(IntervalSet, EmptyRangeIgnored) {
-  IntervalSet s;
-  s.add(10, 10);
-  s.add(10, 9);
-  EXPECT_TRUE(s.empty());
-}
-
-TEST(IntervalSet, Gaps) {
-  IntervalSet s;
-  s.add(10, 20);
-  s.add(30, 40);
-  const auto gaps = s.gaps(0, 50);
-  ASSERT_EQ(gaps.size(), 3u);
-  EXPECT_EQ(gaps[0].lo, 0u);
-  EXPECT_EQ(gaps[0].hi, 10u);
-  EXPECT_EQ(gaps[1].lo, 20u);
-  EXPECT_EQ(gaps[1].hi, 30u);
-  EXPECT_EQ(gaps[2].lo, 40u);
-  EXPECT_EQ(gaps[2].hi, 50u);
-}
-
-TEST(IntervalSet, GapsInsideCoveredRange) {
-  IntervalSet s;
-  s.add(0, 100);
-  EXPECT_TRUE(s.gaps(10, 90).empty());
-}
-
-TEST(IntervalSet, Intersects) {
-  IntervalSet s;
-  s.add(10, 20);
-  EXPECT_TRUE(s.intersects(15, 25));
-  EXPECT_TRUE(s.intersects(5, 11));
-  EXPECT_FALSE(s.intersects(20, 30));
-  EXPECT_FALSE(s.intersects(0, 10));
 }
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
