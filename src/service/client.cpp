@@ -46,20 +46,24 @@ std::optional<ServiceClient> ServiceClient::connect(
   }
 }
 
-std::optional<util::json::Value> ServiceClient::request(
-    const Request& request, std::string* error) {
+bool ServiceClient::exchange(const Request& request, std::string* payload,
+                             std::string* error) {
   last_error_code_.clear();
   if (!util::write_frame(fd_.get(), request_json(request).dump(), error)) {
-    return std::nullopt;
+    return false;
   }
-  std::string payload;
-  const util::FrameStatus status =
-      util::read_frame(fd_.get(), &payload, error);
+  const util::FrameStatus status = util::read_frame(fd_.get(), payload, error);
   if (status == util::FrameStatus::kEof) {
     *error = "server closed the connection";
-    return std::nullopt;
+    return false;
   }
-  if (status == util::FrameStatus::kError) {
+  return status != util::FrameStatus::kError;
+}
+
+std::optional<util::json::Value> ServiceClient::request(
+    const Request& request, std::string* error) {
+  std::string payload;
+  if (!exchange(request, &payload, error)) {
     return std::nullopt;
   }
   auto response = util::json::Value::parse(payload);
@@ -81,31 +85,13 @@ bool ServiceClient::ping(std::string* error) {
 std::optional<QueryResult> ServiceClient::query(const std::string& path,
                                                 std::string* error,
                                                 const std::string& trace) {
-  const auto response = request({Op::kQuery, path, trace}, error);
-  if (!response) {
+  std::string payload;
+  if (!exchange({Op::kQuery, path, trace}, &payload, error)) {
     return std::nullopt;
   }
-  const util::json::Value* result = response->get("result");
-  if (result == nullptr) {
-    *error = "query response has no result";
-    return std::nullopt;
-  }
-  auto analysis = analysis_from_json(*result, error);
-  if (!analysis) {
-    return std::nullopt;
-  }
-  QueryResult out;
-  out.analysis = std::move(*analysis);
-  const util::json::Value* cache = response->get("cache");
-  out.cache = cache == nullptr ? "?" : cache->text();
-  if (const util::json::Value* id = response->get("trace"); id != nullptr) {
-    out.trace = id->text();
-  }
-  if (const util::json::Value* stages = response->get("stages");
-      stages != nullptr && stages->is_array()) {
-    out.stages = *stages;
-  }
-  return out;
+  QueryReply reply = parse_query_reply(payload, error);
+  last_error_code_ = std::move(reply.error_code);
+  return std::move(reply.result);
 }
 
 std::optional<util::json::Value> ServiceClient::shutdown_server(

@@ -16,16 +16,6 @@
 
 namespace fetch::service {
 
-/// One query's parsed outcome.
-struct QueryResult {
-  eval::FileAnalysis analysis;
-  std::string cache;  ///< "hit", "miss", "joined", or "none" (unreadable)
-  std::string trace;  ///< trace id echoed (or minted) by the daemon
-  /// Per-stage timings, [{"stage":...,"us":...}, ...]; empty array for
-  /// cache hits/joins (only a miss runs the pipeline).
-  util::json::Value stages = util::json::Value::array();
-};
-
 /// Client-side robustness knobs. The defaults match the old behavior
 /// (one connect attempt, wait forever); `fetch-cli query|shutdown`
 /// exposes them as --retries / --timeout.
@@ -88,6 +78,11 @@ class ServiceClient {
  private:
   ServiceClient(std::string socket_path, util::Fd fd)
       : socket_path_(std::move(socket_path)), fd_(std::move(fd)) {}
+
+  /// Sends \p request and reads the reply's payload; false + *error on a
+  /// transport failure.
+  [[nodiscard]] bool exchange(const Request& request, std::string* payload,
+                              std::string* error);
 
   std::string socket_path_;
   util::Fd fd_;

@@ -2,9 +2,10 @@
 
 #include <unistd.h>
 
-#include <cctype>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string_view>
 #include <utility>
 
@@ -15,6 +16,7 @@ namespace fetch::service {
 
 namespace {
 
+using util::json::Reader;
 using util::json::Value;
 
 Value json_count(std::size_t value) {
@@ -32,33 +34,280 @@ std::string hex64(std::uint64_t value) {
   return buf;
 }
 
-/// Parses a "0x..." hex string; false on anything else. Strict: only
-/// hex digits after the prefix (strtoull alone would also accept signs
-/// and leading whitespace).
-bool parse_hex64(const Value* value, std::uint64_t* out) {
-  if (value == nullptr || value->kind() != Value::Kind::kString) {
+/// Decodes "0x" + 1 to 16 hex digits of either case; false on anything
+/// else (a sign, whitespace, no digits, a 17th digit).
+bool parse_hex64(std::string_view text, std::uint64_t* out) {
+  if (text.size() < 3 || text.size() > 18 || text[0] != '0' ||
+      text[1] != 'x') {
     return false;
   }
-  const std::string& text = value->text();
-  if (text.rfind("0x", 0) != 0 || text.size() < 3 || text.size() > 18) {
-    return false;
-  }
-  for (std::size_t i = 2; i < text.size(); ++i) {
-    if (std::isxdigit(static_cast<unsigned char>(text[i])) == 0) {
+  std::uint64_t value = 0;
+  for (const char c : text.substr(2)) {
+    const char lower = static_cast<char>(c | 0x20);
+    unsigned digit = 0;
+    if (c >= '0' && c <= '9') {
+      digit = static_cast<unsigned>(c - '0');
+    } else if (lower >= 'a' && lower <= 'f') {
+      digit = static_cast<unsigned>(lower - 'a' + 10);
+    } else {
       return false;
     }
+    value = value << 4 | digit;
   }
-  *out = std::strtoull(text.c_str() + 2, nullptr, 16);
+  *out = value;
   return true;
 }
 
-bool get_count(const Value& obj, const char* key, std::size_t* out) {
-  const Value* v = obj.get(key);
-  if (v == nullptr || v->kind() != Value::Kind::kNumber) {
+// --- Reading replies ----------------------------------------------------------
+//
+// A reply is read member by member with util::json::Reader. Each decoder
+// keeps what it reads of a member until its object closes, and a later
+// member of the same name replaces it (Value::set keeps the last too), so
+// the checks then run in the order, and with the messages, they have when
+// made on a tree. Every decoder reads its whole value even when the value
+// is unusable, so a syntax error further on is still found.
+
+/// Reads a value as Value::text() shows it: a string's contents, a
+/// number's source text, "" for anything else.
+bool read_text(Reader& in, std::string* out) {
+  std::string_view text;
+  const std::optional<Value::Kind> kind = in.peek();
+  if (kind == Value::Kind::kString) {
+    if (!in.string(&text)) {
+      return false;
+    }
+  } else if (kind == Value::Kind::kNumber) {
+    if (!in.number(nullptr, &text)) {
+      return false;
+    }
+  } else if (!in.skip()) {
     return false;
   }
-  *out = static_cast<std::size_t>(v->as_double());
+  out->assign(text);
   return true;
+}
+
+/// A count member: a number, truncated toward zero. Any other value, and
+/// a number no std::size_t holds, reads as nullopt.
+bool read_count(Reader& in, std::optional<std::size_t>* out) {
+  out->reset();
+  if (in.peek() != Value::Kind::kNumber) {
+    return in.skip();
+  }
+  double value = 0.0;
+  if (!in.number(&value)) {
+    return false;
+  }
+  if (value > -1.0 && value < 18446744073709551616.0) {  // 2^64
+    *out = static_cast<std::size_t>(value);
+  }
+  return true;
+}
+
+/// The count members of a result, in the order analysis_json writes them.
+constexpr std::string_view kCountKeys[] = {
+    "truth", "detected", "tp", "fp", "fn", "plt_excluded", "zero_sized",
+    "ifuncs", "aliases", "fde_starts", "pointer_starts", "merged_parts",
+    "invalid_fde_starts"};
+constexpr std::size_t kCounts = std::size(kCountKeys);
+constexpr std::size_t kDetected = 1;
+constexpr std::size_t kPltExcluded = 5;
+static_assert(kCountKeys[kDetected] == "detected" &&
+              kCountKeys[kPltExcluded] == "plt_excluded");
+
+/// The shortest functions entry, ["0x0",""], and its separating comma.
+constexpr std::size_t kMinEntryBytes = 11;
+
+using Functions = std::vector<std::pair<std::uint64_t, std::string>>;
+
+/// One ["0x<hex>","<provenance>"] entry, appended to *functions. *good
+/// turns false when the value is anything else.
+bool read_function(Reader& in, bool* good, Functions* functions) {
+  if (in.peek() != Value::Kind::kArray) {
+    *good = false;
+    return in.skip();
+  }
+  if (!in.begin_array()) {
+    return false;
+  }
+  std::uint64_t addr = 0;
+  std::string provenance;
+  std::size_t items = 0;
+  bool shaped = true;
+  std::string_view text;
+  while (in.next_item()) {
+    if (items < 2 && in.peek() == Value::Kind::kString) {
+      if (!in.string(&text)) {
+        return false;
+      }
+      if (items == 0) {
+        shaped = parse_hex64(text, &addr);
+      } else {
+        provenance.assign(text);
+      }
+    } else {
+      shaped = false;
+      if (!in.skip()) {
+        return false;
+      }
+    }
+    ++items;
+  }
+  if (!in.ok()) {
+    return false;
+  }
+  if (shaped && items == 2) {
+    functions->emplace_back(addr, std::move(provenance));
+  } else {
+    *good = false;
+  }
+  return true;
+}
+
+/// What a result's functions member held.
+enum class FunctionsState : std::uint8_t { kMissing, kMalformed, kOk };
+
+/// The functions member, decoded into *functions (reserved for
+/// \p expected entries). kMissing when the value is not an array;
+/// kMalformed when an entry is not a pair (the entries after it are
+/// skipped).
+bool read_functions(Reader& in, std::size_t expected, FunctionsState* state,
+                    Functions* functions) {
+  functions->clear();
+  *state = FunctionsState::kMissing;
+  if (in.peek() != Value::Kind::kArray) {
+    return in.skip();
+  }
+  if (!in.begin_array()) {
+    return false;
+  }
+  functions->reserve(expected);
+  bool good = true;
+  while (in.next_item()) {
+    if (!(good ? read_function(in, &good, functions) : in.skip())) {
+      return false;
+    }
+  }
+  *state = good ? FunctionsState::kOk : FunctionsState::kMalformed;
+  return in.ok();
+}
+
+/// Reads the result object at \p in: the analysis, or nullopt + *error.
+/// \p document_bytes, the size of the whole document, caps how many
+/// function entries the counts can make it reserve, so a hostile count
+/// cannot drive the allocation. A syntax error shows as !in.ok().
+std::optional<eval::FileAnalysis> read_analysis(Reader& in,
+                                                std::size_t document_bytes,
+                                                std::string* error) {
+  if (in.peek() != Value::Kind::kObject) {
+    (void)in.skip();
+    *error = "result is not a JSON object";
+    return std::nullopt;
+  }
+  std::optional<std::string> path;
+  std::optional<std::string> message;
+  std::optional<std::string> truth_source;
+  std::optional<bool> ok;
+  bool has_hash = false;
+  std::uint64_t hash = 0;
+  std::optional<std::size_t> counts[kCounts];
+  FunctionsState functions_state = FunctionsState::kMissing;
+  Functions functions;
+  if (!in.begin_object()) {
+    return std::nullopt;
+  }
+  std::string_view key;
+  while (in.next_member(&key)) {
+    bool read = true;
+    const auto count = std::find(std::begin(kCountKeys), std::end(kCountKeys),
+                                 key);
+    if (key == "path") {
+      read = read_text(in, &path.emplace());
+    } else if (key == "ok") {
+      ok.reset();
+      if (in.peek() == Value::Kind::kBool) {
+        read = in.boolean(&ok.emplace());
+      } else {
+        read = in.skip();
+      }
+    } else if (key == "content_hash") {
+      has_hash = false;
+      std::string_view text;
+      if (in.peek() == Value::Kind::kString) {
+        read = in.string(&text);
+        has_hash = read && parse_hex64(text, &hash);
+      } else {
+        read = in.skip();
+      }
+    } else if (key == "error") {
+      read = read_text(in, &message.emplace());
+    } else if (key == "truth_source") {
+      read = read_text(in, &truth_source.emplace());
+    } else if (count != std::end(kCountKeys)) {
+      read = read_count(in, &counts[count - std::begin(kCountKeys)]);
+    } else if (key == "functions") {
+      // analysis_json writes detected and plt_excluded first; together
+      // they count the entries.
+      const std::size_t expected = counts[kDetected].value_or(0) +
+                                   counts[kPltExcluded].value_or(0);
+      read = read_functions(
+          in, std::min(expected, document_bytes / kMinEntryBytes),
+          &functions_state, &functions);
+    } else {
+      read = in.skip();
+    }
+    if (!read) {
+      return std::nullopt;
+    }
+  }
+  if (!in.ok()) {
+    return std::nullopt;
+  }
+
+  eval::FileAnalysis fa;
+  if (!path || !ok) {
+    *error = "result lacks path/ok members";
+    return std::nullopt;
+  }
+  fa.row.path = std::move(*path);
+  fa.row.ok = *ok;
+  if (!has_hash) {
+    *error = "result content_hash is not a 0x hex string";
+    return std::nullopt;
+  }
+  fa.content_hash = hash;
+  if (!fa.row.ok) {
+    fa.row.error = message ? std::move(*message) : "unknown analysis error";
+    return fa;
+  }
+  if (!truth_source) {
+    *error = "result lacks truth_source";
+    return std::nullopt;
+  }
+  fa.row.truth_source = std::move(*truth_source);
+  std::size_t* const slots[kCounts] = {
+      &fa.row.truth,        &fa.row.detected,   &fa.row.tp,
+      &fa.row.fp,           &fa.row.fn,         &fa.row.plt_excluded,
+      &fa.row.zero_sized,   &fa.row.ifuncs,     &fa.row.aliases,
+      &fa.fde_starts,       &fa.pointer_starts, &fa.merged_parts,
+      &fa.invalid_fde_starts};
+  for (std::size_t i = 0; i < kCounts; ++i) {
+    if (!counts[i]) {
+      *error = "result lacks a numeric metric member";
+      return std::nullopt;
+    }
+    *slots[i] = *counts[i];
+  }
+  if (functions_state == FunctionsState::kMissing) {
+    *error = "result lacks a functions array";
+    return std::nullopt;
+  }
+  if (functions_state == FunctionsState::kMalformed) {
+    *error = "malformed functions entry";
+    return std::nullopt;
+  }
+  fa.functions = std::move(functions);
+  return fa;
 }
 
 Value base_response(const char* status) {
@@ -326,72 +575,106 @@ Value analysis_json(const eval::FileAnalysis& fa) {
   return doc;
 }
 
-std::optional<eval::FileAnalysis> analysis_from_json(
-    const util::json::Value& doc, std::string* error) {
-  if (!doc.is_object()) {
-    *error = "result is not a JSON object";
+std::optional<eval::FileAnalysis> analysis_from_json(std::string_view text,
+                                                     std::string* error) {
+  Reader in(text);
+  std::optional<eval::FileAnalysis> fa = read_analysis(in, text.size(), error);
+  if (!in.end()) {
+    *error = "result is not valid JSON";
     return std::nullopt;
-  }
-  eval::FileAnalysis fa;
-  const Value* path = doc.get("path");
-  const Value* ok = doc.get("ok");
-  if (path == nullptr || ok == nullptr ||
-      ok->kind() != Value::Kind::kBool) {
-    *error = "result lacks path/ok members";
-    return std::nullopt;
-  }
-  fa.row.path = path->text();
-  fa.row.ok = ok->as_bool();
-  if (const Value* hash = doc.get("content_hash");
-      !parse_hex64(hash, &fa.content_hash)) {
-    *error = "result content_hash is not a 0x hex string";
-    return std::nullopt;
-  }
-  if (!fa.row.ok) {
-    const Value* message = doc.get("error");
-    fa.row.error = message == nullptr ? "unknown analysis error"
-                                      : message->text();
-    return fa;
-  }
-  const Value* source = doc.get("truth_source");
-  if (source == nullptr) {
-    *error = "result lacks truth_source";
-    return std::nullopt;
-  }
-  fa.row.truth_source = source->text();
-  if (!get_count(doc, "truth", &fa.row.truth) ||
-      !get_count(doc, "detected", &fa.row.detected) ||
-      !get_count(doc, "tp", &fa.row.tp) ||
-      !get_count(doc, "fp", &fa.row.fp) ||
-      !get_count(doc, "fn", &fa.row.fn) ||
-      !get_count(doc, "plt_excluded", &fa.row.plt_excluded) ||
-      !get_count(doc, "zero_sized", &fa.row.zero_sized) ||
-      !get_count(doc, "ifuncs", &fa.row.ifuncs) ||
-      !get_count(doc, "aliases", &fa.row.aliases) ||
-      !get_count(doc, "fde_starts", &fa.fde_starts) ||
-      !get_count(doc, "pointer_starts", &fa.pointer_starts) ||
-      !get_count(doc, "merged_parts", &fa.merged_parts) ||
-      !get_count(doc, "invalid_fde_starts", &fa.invalid_fde_starts)) {
-    *error = "result lacks a numeric metric member";
-    return std::nullopt;
-  }
-  const Value* functions = doc.get("functions");
-  if (functions == nullptr || !functions->is_array()) {
-    *error = "result lacks a functions array";
-    return std::nullopt;
-  }
-  fa.functions.reserve(functions->items().size());
-  for (const Value& entry : functions->items()) {
-    std::uint64_t addr = 0;
-    if (!entry.is_array() || entry.items().size() != 2 ||
-        !parse_hex64(&entry.items()[0], &addr) ||
-        entry.items()[1].kind() != Value::Kind::kString) {
-      *error = "malformed functions entry";
-      return std::nullopt;
-    }
-    fa.functions.emplace_back(addr, entry.items()[1].text());
   }
   return fa;
+}
+
+QueryReply parse_query_reply(std::string_view payload, std::string* error) {
+  Reader in(payload);
+  std::optional<std::string> schema;
+  std::optional<std::string> status;
+  std::optional<std::string> message;
+  std::optional<std::string> cache;
+  std::optional<std::string> trace;
+  std::string code;
+  bool has_result = false;
+  std::optional<eval::FileAnalysis> analysis;
+  std::string analysis_error;
+  Value stages = Value::array();
+  if (in.peek() == Value::Kind::kObject && in.begin_object()) {
+    std::string_view key;
+    while (in.next_member(&key)) {
+      bool read = true;
+      if (key == "schema") {
+        read = read_text(in, &schema.emplace());
+      } else if (key == "status") {
+        read = read_text(in, &status.emplace());
+      } else if (key == "error") {
+        read = read_text(in, &message.emplace());
+      } else if (key == "code") {
+        // Only a string counts as a code (response_error_code).
+        const bool is_string = in.peek() == Value::Kind::kString;
+        read = read_text(in, &code);
+        if (!is_string) {
+          code.clear();
+        }
+      } else if (key == "cache") {
+        read = read_text(in, &cache.emplace());
+      } else if (key == "trace") {
+        read = read_text(in, &trace.emplace());
+      } else if (key == "result") {
+        has_result = true;
+        analysis = read_analysis(in, payload.size(), &analysis_error);
+        read = in.ok();
+      } else if (key == "stages") {
+        // Only an array counts; anything else leaves no stages.
+        stages = Value::array();
+        if (in.peek() == Value::Kind::kArray) {
+          std::optional<Value> value = in.value();
+          read = value.has_value();
+          if (read) {
+            stages = std::move(*value);
+          }
+        } else {
+          read = in.skip();
+        }
+      } else {
+        read = in.skip();
+      }
+      if (!read) {
+        break;
+      }
+    }
+  } else {
+    (void)in.skip();
+  }
+
+  QueryReply reply;
+  if (!in.end()) {
+    *error = "server sent malformed JSON";
+    return reply;
+  }
+  if (schema != kSchema) {
+    *error = std::string("response schema is not \"") + kSchema + "\"";
+    reply.error_code = std::move(code);
+    return reply;
+  }
+  if (status != "ok") {
+    *error = message ? std::move(*message) : "server reported an error";
+    reply.error_code = std::move(code);
+    return reply;
+  }
+  if (!has_result) {
+    *error = "query response has no result";
+    return reply;
+  }
+  if (!analysis) {
+    *error = std::move(analysis_error);
+    return reply;
+  }
+  QueryResult& out = reply.result.emplace();
+  out.analysis = std::move(*analysis);
+  out.cache = cache ? std::move(*cache) : "?";
+  out.trace = trace ? std::move(*trace) : "";
+  out.stages = std::move(stages);
+  return reply;
 }
 
 Value stats_view(const obs::Snapshot& snapshot) {

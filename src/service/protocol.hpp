@@ -110,9 +110,35 @@ struct Request {
                                       const std::string& trace,
                                       const util::json::Value& stages);
 
-/// Inverse of analysis_json. nullopt + *error on a malformed document.
+/// Inverse of analysis_json, read from its text in one pass with
+/// util::json::Reader. nullopt + *error on a malformed document.
 [[nodiscard]] std::optional<eval::FileAnalysis> analysis_from_json(
-    const util::json::Value& doc, std::string* error);
+    std::string_view text, std::string* error);
+
+/// One query's parsed outcome.
+struct QueryResult {
+  eval::FileAnalysis analysis;
+  std::string cache;  ///< "hit", "miss", "joined", or "none" (unreadable)
+  std::string trace;  ///< trace id echoed (or minted) by the daemon
+  /// Per-stage timings, [{"stage":...,"us":...}, ...]; empty array for
+  /// cache hits/joins (only a miss runs the pipeline).
+  util::json::Value stages = util::json::Value::array();
+};
+
+/// A query reply as parse_query_reply reads it.
+struct QueryReply {
+  std::optional<QueryResult> result;  ///< nullopt when the reply is unusable
+  std::string error_code;  ///< response_error_code of a failed reply
+};
+
+/// Inverse of query_frame: decodes a whole query reply payload in one
+/// pass, straight into the analysis; only "stages" becomes a tree. A
+/// reply that is not JSON, has the wrong schema, reports an error or
+/// carries no well-formed result leaves result empty and sets *error as
+/// response_ok and analysis_from_json would. A repeated member counts
+/// once, with its last value, as Value::set keeps it.
+[[nodiscard]] QueryReply parse_query_reply(std::string_view payload,
+                                           std::string* error);
 
 /// The "stats" member of a stats or shutdown reply: a fixed set of
 /// metrics from \p snapshot (a ServiceServer::metrics() snapshot) under

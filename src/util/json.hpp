@@ -1,17 +1,21 @@
 #pragma once
 
 /// \file json.hpp
-/// Minimal self-contained JSON model: an ordered value tree, a strict
-/// recursive-descent parser, and a deterministic pretty-printer. Used by
-/// the bench harness's `--json` mode and its round-trip tests, and by any
-/// future structured-output consumer (ROADMAP: fetch-cli table output).
+/// Minimal self-contained JSON: an ordered value tree, a strict pull
+/// reader (Reader, the only tokenizer; Value::parse is built on it) and a
+/// deterministic pretty-printer. Consumers: the fetch-service-v1 protocol
+/// (service/protocol.cpp; a query reply is decoded with Reader straight
+/// into an analysis, everything else through Value), the bench harness's
+/// `--json` output and bench_diff, `fetch-cli batch --json`, the
+/// experiment specs, tolerances and trajectories (src/exp), the metrics,
+/// trace and log documents (src/obs), truth sidecars and the json_schema
+/// validator.
 ///
 /// Numbers keep their source/format text verbatim alongside the parsed
 /// double, so a value formatted with eval::fmt() survives a
 /// write → parse → compare cycle exactly — the property the
 /// "JSON totals match the human-readable table" ctest check relies on.
 
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -184,254 +188,6 @@ inline void dump_string(const std::string& s, std::string& out) {
   out.push_back('"');
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  std::optional<Value> run() {
-    auto value = parse_value();
-    if (!value) {
-      return std::nullopt;
-    }
-    skip_ws();
-    if (pos_ != text_.size()) {
-      return std::nullopt;  // trailing junk
-    }
-    return value;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  [[nodiscard]] bool eat(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  [[nodiscard]] bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  std::optional<Value> parse_value() {  // NOLINT(misc-no-recursion)
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      return std::nullopt;
-    }
-    const char c = text_[pos_];
-    if (c == '{') {
-      return parse_object();
-    }
-    if (c == '[') {
-      return parse_array();
-    }
-    if (c == '"') {
-      auto s = parse_string();
-      if (!s) {
-        return std::nullopt;
-      }
-      return Value(std::move(*s));
-    }
-    if (literal("true")) {
-      return Value(true);
-    }
-    if (literal("false")) {
-      return Value(false);
-    }
-    if (literal("null")) {
-      return Value();
-    }
-    return parse_number();
-  }
-
-  std::optional<Value> parse_object() {  // NOLINT(misc-no-recursion)
-    if (!eat('{')) {
-      return std::nullopt;
-    }
-    Value obj = Value::object();
-    skip_ws();
-    if (eat('}')) {
-      return obj;
-    }
-    for (;;) {
-      skip_ws();
-      auto key = parse_string();
-      if (!key) {
-        return std::nullopt;
-      }
-      skip_ws();
-      if (!eat(':')) {
-        return std::nullopt;
-      }
-      auto value = parse_value();
-      if (!value) {
-        return std::nullopt;
-      }
-      obj.set(std::move(*key), std::move(*value));
-      skip_ws();
-      if (eat(',')) {
-        continue;
-      }
-      if (eat('}')) {
-        return obj;
-      }
-      return std::nullopt;
-    }
-  }
-
-  std::optional<Value> parse_array() {  // NOLINT(misc-no-recursion)
-    if (!eat('[')) {
-      return std::nullopt;
-    }
-    Value arr = Value::array();
-    skip_ws();
-    if (eat(']')) {
-      return arr;
-    }
-    for (;;) {
-      auto value = parse_value();
-      if (!value) {
-        return std::nullopt;
-      }
-      arr.add(std::move(*value));
-      skip_ws();
-      if (eat(',')) {
-        continue;
-      }
-      if (eat(']')) {
-        return arr;
-      }
-      return std::nullopt;
-    }
-  }
-
-  std::optional<std::string> parse_string() {
-    if (!eat('"')) {
-      return std::nullopt;
-    }
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return out;
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        return std::nullopt;
-      }
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          out.push_back(esc);
-          break;
-        case 'b':
-          out.push_back('\b');
-          break;
-        case 'f':
-          out.push_back('\f');
-          break;
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return std::nullopt;
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return std::nullopt;
-            }
-          }
-          // Encode the BMP code point as UTF-8 (surrogates unsupported).
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return std::nullopt;
-      }
-    }
-    return std::nullopt;  // unterminated
-  }
-
-  std::optional<Value> parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      ++pos_;
-    }
-    auto digits = [&] {
-      const std::size_t before = pos_;
-      while (pos_ < text_.size() && std::isdigit(
-                 static_cast<unsigned char>(text_[pos_])) != 0) {
-        ++pos_;
-      }
-      return pos_ > before;
-    };
-    if (!digits()) {
-      return std::nullopt;
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (!digits()) {
-        return std::nullopt;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (!digits()) {
-        return std::nullopt;
-      }
-    }
-    std::string text(text_.substr(start, pos_ - start));
-    const double value = std::strtod(text.c_str(), nullptr);
-    return Value::number(value, std::move(text));
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
 inline void dump_value(const Value& value, int depth, std::string& out) {
   const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
   const std::string inner(static_cast<std::size_t>(depth + 1) * 2, ' ');
@@ -524,6 +280,446 @@ inline void dump_value_compact(const Value& value, std::string& out) {
 
 }  // namespace detail
 
+/// Strict pull reader over one JSON document: the file's only tokenizer.
+/// The caller walks the document value by value — peek() names the kind
+/// of the next value, begin_object()/next_member() and
+/// begin_array()/next_item() step through containers, and string(),
+/// number(), boolean() and null() read scalars — so a consumer that knows
+/// its schema decodes straight into its own types and builds no tree.
+/// skip() validates a value it does not keep; value() builds a Value.
+///
+/// Errors are sticky: the first syntax error, or a container opened
+/// deeper than kMaxDepth, makes that call and every later one return
+/// false, and ok() false. A next_member()/next_item() that returns false
+/// with ok() still true has consumed the container's closing bracket.
+///
+/// Grammar, as Value::parse has always accepted it: whitespace is space,
+/// tab, LF and CR; a number is -?digits(.digits)?([eE][+-]?digits)?;
+/// strings take the JSON escapes, \u as a BMP code point in UTF-8.
+class Reader {
+ public:
+  /// The deepest nesting of arrays and objects a document may have.
+  /// fetch's own documents nest 4 levels at most; the bound is what
+  /// keeps a frame of a million '[' from recursing off the stack of a
+  /// tree-building caller.
+  static constexpr std::size_t kMaxDepth = 256;
+
+  /// \p text must outlive the reader, and the views it hands out.
+  explicit Reader(std::string_view text) : text_(text) {}
+
+  [[nodiscard]] bool ok() const { return !failed_; }
+
+  /// The kind of the next value, from its first byte; nullopt after an
+  /// error or when no value starts there. Consumes only whitespace.
+  [[nodiscard]] std::optional<Value::Kind> peek() {
+    if (failed_) {
+      return std::nullopt;
+    }
+    skip_ws();
+    if (pos_ >= text_.size()) {
+      return std::nullopt;
+    }
+    switch (text_[pos_]) {
+      case '{':
+        return Value::Kind::kObject;
+      case '[':
+        return Value::Kind::kArray;
+      case '"':
+        return Value::Kind::kString;
+      case 't':
+      case 'f':
+        return Value::Kind::kBool;
+      case 'n':
+        return Value::Kind::kNull;
+      default:
+        if (text_[pos_] == '-' || is_digit(text_[pos_])) {
+          return Value::Kind::kNumber;
+        }
+        return std::nullopt;
+    }
+  }
+
+  /// Opens an object; its members follow through next_member().
+  [[nodiscard]] bool begin_object() { return open('{'); }
+
+  /// Steps to the next member of the innermost open object: *key is its
+  /// name (valid until the next call), and its value comes next. False
+  /// when the object closes here, or on an error.
+  [[nodiscard]] bool next_member(std::string_view* key) {
+    if (!step('}')) {
+      return false;
+    }
+    if (!string(key)) {
+      return false;
+    }
+    skip_ws();
+    return eat(':') || fail();
+  }
+
+  /// Opens an array; its items follow through next_item().
+  [[nodiscard]] bool begin_array() { return open('['); }
+
+  /// Steps to the next item of the innermost open array, which comes
+  /// next. False when the array closes here, or on an error.
+  [[nodiscard]] bool next_item() { return step(']'); }
+
+  /// A string's contents, unescaped. *out points into the document when
+  /// the string has no escapes and into the reader otherwise; either way
+  /// it is valid until the next call.
+  [[nodiscard]] bool string(std::string_view* out) {
+    if (failed_) {
+      return false;
+    }
+    skip_ws();
+    if (!eat('"')) {
+      return fail();
+    }
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+      ++pos_;
+    }
+    if (pos_ >= text_.size()) {
+      return fail();  // unterminated
+    }
+    if (text_[pos_] == '"') {
+      *out = text_.substr(start, pos_ - start);
+      ++pos_;
+      return true;
+    }
+    scratch_.assign(text_.substr(start, pos_ - start));
+    if (!unescape_rest()) {
+      return fail();
+    }
+    *out = scratch_;
+    return true;
+  }
+
+  /// A number: its value (std::strtod of the text) and, when \p text is
+  /// given, its source text (valid as long as the document).
+  [[nodiscard]] bool number(double* value, std::string_view* text = nullptr) {
+    if (failed_) {
+      return false;
+    }
+    skip_ws();
+    const std::size_t start = pos_;
+    eat('-');
+    if (!digits()) {
+      return fail();
+    }
+    if (eat('.') && !digits()) {
+      return fail();
+    }
+    if (eat('e') || eat('E')) {
+      if (!eat('+')) {
+        eat('-');
+      }
+      if (!digits()) {
+        return fail();
+      }
+    }
+    const std::string_view source = text_.substr(start, pos_ - start);
+    if (value != nullptr) {
+      *value = std::strtod(std::string(source).c_str(), nullptr);
+    }
+    if (text != nullptr) {
+      *text = source;
+    }
+    return true;
+  }
+
+  [[nodiscard]] bool boolean(bool* out) {
+    if (literal("true")) {
+      *out = true;
+      return true;
+    }
+    if (literal("false")) {
+      *out = false;
+      return true;
+    }
+    return fail();
+  }
+
+  [[nodiscard]] bool null() { return literal("null") || fail(); }
+
+  /// Reads and validates the next value, keeping nothing.
+  [[nodiscard]] bool skip() {  // NOLINT(misc-no-recursion)
+    const std::optional<Value::Kind> kind = peek();
+    if (!kind) {
+      return fail();
+    }
+    std::string_view text;
+    switch (*kind) {
+      case Value::Kind::kObject:
+        if (!begin_object()) {
+          return false;
+        }
+        while (next_member(&text)) {
+          if (!skip()) {
+            return false;
+          }
+        }
+        return ok();
+      case Value::Kind::kArray:
+        if (!begin_array()) {
+          return false;
+        }
+        while (next_item()) {
+          if (!skip()) {
+            return false;
+          }
+        }
+        return ok();
+      case Value::Kind::kString:
+        return string(&text);
+      case Value::Kind::kNumber:
+        return number(nullptr);
+      case Value::Kind::kBool: {
+        bool b = false;
+        return boolean(&b);
+      }
+      case Value::Kind::kNull:
+        return null();
+    }
+    return fail();
+  }
+
+  /// Reads the next value into a tree. Object members keep their first
+  /// position and their last value, as Value::set does.
+  [[nodiscard]] std::optional<Value> value() {  // NOLINT(misc-no-recursion)
+    const std::optional<Value::Kind> kind = peek();
+    if (!kind) {
+      fail();
+      return std::nullopt;
+    }
+    std::string_view text;
+    switch (*kind) {
+      case Value::Kind::kObject: {
+        Value obj = Value::object();
+        if (!begin_object()) {
+          return std::nullopt;
+        }
+        while (next_member(&text)) {
+          std::string key(text);
+          auto member = value();
+          if (!member) {
+            return std::nullopt;
+          }
+          obj.set(std::move(key), std::move(*member));
+        }
+        return ok() ? std::optional<Value>(std::move(obj)) : std::nullopt;
+      }
+      case Value::Kind::kArray: {
+        Value arr = Value::array();
+        if (!begin_array()) {
+          return std::nullopt;
+        }
+        while (next_item()) {
+          auto item = value();
+          if (!item) {
+            return std::nullopt;
+          }
+          arr.add(std::move(*item));
+        }
+        return ok() ? std::optional<Value>(std::move(arr)) : std::nullopt;
+      }
+      case Value::Kind::kString:
+        if (!string(&text)) {
+          return std::nullopt;
+        }
+        return Value(std::string(text));
+      case Value::Kind::kNumber: {
+        double number_value = 0.0;
+        if (!number(&number_value, &text)) {
+          return std::nullopt;
+        }
+        return Value::number(number_value, std::string(text));
+      }
+      case Value::Kind::kBool: {
+        bool b = false;
+        if (!boolean(&b)) {
+          return std::nullopt;
+        }
+        return Value(b);
+      }
+      case Value::Kind::kNull:
+        if (!null()) {
+          return std::nullopt;
+        }
+        return Value();
+    }
+    return std::nullopt;
+  }
+
+  /// True when no error happened and only whitespace is left.
+  [[nodiscard]] bool end() {
+    if (failed_) {
+      return false;
+    }
+    skip_ws();
+    return pos_ == text_.size();
+  }
+
+ private:
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  bool fail() {
+    failed_ = true;
+    return false;
+  }
+
+  void skip_ws() {
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
+            text_[pos_] == '\r')) {
+      ++pos_;
+    }
+  }
+
+  bool eat(char c) {
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  bool literal(std::string_view word) {
+    if (failed_) {
+      return false;
+    }
+    skip_ws();
+    if (text_.substr(pos_, word.size()) == word) {
+      pos_ += word.size();
+      return true;
+    }
+    return false;
+  }
+
+  bool digits() {
+    const std::size_t before = pos_;
+    while (pos_ < text_.size() && is_digit(text_[pos_])) {
+      ++pos_;
+    }
+    return pos_ > before;
+  }
+
+  bool open(char bracket) {
+    if (failed_) {
+      return false;
+    }
+    skip_ws();
+    if (!eat(bracket) || depth_ == kMaxDepth) {
+      return fail();
+    }
+    ++depth_;
+    first_ = true;
+    return true;
+  }
+
+  /// The separator before a container's next element: \p close ends the
+  /// container, a ',' precedes every element but the first. One flag
+  /// serves every level — a nested container has always closed, leaving
+  /// it false, before its parent steps again.
+  bool step(char close) {
+    if (failed_) {
+      return false;
+    }
+    skip_ws();
+    if (eat(close)) {
+      --depth_;
+      first_ = false;
+      return false;
+    }
+    if (first_) {
+      first_ = false;
+      return true;
+    }
+    return eat(',') || fail();
+  }
+
+  /// Finishes a string whose first escape is at pos_, appending its
+  /// contents to scratch_ and consuming the closing quote.
+  bool unescape_rest() {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_++];
+      if (c == '"') {
+        return true;
+      }
+      if (c != '\\') {
+        scratch_.push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) {
+        return false;
+      }
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"':
+        case '\\':
+        case '/':
+          scratch_.push_back(esc);
+          break;
+        case 'b':
+          scratch_.push_back('\b');
+          break;
+        case 'f':
+          scratch_.push_back('\f');
+          break;
+        case 'n':
+          scratch_.push_back('\n');
+          break;
+        case 'r':
+          scratch_.push_back('\r');
+          break;
+        case 't':
+          scratch_.push_back('\t');
+          break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) {
+            return false;
+          }
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = text_[pos_++];
+            code <<= 4;
+            if (is_digit(h)) {
+              code |= static_cast<unsigned>(h - '0');
+            } else if (h >= 'a' && h <= 'f') {
+              code |= static_cast<unsigned>(h - 'a' + 10);
+            } else if (h >= 'A' && h <= 'F') {
+              code |= static_cast<unsigned>(h - 'A' + 10);
+            } else {
+              return false;
+            }
+          }
+          // Encode the BMP code point as UTF-8 (surrogates unsupported).
+          if (code < 0x80) {
+            scratch_.push_back(static_cast<char>(code));
+          } else if (code < 0x800) {
+            scratch_.push_back(static_cast<char>(0xC0 | (code >> 6)));
+            scratch_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          } else {
+            scratch_.push_back(static_cast<char>(0xE0 | (code >> 12)));
+            scratch_.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            scratch_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          }
+          break;
+        }
+        default:
+          return false;
+      }
+    }
+    return false;  // unterminated
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
+  bool first_ = false;  ///< the open container has no element yet
+  bool failed_ = false;
+  std::string scratch_;  ///< an escaped string's contents
+};
+
 inline Value Value::number(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.12g", value);
@@ -543,7 +739,12 @@ inline std::string Value::dump_compact() const {
 }
 
 inline std::optional<Value> Value::parse(std::string_view text) {
-  return detail::Parser(text).run();
+  Reader reader(text);
+  std::optional<Value> value = reader.value();
+  if (!value || !reader.end()) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace fetch::util::json

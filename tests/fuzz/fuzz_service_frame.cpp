@@ -2,17 +2,18 @@
 /// Fuzz entry point for the service ingress path: everything the daemon
 /// does with client-controlled bytes before any analysis runs. The input
 /// is treated as (a) a raw frame — header decode + cap check, (b) a
-/// request payload — strict fetch-service-v1 parse, and (c) a cached
-/// analysis document — JSON parse + analysis_from_json. All three must
+/// request payload — strict fetch-service-v1 parse, (c) an analysis
+/// document — analysis_from_json — and (d) a query reply —
+/// parse_query_reply, the client's side of the same bytes. All four must
 /// reject garbage via their error-return paths; nothing may throw.
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "service/protocol.hpp"
 #include "util/framing.hpp"
-#include "util/json.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -31,11 +32,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       size >= 4 ? size - 4 : size);
   (void)fetch::service::parse_request(payload, &error);
 
-  // (c) Cached analysis document: what `query` responses and the result
-  // cache deserialize.
-  const std::string whole(reinterpret_cast<const char*>(data), size);
-  if (const auto doc = fetch::util::json::Value::parse(whole)) {
-    (void)fetch::service::analysis_from_json(*doc, &error);
-  }
+  // (c) An analysis document, as a query reply's "result" carries it.
+  const std::string_view whole(reinterpret_cast<const char*>(data), size);
+  (void)fetch::service::analysis_from_json(whole, &error);
+
+  // (d) A whole query reply, as ServiceClient::query decodes it.
+  (void)fetch::service::parse_query_reply(whole, &error);
   return 0;
 }

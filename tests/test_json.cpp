@@ -1,11 +1,14 @@
 /// \file test_json.cpp
-/// util/json.hpp: parser strictness, writer determinism, and the
-/// write → parse → compare round trip the bench harness's --json mode
-/// depends on.
+/// util/json.hpp: parser strictness and its depth bound, the pull
+/// reader's walk, writer determinism, and the write → parse → compare
+/// round trip the bench harness's --json mode depends on.
 
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <string_view>
 
 namespace fetch::util::json {
 namespace {
@@ -86,6 +89,84 @@ TEST(Json, SetOverwritesInPlace) {
   obj.set("k", Value("two"));
   ASSERT_EQ(obj.members().size(), 1u);
   EXPECT_EQ(obj.get("k")->text(), "two");
+}
+
+TEST(Json, RejectsNestingPastTheDepthBound) {
+  // A million '[' once recursed the parser off the stack.
+  EXPECT_FALSE(Value::parse(std::string(1'000'000, '[')).has_value());
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(Value::parse(nested(Reader::kMaxDepth)).has_value());
+  EXPECT_FALSE(Value::parse(nested(Reader::kMaxDepth + 1)).has_value());
+  const std::string too_deep = nested(Reader::kMaxDepth + 1);
+  Reader deep(too_deep);
+  EXPECT_FALSE(deep.skip());
+  EXPECT_FALSE(deep.ok());
+}
+
+TEST(JsonReader, WalksMembersAndItemsInOrder) {
+  Reader in(R"( {"a": [1, "two", true, null], "b\u0041": {}, "c": []} )");
+  std::string_view key;
+  ASSERT_TRUE(in.begin_object());
+  ASSERT_TRUE(in.next_member(&key));
+  EXPECT_EQ(key, "a");
+  ASSERT_TRUE(in.begin_array());
+  ASSERT_TRUE(in.next_item());
+  double number = 0.0;
+  std::string_view text;
+  ASSERT_TRUE(in.number(&number, &text));
+  EXPECT_EQ(number, 1.0);
+  EXPECT_EQ(text, "1");
+  ASSERT_TRUE(in.next_item());
+  EXPECT_EQ(in.peek(), Value::Kind::kString);
+  ASSERT_TRUE(in.string(&text));
+  EXPECT_EQ(text, "two");
+  ASSERT_TRUE(in.next_item());
+  bool flag = false;
+  ASSERT_TRUE(in.boolean(&flag));
+  EXPECT_TRUE(flag);
+  ASSERT_TRUE(in.next_item());
+  ASSERT_TRUE(in.null());
+  EXPECT_FALSE(in.next_item());  // the array closes
+  ASSERT_TRUE(in.ok());
+  ASSERT_TRUE(in.next_member(&key));
+  EXPECT_EQ(key, "bA");  // keys are unescaped
+  ASSERT_TRUE(in.skip());
+  ASSERT_TRUE(in.next_member(&key));
+  EXPECT_EQ(key, "c");
+  const auto c = in.value();
+  ASSERT_TRUE(c.has_value());
+  EXPECT_TRUE(c->is_array());
+  EXPECT_FALSE(in.next_member(&key));
+  EXPECT_TRUE(in.end());
+}
+
+TEST(JsonReader, ErrorsAreSticky) {
+  Reader in("[1 2]");
+  ASSERT_TRUE(in.begin_array());
+  ASSERT_TRUE(in.next_item());
+  ASSERT_TRUE(in.skip());
+  EXPECT_FALSE(in.next_item());  // a missing ',' is an error, not the end
+  EXPECT_FALSE(in.ok());
+  EXPECT_FALSE(in.skip());
+  EXPECT_FALSE(in.peek().has_value());
+  EXPECT_FALSE(in.end());
+
+  // skip() validates what it does not keep.
+  for (const char* bad : {"{\"a\": [1,]}", "[\"\\q\"]", "{\"a\" 1}", "tru",
+                          "-", "1.e5", "[}", "{]"}) {
+    Reader skipped(bad);
+    EXPECT_FALSE(skipped.skip() && skipped.end()) << bad;
+  }
+}
+
+TEST(JsonReader, RepeatedMembersKeepTheLastValue) {
+  const auto v = Value::parse(R"({"k": 1, "j": 2, "k": 3})");
+  ASSERT_TRUE(v.has_value());
+  ASSERT_EQ(v->members().size(), 2u);
+  EXPECT_EQ(v->members()[0].first, "k");
+  EXPECT_EQ(v->get("k")->text(), "3");
 }
 
 }  // namespace

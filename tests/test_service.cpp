@@ -438,6 +438,28 @@ TEST(Service, MalformedRequestsGetErrorRepliesNotCrashes) {
   EXPECT_TRUE(client.ping(&error)) << error;
 }
 
+TEST(Service, DeeplyNestedRequestGetsAnErrorReply) {
+  // A frame of a million '[' once overflowed the event-loop thread's
+  // stack in the recursive parser and killed the daemon.
+  TestServer server;
+  std::string error;
+  auto fd = util::unix_connect(server.socket(), &error);
+  ASSERT_TRUE(fd.has_value()) << error;
+  ASSERT_TRUE(util::write_frame(fd->get(), std::string(1'000'000, '['),
+                                &error))
+      << error;
+  std::string reply;
+  ASSERT_EQ(util::read_frame(fd->get(), &reply, &error),
+            util::FrameStatus::kOk)
+      << error;
+  const auto doc = util::json::Value::parse(reply);
+  ASSERT_TRUE(doc.has_value()) << reply;
+  EXPECT_EQ(doc->get("status")->text(), "error") << reply;
+
+  auto client = server.connect();
+  EXPECT_TRUE(client.ping(&error)) << error;
+}
+
 TEST(Service, OversizeFrameClosesConnectionButNotServer) {
   TestServer server;
   std::string error;
@@ -1078,7 +1100,7 @@ TEST(Service, AnalysisJsonRoundTripsExactly) {
   fa.functions = {{0x401000, "fde"}, {0x401200, "pointer"}};
   std::string error;
   const auto back =
-      service::analysis_from_json(service::analysis_json(fa), &error);
+      service::analysis_from_json(service::analysis_json(fa).dump(), &error);
   ASSERT_TRUE(back.has_value()) << error;
   EXPECT_EQ(service::analysis_json(*back).dump(),
             service::analysis_json(fa).dump());

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ehframe/eh_builder.hpp"
@@ -97,7 +98,7 @@ TEST(Strip, DropDynsymLeavesNoSymbolInformation) {
   EXPECT_FALSE(after.has_symtab());
   EXPECT_FALSE(after.has_dynsym());
   EXPECT_EQ(after.function_truth().source, "none");
-  for (const std::string& name : {".symtab", ".dynsym"}) {
+  for (const std::string_view name : {".symtab", ".dynsym"}) {
     for (const elf::Section& section : after.sections()) {
       EXPECT_NE(section.name, name);
     }

@@ -13,6 +13,12 @@
 ///                                  ~4 GiB, past the kMaxFrameBytes cap
 ///   service_frame/torn.bin         header promising more payload than
 ///                                  the stream carries
+///   service_frame/deep_nesting.bin a frame of 64 Ki '[': once recursed
+///                                  the JSON parser off the daemon's
+///                                  stack (now past Reader::kMaxDepth)
+///
+/// The reply seeds (hit_reply, miss_reply, dup_escaped_reply) are
+/// unframed query replies for the client's decode, parse_query_reply.
 ///
 /// Usage: fuzz_seed_gen <corpus-root>   (writes <root>/{ehframe,elf,x86,
 /// service_frame}/*.bin; existing files are overwritten)
@@ -20,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <utility>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -29,6 +36,7 @@
 #include "ehframe/eh_frame_hdr.hpp"
 #include "elf/elf_builder.hpp"
 #include "elf/types.hpp"
+#include "eval/session.hpp"
 #include "service/protocol.hpp"
 #include "util/json.hpp"
 
@@ -189,6 +197,7 @@ void gen_x86(const fs::path& root) {
 void gen_service_frame(const fs::path& root) {
   using fetch::service::Op;
   using fetch::service::Request;
+  using fetch::util::json::Value;
 
   const auto framed_request = [](const Request& request) {
     const std::string payload =
@@ -216,6 +225,64 @@ void gen_service_frame(const fs::path& root) {
              framed(9, "{not json"));
   write_seed(root, "service_frame", "wrong_schema.bin",
              framed(38, R"({"schema":"fetch-service-v0","op":"x"})"));
+
+  // Regression: nesting far past Reader::kMaxDepth, which the recursive
+  // parser once followed until the stack ran out.
+  constexpr std::uint32_t kDeep = 64 * 1024;
+  write_seed(root, "service_frame", "deep_nesting.bin",
+             framed(kDeep, std::string(kDeep, '[')));
+
+  // Query replies as the daemon sends them (payload only): a hit, and a
+  // miss with its stage timings.
+  fetch::eval::FileAnalysis fa;
+  fa.row.path = "/usr/bin/true";
+  fa.row.ok = true;
+  fa.row.truth_source = "symtab";
+  fa.row.truth = 3;
+  fa.row.detected = 3;
+  fa.row.tp = 2;
+  fa.row.fp = 1;
+  fa.row.fn = 1;
+  fa.row.plt_excluded = 1;
+  fa.content_hash = 0x00000000deadbeefULL;
+  fa.fde_starts = 3;
+  fa.pointer_starts = 1;
+  fa.merged_parts = 1;
+  fa.functions = {{0x401000, "fde"},
+                  {0x401020, "call-target"},
+                  {0x401200, "pointer"},
+                  {0x401400, "tail-call"}};
+  const std::string body = fetch::service::encode_result_body(fa);
+  const auto reply = [&](const char* cache, const Value& stages) {
+    return from_string(fetch::service::query_frame(cache, fa.row.path, body,
+                                                   "0123456789abcdef", stages)
+                           .substr(4));
+  };
+  write_seed(root, "service_frame", "hit_reply.bin",
+             reply("hit", Value::array()));
+  Value stages = Value::array();
+  for (const auto& [stage, us] :
+       {std::pair{"elf_parse", 12u}, {"detect", 3456u}, {"score", 78u}}) {
+    Value entry = Value::object();
+    entry.set("stage", Value(stage));
+    entry.set("us", Value::number(static_cast<std::uint64_t>(us)));
+    stages.add(std::move(entry));
+  }
+  write_seed(root, "service_frame", "miss_reply.bin", reply("miss", stages));
+
+  // Repeated members (the last one counts) and escaped keys and values.
+  write_seed(root, "service_frame", "dup_escaped_reply.bin",
+             from_string(
+                 R"({"schema":"fetch-service-v1","status":"error",)"
+                 R"("status":"ok","op":"query","cache":"hit",)"
+                 R"("result":{"p\u0061th":"/a \"b\" \\c\u00e9","ok":true,)"
+                 R"("content_hash":"0x0DEADBEEF","truth_source":"symtab",)"
+                 R"("truth":1,"detected":1,"tp":1,"fp":0,"fn":0,"tp":"1",)"
+                 R"("plt_excluded":0,"zero_sized":0,"ifuncs":0,"aliases":0,)"
+                 R"("fde_starts":1,"pointer_starts":0,"merged_parts":0,)"
+                 R"("invalid_fde_starts":0,"functions":[["0x1"]],"tp":1e0,)"
+                 R"("functions":[["0x401000","fde"]]},)"
+                 R"("tr\u0061ce":"t\n","stages":[],"stages":{}})"));
 
   // A shaped-but-hostile analysis document for analysis_from_json.
   const std::string doc =
