@@ -4,6 +4,7 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <chrono>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fetch::service {
@@ -61,6 +64,22 @@ std::uint64_t now_us() {
 std::uint64_t idle_timer_id(std::uint64_t conn_id) { return conn_id * 2; }
 std::uint64_t write_timer_id(std::uint64_t conn_id) { return conn_id * 2 + 1; }
 
+/// A memoised content hash is trusted only for a file whose mtime and
+/// ctime were at least this much older than the wall clock before it was
+/// hashed. A write after that moves ctime to "now", past the stored
+/// value, however coarse the file system's timestamps are.
+constexpr std::int64_t kSettledNs = 2'000'000'000;
+
+std::int64_t wall_clock_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
+}
+
+std::int64_t timespec_ns(const timespec& ts) {
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
 const char* outcome_name(util::ShardedLru<std::string>::Outcome outcome) {
   using Outcome = util::ShardedLru<std::string>::Outcome;
   switch (outcome) {
@@ -80,6 +99,7 @@ ServiceServer::ServiceServer(ServerOptions options)
     : options_(std::move(options)),
       session_(options_.detector),
       cache_(options_.cache_capacity, options_.cache_shards),
+      memo_(options_.cache_capacity, options_.cache_shards),
       accepted_(registry_.counter("service_accepted_total")),
       rejected_connections_(
           registry_.counter("service_rejected_connections_total")),
@@ -96,6 +116,7 @@ ServiceServer::ServiceServer(ServerOptions options)
       queue_high_water_(registry_.gauge("service_queue_high_water")),
       queue_wait_us_(registry_.histogram("service_queue_wait_us")),
       query_us_(registry_.histogram("service_query_us")),
+      hash_skipped_(registry_.counter("service_hash_skipped_total")),
       hash_us_(registry_.histogram("service_hash_us")) {
   if (options_.socket_path.empty()) {
     options_.socket_path = default_socket_path();
@@ -798,43 +819,98 @@ void ServiceServer::worker_loop() {
   }
 }
 
+ServiceServer::FileIdentity ServiceServer::FileIdentity::of(
+    const struct stat& st) {
+  return {static_cast<std::uint64_t>(st.st_dev),
+          static_cast<std::uint64_t>(st.st_ino),
+          static_cast<std::int64_t>(st.st_size), timespec_ns(st.st_mtim),
+          timespec_ns(st.st_ctim)};
+}
+
+std::uint64_t ServiceServer::FileIdentity::key() const {
+  return util::fnv1a(dev, ino);
+}
+
+std::shared_ptr<const std::string> ServiceServer::memo_lookup(
+    const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) {
+    return nullptr;
+  }
+  const FileIdentity identity = FileIdentity::of(st);
+  const std::shared_ptr<const HashMemo> memo = memo_.find(identity.key());
+  if (memo == nullptr || memo->identity != identity) {
+    return nullptr;
+  }
+  return cache_.find(memo->content_hash);
+}
+
+void ServiceServer::memo_store(const util::MappedFile& file,
+                               std::int64_t wall_ns,
+                               std::uint64_t content_hash) {
+  const FileIdentity identity = FileIdentity::of(file.status());
+  struct stat after {};
+  if (!file.restat(&after) || FileIdentity::of(after) != identity) {
+    return;  // changed while it was hashed
+  }
+  const std::int64_t settled = wall_ns - kSettledNs;
+  if (identity.mtime_ns > settled || identity.ctime_ns > settled) {
+    return;  // racily clean: a write may not have moved the timestamps yet
+  }
+  memo_.put(identity.key(),
+            std::make_shared<const HashMemo>(HashMemo{identity, content_hash}));
+}
+
 std::string ServiceServer::run_query(const Job& job) {
   const std::string& path = job.path;
   obs::Trace trace(job.trace_id);
   obs::Span query_span(nullptr, "query", &query_us_);
 
-  // Query: hash the content first, then consult the cache. Reading the
-  // file on every query is what makes the cache content-addressed — a
-  // changed binary at the same path is a different key, and the same
-  // binary at a different path is a hit. mmap avoids copying multi-MiB
-  // binaries into a heap buffer just to hash them; non-regular or
-  // unmappable files fall back to a plain read.
-  std::span<const std::uint8_t> bytes;
-  std::optional<util::MappedFile> mapped = util::MappedFile::map(path);
-  std::vector<std::uint8_t> fallback;
-  if (mapped) {
-    bytes = mapped->bytes();
-  } else if (util::read_file_bytes(path, &fallback)) {
-    bytes = {fallback.data(), fallback.size()};
+  // A hit on a file whose stat identity is unchanged since it was hashed
+  // is answered without opening it (memo_lookup). Everything else reads
+  // and hashes the file, then consults the cache, so the cache stays
+  // content-addressed: a changed binary at the same path is a different
+  // key, the same binary at a different path is a hit, and a miss
+  // analyzes exactly the bytes whose hash it just computed. mmap avoids
+  // copying multi-MiB binaries into a heap buffer just to hash them;
+  // non-regular or unmappable files fall back to a plain read.
+  using Outcome = util::ShardedLru<std::string>::Outcome;
+  std::shared_ptr<const std::string> body = memo_lookup(path);
+  Outcome outcome = Outcome::kHit;
+  if (body != nullptr) {
+    hash_skipped_.add();
   } else {
-    util::json::Value response = ok_response(Op::kQuery);
-    response.set("cache", util::json::Value("none"));
-    response.set("result",
-                 analysis_json(eval::AnalysisSession::unreadable(path)));
-    response.set("trace", util::json::Value(trace.id()));
-    response.set("stages", trace.stages_json());
-    return encode_frame(response);
+    const std::int64_t wall_ns = wall_clock_ns();
+    std::span<const std::uint8_t> bytes;
+    std::optional<util::MappedFile> mapped = util::MappedFile::map(path);
+    std::vector<std::uint8_t> fallback;
+    if (mapped) {
+      bytes = mapped->bytes();
+    } else if (util::read_file_bytes(path, &fallback)) {
+      bytes = {fallback.data(), fallback.size()};
+    } else {
+      util::json::Value response = ok_response(Op::kQuery);
+      response.set("cache", util::json::Value("none"));
+      response.set("result",
+                   analysis_json(eval::AnalysisSession::unreadable(path)));
+      response.set("trace", util::json::Value(trace.id()));
+      response.set("stages", trace.stages_json());
+      return encode_frame(response);
+    }
+    obs::Span hash_span(nullptr, "hash", &hash_us_);
+    const std::uint64_t key = eval::AnalysisSession::content_hash(bytes);
+    hash_span.finish();
+    if (mapped) {
+      memo_store(*mapped, wall_ns, key);
+    }
+    std::tie(body, outcome) = cache_.get_or_compute(key, [&] {
+      // Only a miss runs the pipeline, so only a miss has stage timings;
+      // hits and joins echo an empty stages array. The result is encoded
+      // here, once, and every later hit copies the encoded bytes.
+      return encode_result_body(session_.analyze_image(
+          bytes, path, eval::AnalysisSession::Detail::kFull, &trace));
+    });
   }
-  obs::Span hash_span(nullptr, "hash", &hash_us_);
-  const std::uint64_t key = eval::AnalysisSession::content_hash(bytes);
-  hash_span.finish();
-  const auto [body, outcome] = cache_.get_or_compute(key, [&] {
-    // Only a miss runs the pipeline, so only a miss has stage timings;
-    // hits and joins echo an empty stages array. The result is encoded
-    // here, once, and every later hit copies the encoded bytes.
-    return encode_result_body(session_.analyze_image(
-        bytes, path, eval::AnalysisSession::Detail::kFull, &trace));
-  });
   std::string frame = query_frame(outcome_name(outcome), path, *body,
                                   trace.id(), trace.stages_json());
   const std::uint64_t elapsed_ms = query_span.finish() / 1000;

@@ -13,9 +13,10 @@
 /// **bounded** queue consumed by a fixed worker pool; when the queue is
 /// full the client gets an immediate `overloaded` error response — shed
 /// load, never hang. Workers analyze (mmap read path, content-hash
-/// keyed single-flight LRU) and hand the serialized response back to the
-/// I/O thread through a completion list + eventfd wakeup; only the I/O
-/// thread ever writes to a socket.
+/// keyed single-flight LRU, and a stat-identity memo that answers a hit
+/// on an unchanged file without reading it) and hand the serialized
+/// response back to the I/O thread through a completion list + eventfd
+/// wakeup; only the I/O thread ever writes to a socket.
 ///
 /// Deadlines: a timer wheel enforces a per-connection idle timeout
 /// (measured from the last *complete* frame, so slow-loris byte
@@ -47,6 +48,7 @@
 #include "obs/metrics.hpp"
 #include "service/protocol.hpp"
 #include "util/framing.hpp"
+#include "util/fs.hpp"
 #include "util/lru.hpp"
 #include "util/socket.hpp"
 #include "util/timer_wheel.hpp"
@@ -185,15 +187,49 @@ class ServiceServer {
   /// obs::Registry::global() (decode cache, disassembly, session stages).
   [[nodiscard]] util::json::Value metrics_response() const;
 
+  /// What stat says identifies a file's bytes: where it lives and the
+  /// size and timestamps the kernel reports for it.
+  struct FileIdentity {
+    std::uint64_t dev = 0;
+    std::uint64_t ino = 0;
+    std::int64_t size = 0;
+    std::int64_t mtime_ns = 0;
+    std::int64_t ctime_ns = 0;
+
+    [[nodiscard]] static FileIdentity of(const struct stat& st);
+    /// The memo key: a hash of (dev, ino). Several files may share a
+    /// key, so a lookup compares the whole identity.
+    [[nodiscard]] std::uint64_t key() const;
+    bool operator==(const FileIdentity&) const = default;
+  };
+
+  /// A file's identity when its content was hashed, and that hash.
+  struct HashMemo {
+    FileIdentity identity;
+    std::uint64_t content_hash = 0;
+  };
+
   // --- worker-side ---
   void worker_loop();
   [[nodiscard]] std::string run_query(const Job& job);
+  /// The cached reply body for \p path when its stat matches a memoised
+  /// identity and that content's result is still cached; else nullptr.
+  [[nodiscard]] std::shared_ptr<const std::string> memo_lookup(
+      const std::string& path);
+  /// Memoises \p content_hash for \p file when the file did not change
+  /// while it was hashed and its timestamps are settled: both at least
+  /// kSettledNs older than \p wall_ns, the wall clock read before map().
+  void memo_store(const util::MappedFile& file, std::int64_t wall_ns,
+                  std::uint64_t content_hash);
 
   ServerOptions options_;
   std::size_t effective_queue_depth_ = 0;
   eval::AnalysisSession session_;
   /// Content hash -> encode_result_body of that content's analysis.
   util::ShardedLru<std::string> cache_;
+  /// Hash of (st_dev, st_ino) -> the content hash last computed for that
+  /// file, so a hit on an unchanged file skips reading and hashing it.
+  util::ShardedLru<HashMemo> memo_;
   util::Fd listener_;
   util::Fd epoll_;
   util::Fd wake_event_;   ///< eventfd: worker completions + stop() wakeups
@@ -244,6 +280,7 @@ class ServiceServer {
   obs::Gauge& queue_high_water_;        ///< max queue depth ever observed
   obs::Histogram& queue_wait_us_;       ///< enqueue → worker dequeue
   obs::Histogram& query_us_;            ///< worker dequeue → reply encoded
+  obs::Counter& hash_skipped_;          ///< hits answered from memo_
   obs::Histogram& hash_us_;             ///< content hash of one readable query
 };
 

@@ -29,9 +29,13 @@ namespace fetch::util {
 /// hashes and parses multi-MiB binaries per query; mmap lets it do that
 /// straight from the page cache instead of copying every byte into a
 /// heap vector first (no double-buffering on the service read path).
-/// Move-only; unmaps on destruction. map() returns nullopt for anything
-/// that is not an openable regular file — callers fall back to
+/// Move-only; unmaps and closes on destruction. map() returns nullopt for
+/// anything that is not an openable regular file — callers fall back to
 /// read_file_bytes, which also covers pseudo-files mmap cannot serve.
+///
+/// The descriptor stays open for the mapping's lifetime, so a caller can
+/// compare the file's identity before and after reading it: status() is
+/// the fstat map() took, restat() a fresh fstat of the same open file.
 class MappedFile {
  public:
   MappedFile() = default;
@@ -40,48 +44,50 @@ class MappedFile {
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
   MappedFile(MappedFile&& other) noexcept
-      : addr_(other.addr_), size_(other.size_) {
-    other.addr_ = nullptr;
-    other.size_ = 0;
-  }
+      : fd_(std::exchange(other.fd_, -1)),
+        addr_(std::exchange(other.addr_, nullptr)),
+        size_(std::exchange(other.size_, 0)),
+        status_(other.status_) {}
   MappedFile& operator=(MappedFile&& other) noexcept {
     if (this != &other) {
       reset();
-      addr_ = other.addr_;
-      size_ = other.size_;
-      other.addr_ = nullptr;
-      other.size_ = 0;
+      fd_ = std::exchange(other.fd_, -1);
+      addr_ = std::exchange(other.addr_, nullptr);
+      size_ = std::exchange(other.size_, 0);
+      status_ = other.status_;
     }
     return *this;
   }
 
   [[nodiscard]] static std::optional<MappedFile> map(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-      return std::nullopt;
-    }
-    struct stat st {};
-    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-      ::close(fd);
-      return std::nullopt;
-    }
     MappedFile out;
-    out.size_ = static_cast<std::size_t>(st.st_size);
+    out.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (out.fd_ < 0 || ::fstat(out.fd_, &out.status_) != 0 ||
+        !S_ISREG(out.status_.st_mode)) {
+      return std::nullopt;
+    }
+    out.size_ = static_cast<std::size_t>(out.status_.st_size);
     if (out.size_ != 0) {
-      void* addr = ::mmap(nullptr, out.size_, PROT_READ, MAP_PRIVATE, fd, 0);
+      void* addr =
+          ::mmap(nullptr, out.size_, PROT_READ, MAP_PRIVATE, out.fd_, 0);
       if (addr == MAP_FAILED) {
-        ::close(fd);
         return std::nullopt;
       }
       out.addr_ = addr;
     }
-    // The mapping keeps the pages alive; the descriptor is not needed.
-    ::close(fd);
     return out;
   }
 
   [[nodiscard]] std::span<const std::uint8_t> bytes() const {
     return {static_cast<const std::uint8_t*>(addr_), size_};
+  }
+
+  /// The fstat map() took of the open file, before any byte was read.
+  [[nodiscard]] const struct stat& status() const { return status_; }
+
+  /// fstat of the open file now. false when fstat fails.
+  [[nodiscard]] bool restat(struct stat* out) const {
+    return ::fstat(fd_, out) == 0;
   }
 
  private:
@@ -90,11 +96,17 @@ class MappedFile {
       ::munmap(addr_, size_);
       addr_ = nullptr;
     }
+    if (fd_ >= 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
     size_ = 0;
   }
 
+  int fd_ = -1;
   void* addr_ = nullptr;
   std::size_t size_ = 0;
+  struct stat status_ {};
 };
 
 /// Reads a whole file in one sized read (seek-to-end + resize + read) —

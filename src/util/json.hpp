@@ -23,6 +23,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -101,7 +102,10 @@ class Value {
     items_.push_back(std::move(item));
     return items_.back();
   }
-  Value& set(std::string key, Value value) {  // object insert/overwrite
+  /// Object insert/overwrite: a repeated key keeps its first position and
+  /// takes the new value. Scans the members, so building an object of n
+  /// distinct keys this way is O(n^2); Reader decodes objects in O(n).
+  Value& set(std::string key, Value value) {
     for (Member& m : members_) {
       if (m.first == key) {
         m.second = std::move(value);
@@ -146,6 +150,8 @@ class Value {
   [[nodiscard]] static std::optional<Value> parse(std::string_view text);
 
  private:
+  friend class Reader;
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double num_ = 0.0;
@@ -484,7 +490,8 @@ class Reader {
   }
 
   /// Reads the next value into a tree. Object members keep their first
-  /// position and their last value, as Value::set does.
+  /// position and their last value, as Value::set does, in time linear
+  /// in the member count.
   [[nodiscard]] std::optional<Value> value() {  // NOLINT(misc-no-recursion)
     const std::optional<Value::Kind> kind = peek();
     if (!kind) {
@@ -504,9 +511,13 @@ class Reader {
           if (!member) {
             return std::nullopt;
           }
-          obj.set(std::move(key), std::move(*member));
+          obj.members_.emplace_back(std::move(key), std::move(*member));
         }
-        return ok() ? std::optional<Value>(std::move(obj)) : std::nullopt;
+        if (!ok()) {
+          return std::nullopt;
+        }
+        fold_repeats(obj.members_);
+        return obj;
       }
       case Value::Kind::kArray: {
         Value arr = Value::array();
@@ -561,6 +572,44 @@ class Reader {
 
  private:
   static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  /// Merges repeated keys as Value::set would have, in linear time: a
+  /// key keeps its first position and takes its last value.
+  static void fold_repeats(std::vector<Member>& members) {
+    if (members.size() < 2) {
+      return;
+    }
+    // Pass 1 moves nothing, so the views stay valid: slot[i] is where
+    // member i lands once the repeats are folded.
+    std::vector<std::size_t> slot(members.size());
+    std::size_t kept = 0;
+    {
+      std::unordered_map<std::string_view, std::size_t> first;
+      first.reserve(members.size());
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        const auto [it, fresh] = first.try_emplace(members[i].first, kept);
+        slot[i] = it->second;
+        kept += fresh ? 1 : 0;
+      }
+    }
+    if (kept == members.size()) {
+      return;
+    }
+    // Slots are handed out in order, so member i is its key's first
+    // occurrence exactly when its slot is the next one to fill.
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      if (slot[i] == next) {
+        if (next != i) {
+          members[next] = std::move(members[i]);
+        }
+        ++next;
+      } else {
+        members[slot[i]].second = std::move(members[i].second);
+      }
+    }
+    members.resize(kept);
+  }
 
   bool fail() {
     failed_ = true;

@@ -4,10 +4,11 @@
 /// Sharded, capacity-bounded LRU cache with single-flight computation —
 /// the result-cache primitive behind the analysis service (src/service/).
 ///
-/// Keys are 64-bit content hashes (util/hash.hpp XXH64 digests). Values
-/// are handed out as shared_ptr<const V>, so a hit shares the cached
-/// object with zero copying and an entry evicted while a reader still
-/// holds it stays alive until the last reader drops it.
+/// Keys are 64-bit hashes: the service keys its result cache by content
+/// (util/hash.hpp XXH64 digests) and its stat memo by (device, inode).
+/// Values are handed out as shared_ptr<const V>, so a hit shares the
+/// cached object with zero copying and an entry evicted while a reader
+/// still holds it stays alive until the last reader drops it.
 ///
 /// Single-flight: get_or_compute() guarantees that concurrent callers
 /// asking for the same absent key trigger exactly ONE computation; the
@@ -90,14 +91,21 @@ class ShardedLru {
   [[nodiscard]] std::shared_ptr<const V> get(std::uint64_t key) {
     Shard& shard = shard_for(key);
     const std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
+    std::shared_ptr<const V> value = hit_locked(shard, key);
+    if (value == nullptr) {
       ++shard.misses;
-      return nullptr;
     }
-    ++shard.hits;
-    shard.order.splice(shard.order.begin(), shard.order, it->second);
-    return it->second->second;
+    return value;
+  }
+
+  /// Looks up \p key like get(), but counts only a hit: an absent key
+  /// leaves the counters alone. For a probe that falls back to
+  /// get_or_compute() on nullptr, which then counts the miss or join, so
+  /// lookups() still counts each request once.
+  [[nodiscard]] std::shared_ptr<const V> find(std::uint64_t key) {
+    Shard& shard = shard_for(key);
+    const std::lock_guard<std::mutex> lock(shard.mu);
+    return hit_locked(shard, key);
   }
 
   /// Inserts (or overwrites and promotes) \p key.
@@ -119,11 +127,8 @@ class ShardedLru {
     Shard& shard = shard_for(key);
     std::unique_lock<std::mutex> lock(shard.mu);
     for (;;) {
-      const auto it = shard.index.find(key);
-      if (it != shard.index.end()) {
-        ++shard.hits;
-        shard.order.splice(shard.order.begin(), shard.order, it->second);
-        return {it->second->second, Outcome::kHit};
+      if (std::shared_ptr<const V> value = hit_locked(shard, key)) {
+        return {std::move(value), Outcome::kHit};
       }
       const auto flight = shard.inflight.find(key);
       if (flight == shard.inflight.end()) {
@@ -222,6 +227,19 @@ class ShardedLru {
     h *= 0xff51afd7ed558ccdULL;
     h ^= h >> 33;
     return shards_[h % shards_.size()];
+  }
+
+  /// The value cached for \p key, promoted to most-recently-used and
+  /// counted as a hit; nullptr, counted nowhere, when absent. The caller
+  /// holds shard.mu.
+  std::shared_ptr<const V> hit_locked(Shard& shard, std::uint64_t key) {
+    const auto it = shard.index.find(key);
+    if (it == shard.index.end()) {
+      return nullptr;
+    }
+    ++shard.hits;
+    shard.order.splice(shard.order.begin(), shard.order, it->second);
+    return it->second->second;
   }
 
   void insert_locked(Shard& shard, std::uint64_t key,

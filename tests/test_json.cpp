@@ -169,5 +169,28 @@ TEST(JsonReader, RepeatedMembersKeepTheLastValue) {
   EXPECT_EQ(v->get("k")->text(), "3");
 }
 
+TEST(JsonReader, LargeObjectsFoldRepeatsLikeSet) {
+  // Short keys live inside the string object and long ones on the heap;
+  // both must survive the fold's moves. Every third member repeats a key.
+  Value expected = Value::object();
+  std::string text = "{";
+  for (std::size_t i = 0; i < 3000; ++i) {
+    const std::size_t k = i % 3 == 2 ? i / 7 : i;
+    const std::string key =
+        (k % 2 == 0 ? "k" : "a-key-long-enough-to-leave-the-inline-buffer-") +
+        std::to_string(k);
+    expected.set(key, Value::number(static_cast<std::uint64_t>(i)));
+    text += (i == 0 ? "\"" : ",\"") + key + "\":" + std::to_string(i);
+  }
+  text += "}";
+  const auto parsed = Value::parse(text);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->members().size(), expected.members().size());
+  for (std::size_t i = 0; i < expected.members().size(); ++i) {
+    EXPECT_EQ(parsed->members()[i].first, expected.members()[i].first) << i;
+  }
+  EXPECT_TRUE(*parsed == expected);
+}
+
 }  // namespace
 }  // namespace fetch::util::json

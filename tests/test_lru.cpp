@@ -84,6 +84,25 @@ TEST(ShardedLru, GetOrComputeCachesAndCountsOutcomes) {
   EXPECT_EQ(computed, 1);
 }
 
+TEST(ShardedLru, FindCountsOnlyHits) {
+  // A probe with find() that falls back to get_or_compute() counts each
+  // request once: the absent probe counts nothing, the compute a miss.
+  ShardedLru<int> cache(4, 1);
+  EXPECT_EQ(cache.find(9), nullptr);
+  EXPECT_EQ(cache.stats().lookups(), 0u);
+  const auto computed = cache.get_or_compute(9, [] { return 90; });
+  EXPECT_EQ(computed.second, ShardedLru<int>::Outcome::kComputed);
+  const auto found = cache.find(9);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found, computed.first);  // the cached object, not a copy
+
+  const LruStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.joined, 0u);
+  EXPECT_EQ(stats.lookups(), 2u);
+}
+
 TEST(ShardedLru, SingleFlightComputesOnceUnderContention) {
   ShardedLru<int> cache(8, 4);
   std::atomic<int> computations{0};

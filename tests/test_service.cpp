@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -460,6 +461,37 @@ TEST(Service, DeeplyNestedRequestGetsAnErrorReply) {
   EXPECT_TRUE(client.ping(&error)) << error;
 }
 
+TEST(Service, RequestOfManyKeysDoesNotStallTheEventLoop) {
+  // Decoding a request once cost O(n^2) in its member count on the I/O
+  // thread: one frame of 40k distinct keys stalled every connection for
+  // seconds. The repeated "op" keeps its first position and its last
+  // value, so this is a ping.
+  TestServer server;
+  std::string payload = R"({"schema":"fetch-service-v1","op":"frobnicate")";
+  for (int i = 0; i < 40'000; ++i) {
+    payload += ",\"k" + std::to_string(i) + "\":0";
+  }
+  payload += R"(,"op":"ping"})";
+  std::string error;
+  auto fd = util::unix_connect(server.socket(), &error);
+  ASSERT_TRUE(fd.has_value()) << error;
+  auto client = server.connect();
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(util::write_frame(fd->get(), payload, &error)) << error;
+  // Queued behind the big frame on the same I/O thread.
+  EXPECT_TRUE(client.ping(&error)) << error;
+  std::string reply;
+  ASSERT_EQ(util::read_frame(fd->get(), &reply, &error),
+            util::FrameStatus::kOk)
+      << error;
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(reply, service::ok_response(service::Op::kPing).dump());
+  // Milliseconds when linear, even under sanitizers; the quadratic decode
+  // took ~4 s in a release build.
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+}
+
 TEST(Service, OversizeFrameClosesConnectionButNotServer) {
   TestServer server;
   std::string error;
@@ -692,7 +724,7 @@ TEST(ServiceOverload, MidFrameDisconnectsLeaveServerHealthy) {
     // Half a header, then vanish.
     const std::uint8_t partial[] = {0x40, 0x00};
     ASSERT_EQ(::send(fd->get(), partial, sizeof(partial), MSG_NOSIGNAL), 2);
-    fd.reset();
+    fd->reset();
   }
   EXPECT_TRUE(metric_eventually(server.server(), "service_frames_shed_total",
                                 [](std::uint64_t v) { return v >= 5; }));
@@ -944,6 +976,92 @@ TEST(ServiceMetrics, TraceIdsEchoAndStagesFollowCacheState) {
         << hit->trace;
   }
   EXPECT_EQ(hit->stages.items().size(), 0u);
+}
+
+// --- Stat-identity memo ------------------------------------------------------
+
+/// Overwrites byte 15 of the ELF identification in place: padding no
+/// reader looks at, so the file keeps its size and stays analyzable but
+/// hashes differently.
+void rewrite_ident_padding(const std::string& path, char value) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  file.seekp(15);
+  file.put(value);
+}
+
+TEST(ServiceMemo, SettledFilesSkipTheHashAndEveryChangeIsSeen) {
+  namespace fs = std::filesystem;
+  TestServer server;
+  auto client = server.connect();
+  std::string error;
+  const fs::path dir = fs::path(::testing::TempDir()) / "svc_memo";
+  fs::create_directories(dir);
+  const std::string fixture =
+      write_sample_binary("svc_memo_fixture.bin", 2, 0x3e3a0);
+  const std::string path = (dir / "memo.bin").string();
+  const std::string staged = (dir / "memo.staged").string();
+  for (const std::string& copy : {path, staged}) {
+    fs::copy_file(fixture, copy, fs::copy_options::overwrite_existing);
+  }
+  rewrite_ident_padding(staged, 2);
+  // The memo trusts only timestamps at least 2 s older than the query.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2100));
+
+  const auto hashes = [&] {
+    return server.server().metrics().histograms().at("service_hash_us").count;
+  };
+  const auto skipped = [&] {
+    return metric(server.server().metrics(), "service_hash_skipped_total");
+  };
+  std::uint64_t queries = 0;
+  const auto query = [&] {
+    auto result = client.query(path, &error);
+    EXPECT_TRUE(result.has_value()) << error;
+    ++queries;
+    return result.value_or(service::QueryResult{});
+  };
+
+  // The miss hashes the settled file and memoises it; the hit is
+  // answered from the memo without a hash, with the same result.
+  const service::QueryResult miss = query();
+  EXPECT_EQ(miss.cache, "miss");
+  EXPECT_EQ(hashes(), 1u);
+  const service::QueryResult hit = query();
+  EXPECT_EQ(hit.cache, "hit");
+  EXPECT_EQ(hashes(), 1u);
+  EXPECT_EQ(skipped(), 1u);
+  EXPECT_EQ(service::analysis_json(hit.analysis).dump(),
+            service::analysis_json(miss.analysis).dump());
+
+  // Different bytes of the same size, written in place: ctime moves on.
+  rewrite_ident_padding(path, 1);
+  const service::QueryResult rewritten = query();
+  EXPECT_EQ(rewritten.cache, "miss");
+  EXPECT_NE(rewritten.analysis.content_hash, miss.analysis.content_hash);
+  // A freshly written file is hashed on every query, hit or miss.
+  const service::QueryResult fresh = query();
+  EXPECT_EQ(fresh.cache, "hit");
+  EXPECT_EQ(hashes(), 3u);
+  EXPECT_EQ(skipped(), 1u);
+
+  // Replaced by rename with a file as settled as the first: a new inode.
+  fs::rename(staged, path);
+  const service::QueryResult renamed = query();
+  EXPECT_EQ(renamed.cache, "miss");
+  EXPECT_NE(renamed.analysis.content_hash, rewritten.analysis.content_hash);
+  EXPECT_EQ(hashes(), 4u);
+
+  fs::remove(path);
+  const auto gone = client.query(path, &error);
+  ASSERT_TRUE(gone.has_value()) << error;
+  EXPECT_EQ(gone->cache, "none");
+
+  const auto stats = client.stats(&error);
+  ASSERT_TRUE(stats.has_value()) << error;
+  EXPECT_EQ(stats->get("hits")->as_double() + stats->get("misses")->as_double() +
+                stats->get("joined")->as_double(),
+            static_cast<double>(queries));
+  EXPECT_EQ(stats->get("misses")->as_double(), 3.0);
 }
 
 // The sanitizer-matrix stress cases (ctest label "concurrency", run under
