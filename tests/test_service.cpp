@@ -1044,7 +1044,7 @@ TEST(ServiceMemo, SettledFilesSkipTheHashAndEveryChangeIsSeen) {
   EXPECT_EQ(hashes(), 3u);
   EXPECT_EQ(skipped(), 1u);
 
-  // Replaced by rename with a file as settled as the first: a new inode.
+  // Replaced by rename with a file written before the sleep: a new inode.
   fs::rename(staged, path);
   const service::QueryResult renamed = query();
   EXPECT_EQ(renamed.cache, "miss");
@@ -1058,7 +1058,8 @@ TEST(ServiceMemo, SettledFilesSkipTheHashAndEveryChangeIsSeen) {
 
   const auto stats = client.stats(&error);
   ASSERT_TRUE(stats.has_value()) << error;
-  EXPECT_EQ(stats->get("hits")->as_double() + stats->get("misses")->as_double() +
+  EXPECT_EQ(stats->get("hits")->as_double() +
+                stats->get("misses")->as_double() +
                 stats->get("joined")->as_double(),
             static_cast<double>(queries));
   EXPECT_EQ(stats->get("misses")->as_double(), 3.0);
