@@ -36,11 +36,11 @@ std::string timestamp_utc() {
                   1000;
   std::tm tm{};
   ::gmtime_r(&secs, &tm);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
-                tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                tm.tm_min, tm.tm_sec, static_cast<int>(ms));
-  return buf;
+  char date[32];
+  std::strftime(date, sizeof(date), "%Y-%m-%dT%H:%M:%S", &tm);
+  char millis[8];  // ".999Z"; ms is in (-1000, 1000)
+  std::snprintf(millis, sizeof(millis), ".%03dZ", static_cast<int>(ms));
+  return std::string(date) + millis;
 }
 
 LogLevel initial_level() {

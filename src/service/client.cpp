@@ -49,7 +49,8 @@ std::optional<ServiceClient> ServiceClient::connect(
 bool ServiceClient::exchange(const Request& request, std::string* payload,
                              std::string* error) {
   last_error_code_.clear();
-  if (!util::write_frame(fd_.get(), request_json(request).dump(), error)) {
+  if (!util::write_frame(fd_.get(), request_json(request).dump_compact(),
+                         error)) {
     return false;
   }
   const util::FrameStatus status = util::read_frame(fd_.get(), payload, error);

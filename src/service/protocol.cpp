@@ -27,9 +27,12 @@ Value json_ratio(double value) {
   return Value::number(value, eval::fmt(value, 4));
 }
 
-std::string hex64(std::uint64_t value) {
+/// "0x" + the hex digits of \p value, zero-padded to \p digits: 16 for
+/// the content hash (the cache key as DESIGN.md documents it), 1 for a
+/// function address ("0x26000", "0x0").
+std::string hex64(std::uint64_t value, int digits) {
   char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
+  std::snprintf(buf, sizeof(buf), "0x%0*llx", digits,
                 static_cast<unsigned long long>(value));
   return buf;
 }
@@ -317,17 +320,17 @@ Value base_response(const char* status) {
   return doc;
 }
 
-/// How analysis_json(fa).dump(1) opens: the object and the key of its
-/// first member, "path".
-constexpr std::string_view kResultOpen = "{\n    \"path\": ";
+/// How analysis_json(fa).dump_compact() opens: the object and the key
+/// of its first member, "path".
+constexpr std::string_view kResultOpen = "{\"path\":";
 
-/// ok_response(Op::kQuery) as dumped, minus its closing "\n}", so the
+/// ok_response(Op::kQuery) as dumped, minus its closing "}", so the
 /// query members can follow it. Built once from the tree, so the two
 /// cannot disagree.
 const std::string& query_envelope() {
   static const std::string head = [] {
-    std::string text = ok_response(Op::kQuery).dump();
-    text.resize(text.size() - 2);
+    std::string text = ok_response(Op::kQuery).dump_compact();
+    text.pop_back();
     return text;
   }();
   return head;
@@ -491,7 +494,7 @@ Value error_response(const std::string& message, const std::string& code) {
 }
 
 std::string encode_frame(const Value& response) {
-  const std::string payload = response.dump();
+  const std::string payload = response.dump_compact();
   if (payload.size() > util::kMaxFrameBytes) {
     return oversize_frame(payload.size());
   }
@@ -503,25 +506,25 @@ std::string encode_frame(const Value& response) {
 }
 
 std::string encode_result_body(const eval::FileAnalysis& fa) {
-  std::string text = analysis_json(fa).dump(1);
-  text.erase(0, kResultOpen.size() + Value(fa.row.path).dump().size());
+  std::string text = analysis_json(fa).dump_compact();
+  text.erase(0, kResultOpen.size() + Value(fa.row.path).dump_compact().size());
   return text;
 }
 
 std::string query_frame(std::string_view cache, const std::string& path,
                         std::string_view body, const std::string& trace,
                         const Value& stages) {
-  const std::string cache_json = Value(std::string(cache)).dump();
-  const std::string path_json = Value(path).dump();
-  const std::string trace_json = Value(trace).dump();
-  const std::string stages_json = stages.dump(1);
+  const std::string cache_json = Value(std::string(cache)).dump_compact();
+  const std::string path_json = Value(path).dump_compact();
+  const std::string trace_json = Value(trace).dump_compact();
+  const std::string stages_json = stages.dump_compact();
   const std::string_view parts[] = {
       query_envelope(),
-      ",\n  \"cache\": ",  cache_json,
-      ",\n  \"result\": ", kResultOpen, path_json, body,
-      ",\n  \"trace\": ",  trace_json,
-      ",\n  \"stages\": ", stages_json,
-      "\n}"};
+      ",\"cache\":",  cache_json,
+      ",\"result\":", kResultOpen, path_json, body,
+      ",\"trace\":",  trace_json,
+      ",\"stages\":", stages_json,
+      "}"};
   std::size_t size = 0;
   for (const std::string_view part : parts) {
     size += part.size();
@@ -542,7 +545,7 @@ Value analysis_json(const eval::FileAnalysis& fa) {
   Value doc = Value::object();
   doc.set("path", Value(fa.row.path));
   doc.set("ok", Value(fa.row.ok));
-  doc.set("content_hash", Value(hex64(fa.content_hash)));
+  doc.set("content_hash", Value(hex64(fa.content_hash, 16)));
   if (!fa.row.ok) {
     doc.set("error", Value(fa.row.error));
     return doc;
@@ -567,7 +570,7 @@ Value analysis_json(const eval::FileAnalysis& fa) {
   Value functions = Value::array();
   for (const auto& [addr, provenance] : fa.functions) {
     Value entry = Value::array();
-    entry.add(Value(hex64(addr)));
+    entry.add(Value(hex64(addr, 1)));
     entry.add(Value(provenance));
     functions.add(std::move(entry));
   }

@@ -27,6 +27,8 @@
 /// empty for hits/joins). Stats and shutdown responses add "stats"
 /// (cache and robustness counters, stats_view below). Metrics responses
 /// add "metrics" (a fetch-metrics-v1 document, src/obs/metrics.hpp).
+/// Both sides write every frame as compact JSON (Value::dump_compact, no
+/// whitespace outside strings); readers accept any whitespace.
 /// See DESIGN.md, "Analysis service" and "Observability" for the full
 /// schemas.
 
@@ -85,18 +87,21 @@ struct Request {
 
 /// Serializes one analysis (the value the result cache stores). Counts
 /// are JSON numbers; addresses travel as hex strings so 64-bit values
-/// cannot lose precision in a double.
+/// cannot lose precision in a double: function addresses as "0x" +
+/// minimal hex ("0x26000"), content_hash as "0x" + 16 digits. Readers
+/// take 1 to 16 digits for either.
 [[nodiscard]] util::json::Value analysis_json(const eval::FileAnalysis& fa);
 
-/// The cached form of one analysis: analysis_json(fa) as it is dumped
-/// inside a query reply's "result" member, minus the opening brace and
-/// the "path" member. query_frame writes those back with the requested
-/// path, so one entry answers for the same bytes under any name.
+/// The cached form of one analysis: analysis_json(fa), dumped compact
+/// as it travels inside a query reply's "result" member, minus the
+/// opening brace and the "path" member. query_frame writes those back
+/// with the requested path, so one entry answers for the same bytes
+/// under any name.
 [[nodiscard]] std::string encode_result_body(const eval::FileAnalysis& fa);
 
-/// Wire bytes (4-byte little-endian header + payload) of \p response, or
-/// of an in-band error response when the payload exceeds
-/// util::kMaxFrameBytes.
+/// Wire bytes (4-byte little-endian header + compact payload) of
+/// \p response, or of an in-band error response when the payload
+/// exceeds util::kMaxFrameBytes.
 [[nodiscard]] std::string encode_frame(const util::json::Value& response);
 
 /// Wire bytes of a query reply, byte-identical to encode_frame of

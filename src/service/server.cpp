@@ -872,8 +872,9 @@ std::string ServiceServer::run_query(const Job& job) {
   // content-addressed: a changed binary at the same path is a different
   // key, the same binary at a different path is a hit, and a miss
   // analyzes exactly the bytes whose hash it just computed. mmap avoids
-  // copying multi-MiB binaries into a heap buffer just to hash them;
-  // non-regular or unmappable files fall back to a plain read.
+  // copying multi-MiB binaries into a heap buffer just to hash them. A
+  // path that is not a readable regular file (missing, a FIFO, a device)
+  // gets the uncached "none" reply without a byte read from it.
   using Outcome = util::ShardedLru<std::string>::Outcome;
   std::shared_ptr<const std::string> body = memo_lookup(path);
   Outcome outcome = Outcome::kHit;
@@ -881,14 +882,8 @@ std::string ServiceServer::run_query(const Job& job) {
     hash_skipped_.add();
   } else {
     const std::int64_t wall_ns = wall_clock_ns();
-    std::span<const std::uint8_t> bytes;
-    std::optional<util::MappedFile> mapped = util::MappedFile::map(path);
-    std::vector<std::uint8_t> fallback;
-    if (mapped) {
-      bytes = mapped->bytes();
-    } else if (util::read_file_bytes(path, &fallback)) {
-      bytes = {fallback.data(), fallback.size()};
-    } else {
+    const std::optional<util::MappedFile> mapped = util::MappedFile::map(path);
+    if (!mapped) {
       util::json::Value response = ok_response(Op::kQuery);
       response.set("cache", util::json::Value("none"));
       response.set("result",
@@ -897,12 +892,11 @@ std::string ServiceServer::run_query(const Job& job) {
       response.set("stages", trace.stages_json());
       return encode_frame(response);
     }
+    const std::span<const std::uint8_t> bytes = mapped->bytes();
     obs::Span hash_span(nullptr, "hash", &hash_us_);
     const std::uint64_t key = eval::AnalysisSession::content_hash(bytes);
     hash_span.finish();
-    if (mapped) {
-      memo_store(*mapped, wall_ns, key);
-    }
+    memo_store(*mapped, wall_ns, key);
     std::tie(body, outcome) = cache_.get_or_compute(key, [&] {
       // Only a miss runs the pipeline, so only a miss has stage timings;
       // hits and joins echo an empty stages array. The result is encoded

@@ -156,12 +156,20 @@ class ByteCursor {
     return value;
   }
 
+  /// The bounds check every read makes. The throw lives out of line, so
+  /// this stays small enough to inline and the compiler sees each read
+  /// guarded by it.
   void require(std::size_t n, const char* what) const {
     if (remaining() < n) {
-      throw ParseError(std::string("ByteCursor: truncated input reading ") +
-                       what + " (need " + std::to_string(n) + ", have " +
-                       std::to_string(remaining()) + ")");
+      truncated(n, what);
     }
+  }
+
+  [[noreturn]] [[gnu::noinline]] void truncated(std::size_t n,
+                                                const char* what) const {
+    throw ParseError(std::string("ByteCursor: truncated input reading ") +
+                     what + " (need " + std::to_string(n) + ", have " +
+                     std::to_string(remaining()) + ")");
   }
 
   std::span<const std::uint8_t> data_;

@@ -111,8 +111,9 @@ class ByteWriter {
  private:
   template <class T>
   void scalar(T v) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    buf_.insert(buf_.end(), p, p + sizeof(T));  // little-endian host
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));  // LE
+    }
   }
 
   std::vector<std::uint8_t> buf_;

@@ -13,6 +13,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -29,9 +30,11 @@ namespace fetch::util {
 /// hashes and parses multi-MiB binaries per query; mmap lets it do that
 /// straight from the page cache instead of copying every byte into a
 /// heap vector first (no double-buffering on the service read path).
-/// Move-only; unmaps and closes on destruction. map() returns nullopt for
-/// anything that is not an openable regular file — callers fall back to
-/// read_file_bytes, which also covers pseudo-files mmap cannot serve.
+/// A regular file mmap cannot serve is read into memory through the same
+/// descriptor instead. Move-only; unmaps and closes on destruction.
+/// map() returns nullopt for anything that is not an openable, readable
+/// regular file: the open does not block, so a FIFO or a device never
+/// waits for a writer or streams forever, and no byte of one is read.
 ///
 /// The descriptor stays open for the mapping's lifetime, so a caller can
 /// compare the file's identity before and after reading it: status() is
@@ -47,6 +50,7 @@ class MappedFile {
       : fd_(std::exchange(other.fd_, -1)),
         addr_(std::exchange(other.addr_, nullptr)),
         size_(std::exchange(other.size_, 0)),
+        copy_(std::move(other.copy_)),
         status_(other.status_) {}
   MappedFile& operator=(MappedFile&& other) noexcept {
     if (this != &other) {
@@ -54,6 +58,7 @@ class MappedFile {
       fd_ = std::exchange(other.fd_, -1);
       addr_ = std::exchange(other.addr_, nullptr);
       size_ = std::exchange(other.size_, 0);
+      copy_ = std::move(other.copy_);
       status_ = other.status_;
     }
     return *this;
@@ -61,24 +66,47 @@ class MappedFile {
 
   [[nodiscard]] static std::optional<MappedFile> map(const std::string& path) {
     MappedFile out;
-    out.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    // O_NONBLOCK keeps the open of a FIFO from waiting for a writer; reads
+    // of a regular file ignore it.
+    out.fd_ = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
     if (out.fd_ < 0 || ::fstat(out.fd_, &out.status_) != 0 ||
         !S_ISREG(out.status_.st_mode)) {
       return std::nullopt;
     }
-    out.size_ = static_cast<std::size_t>(out.status_.st_size);
-    if (out.size_ != 0) {
-      void* addr =
-          ::mmap(nullptr, out.size_, PROT_READ, MAP_PRIVATE, out.fd_, 0);
-      if (addr == MAP_FAILED) {
+    const auto size = static_cast<std::size_t>(out.status_.st_size);
+    if (size == 0) {
+      return out;
+    }
+    void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, out.fd_, 0);
+    if (addr != MAP_FAILED) {
+      out.addr_ = addr;
+      out.size_ = size;
+      return out;
+    }
+    out.copy_.resize(size);
+    std::size_t done = 0;
+    while (done < size) {
+      const ssize_t n = ::pread(out.fd_, &out.copy_[done], size - done,
+                                static_cast<off_t>(done));
+      if (n < 0) {
+        if (errno == EINTR) {
+          continue;
+        }
         return std::nullopt;
       }
-      out.addr_ = addr;
+      if (n == 0) {
+        break;  // truncated since the fstat
+      }
+      done += static_cast<std::size_t>(n);
     }
+    out.copy_.resize(done);
     return out;
   }
 
   [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+    if (addr_ == nullptr) {
+      return copy_;
+    }
     return {static_cast<const std::uint8_t*>(addr_), size_};
   }
 
@@ -106,6 +134,7 @@ class MappedFile {
   int fd_ = -1;
   void* addr_ = nullptr;
   std::size_t size_ = 0;
+  std::vector<std::uint8_t> copy_;  ///< the bytes, when mmap failed
   struct stat status_ {};
 };
 

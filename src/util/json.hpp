@@ -141,8 +141,9 @@ class Value {
   /// Serializes with 2-space indentation (stable across runs).
   [[nodiscard]] std::string dump(int indent = 0) const;
 
-  /// Single-line serialization (no newlines, minimal spacing) — for
-  /// JSON-lines sinks where one value must stay one line.
+  /// Single-line serialization (no whitespace outside strings) — for
+  /// JSON-lines sinks where one value must stay one line, and for the
+  /// service's wire frames.
   [[nodiscard]] std::string dump_compact() const;
 
   /// Strict parse of a complete JSON document (trailing whitespace only).

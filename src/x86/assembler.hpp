@@ -162,7 +162,9 @@ class Assembler {
 
   /// Raw escape hatch (used for deliberately odd byte sequences in tests).
   void raw(std::initializer_list<std::uint8_t> bytes) {
-    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+    for (const std::uint8_t b : bytes) {
+      u8(b);
+    }
   }
 
  private:

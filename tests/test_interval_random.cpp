@@ -55,8 +55,11 @@ std::vector<AddrSet::Range> naive_gaps(const std::set<std::uint64_t>& model,
 std::string show(const std::vector<AddrSet::Range>& ranges) {
   std::string out;
   for (const AddrSet::Range& r : ranges) {
-    out += "[" + std::to_string(r.lo - kBase) + "," +
-           std::to_string(r.hi - kBase) + ") ";
+    out += '[';
+    out += std::to_string(r.lo - kBase);
+    out += ',';
+    out += std::to_string(r.hi - kBase);
+    out += ") ";
   }
   return out;
 }

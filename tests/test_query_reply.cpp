@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -318,6 +319,57 @@ void check_served(Daemon& daemon, const std::string& path) {
     const auto doc = Value::parse(reply);
     ASSERT_TRUE(doc.has_value());
     expect_same_result(doc->get("result")->dump());
+  }
+}
+
+/// \p reply in the form the daemon once sent: dumped with indentation,
+/// every function address zero-padded to 16 hex digits.
+std::string pretty_padded(const std::string& reply) {
+  const auto doc = Value::parse(reply);
+  EXPECT_TRUE(doc.has_value());
+  if (!doc) {
+    return {};
+  }
+  Value result = *doc->get("result");
+  Value functions = Value::array();
+  for (const Value& entry : result.get("functions")->items()) {
+    char padded[19];
+    std::snprintf(padded, sizeof(padded), "0x%016llx",
+                  std::strtoull(entry.items()[0].text().c_str(), nullptr, 16));
+    Value pair = Value::array();
+    pair.add(Value(padded));
+    pair.add(entry.items()[1]);
+    functions.add(std::move(pair));
+  }
+  result.set("functions", std::move(functions));
+  Value pretty = *doc;
+  pretty.set("result", std::move(result));
+  return pretty.dump();
+}
+
+TEST(QueryReply, PrettyPaddedRepliesDecodeAsTheCompactOnes) {
+  const std::string paths = FETCH_FIXTURE_PATHS;
+  const std::string path = paths.substr(0, paths.find('|'));
+  Daemon daemon;
+  for (const char* expected : {"miss", "hit"}) {
+    SCOPED_TRACE(expected);
+    const std::string compact = daemon.query(path);
+    const std::string pretty = pretty_padded(compact);
+    ASSERT_NE(pretty.find("\"0x0000"), std::string::npos);
+    ASSERT_NE(pretty.find("\n  "), std::string::npos);
+    std::string error;
+    const service::QueryReply want =
+        service::parse_query_reply(compact, &error);
+    ASSERT_TRUE(want.result.has_value()) << error;
+    EXPECT_EQ(want.result->cache, expected);
+    ASSERT_FALSE(want.result->analysis.functions.empty());
+    const service::QueryReply got = service::parse_query_reply(pretty, &error);
+    ASSERT_TRUE(got.result.has_value()) << error;
+    expect_same_analysis(got.result->analysis, want.result->analysis);
+    EXPECT_EQ(got.result->cache, want.result->cache);
+    EXPECT_EQ(got.result->trace, want.result->trace);
+    EXPECT_TRUE(got.result->stages == want.result->stages);
+    EXPECT_TRUE(expect_same_reply(pretty));
   }
 }
 

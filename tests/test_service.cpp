@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -359,6 +363,53 @@ TEST(Service, UnreadableAndMalformedFilesBecomeErrorRows) {
   EXPECT_FALSE(bad->analysis.row.error.empty());
 }
 
+TEST(Service, FifoAndDevicesGetTheNoneReplyWithoutPinningAWorker) {
+  // Opening a FIFO for reading waits for a writer, so a daemon that
+  // opened one blocking lost the worker, and with one worker every later
+  // query queued behind it.
+  service::ServerOptions options;
+  options.workers = 1;
+  TestServer server(options);
+  const std::string fifo = ::testing::TempDir() + "/svc_fifo";
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  std::string error;
+  service::ClientOptions client_options;
+  client_options.timeout_ms = 5000;
+  auto client =
+      service::ServiceClient::connect(server.socket(), &error, client_options);
+  ASSERT_TRUE(client.has_value()) << error;
+
+  for (const std::string& path : {fifo, std::string("/dev/zero")}) {
+    SCOPED_TRACE(path);
+    const auto start = std::chrono::steady_clock::now();
+    const auto reply = client->query(path, &error);
+    if (!reply) {
+      // Free a worker stuck in open() so the server can stop.
+      for (int i = 0; i < 100; ++i) {
+        const int fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+        if (fd >= 0) {
+          ::close(fd);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      FAIL() << error;
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(2));
+    EXPECT_EQ(reply->cache, "none");
+    EXPECT_FALSE(reply->analysis.row.ok);
+  }
+
+  const std::string path =
+      write_sample_binary("svc_after_fifo.bin", 0, 0xf1f0);
+  const auto after = client->query(path, &error);
+  ASSERT_TRUE(after.has_value()) << error;
+  EXPECT_EQ(after->cache, "miss");
+  EXPECT_TRUE(after->analysis.row.ok) << after->analysis.row.error;
+  std::filesystem::remove(fifo);
+}
+
 // --- Single-flight under concurrent clients ---------------------------------
 
 TEST(Service, EightConcurrentClientsOneAnalysis) {
@@ -486,7 +537,7 @@ TEST(Service, RequestOfManyKeysDoesNotStallTheEventLoop) {
             util::FrameStatus::kOk)
       << error;
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(reply, service::ok_response(service::Op::kPing).dump());
+  EXPECT_EQ(reply, service::ok_response(service::Op::kPing).dump_compact());
   // Milliseconds when linear, even under sanitizers; the quadratic decode
   // took ~4 s in a release build.
   EXPECT_LT(elapsed, std::chrono::seconds(2));
@@ -1230,8 +1281,9 @@ TEST(Service, AnalysisJsonRoundTripsExactly) {
 // --- Reply bytes ------------------------------------------------------------
 
 /// A query reply built the way the service built every reply before hits
-/// were answered from cached bytes: the response tree, dumped, behind the
-/// 4-byte length header, with the in-band error for an over-cap payload.
+/// were answered from cached bytes: the response tree, dumped compact,
+/// behind the 4-byte length header, with the in-band error for an
+/// over-cap payload.
 std::string tree_built_frame(const std::string& cache,
                              const eval::FileAnalysis& fa,
                              const std::string& trace,
@@ -1241,12 +1293,12 @@ std::string tree_built_frame(const std::string& cache,
   response.set("result", service::analysis_json(fa));
   response.set("trace", util::json::Value(trace));
   response.set("stages", stages);
-  std::string payload = response.dump();
+  std::string payload = response.dump_compact();
   if (payload.size() > util::kMaxFrameBytes) {
     payload = service::error_response("result of " +
                                       std::to_string(payload.size()) +
                                       " bytes exceeds the frame cap")
-                  .dump();
+                  .dump_compact();
   }
   const std::vector<std::uint8_t> wire = wire_frame(payload);
   return std::string(wire.begin(), wire.end());
@@ -1373,6 +1425,68 @@ TEST(ServiceReply, ServedHitsAreTreeBuiltFramesForTheRequestedPath) {
     expect_same_frame(as_string(served(query_path)),
                       tree_built_frame("hit", session.analyze_file(query_path),
                                        "client-trace-7", no_stages));
+  }
+}
+
+/// True when \p json has no whitespace outside its strings.
+bool compact_outside_strings(const std::string& json) {
+  bool in_string = false;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;  // the escaped character
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == ' ' || c == '\n' || c == '\t' || c == '\r') {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// "0x" + lowercase hex digits without a leading zero ("0x0" for zero).
+bool minimal_hex(const std::string& text) {
+  return text.size() > 2 && text.size() <= 18 && text.starts_with("0x") &&
+         (text.size() == 3 || text[2] != '0') &&
+         text.find_first_not_of("0123456789abcdef", 2) == std::string::npos;
+}
+
+TEST(ServiceReply, ServedHitsAreCompactWithMinimalHexAddresses) {
+  TestServer server;
+  const std::string path =
+      write_sample_binary("svc_reply_compact.bin", 4, 0xc0de);
+  std::string error;
+  auto fd = util::unix_connect(server.socket(), &error);
+  ASSERT_TRUE(fd.has_value()) << error;
+  service::Request request;
+  request.op = service::Op::kQuery;
+  request.path = path;
+  for (const char* expected : {"miss", "hit"}) {
+    ASSERT_TRUE(util::write_frame(
+        fd->get(), service::request_json(request).dump_compact(), &error))
+        << error;
+    std::string reply;
+    ASSERT_EQ(util::read_frame(fd->get(), &reply, &error),
+              util::FrameStatus::kOk)
+        << error;
+    EXPECT_TRUE(compact_outside_strings(reply)) << reply.substr(0, 200);
+    const auto doc = util::json::Value::parse(reply);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->get("cache")->text(), expected);
+    const util::json::Value& result = *doc->get("result");
+    ASSERT_TRUE(result.get("ok")->as_bool());
+    // The cache key keeps its 16 digits.
+    EXPECT_EQ(result.get("content_hash")->text().size(), 18u);
+    const util::json::Value& functions = *result.get("functions");
+    EXPECT_FALSE(functions.items().empty());
+    for (const util::json::Value& entry : functions.items()) {
+      EXPECT_TRUE(minimal_hex(entry.items()[0].text()))
+          << entry.items()[0].text();
+    }
   }
 }
 

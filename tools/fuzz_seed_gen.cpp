@@ -17,8 +17,9 @@
 ///                                  the JSON parser off the daemon's
 ///                                  stack (now past Reader::kMaxDepth)
 ///
-/// The reply seeds (hit_reply, miss_reply, dup_escaped_reply) are
-/// unframed query replies for the client's decode, parse_query_reply.
+/// The reply seeds (hit_reply, miss_reply, pretty_hit_reply,
+/// dup_escaped_reply) are unframed query replies for the client's
+/// decode, parse_query_reply.
 ///
 /// Usage: fuzz_seed_gen <corpus-root>   (writes <root>/{ehframe,elf,x86,
 /// service_frame}/*.bin; existing files are overwritten)
@@ -201,7 +202,7 @@ void gen_service_frame(const fs::path& root) {
 
   const auto framed_request = [](const Request& request) {
     const std::string payload =
-        fetch::service::request_json(request).dump();
+        fetch::service::request_json(request).dump_compact();
     return framed(static_cast<std::uint32_t>(payload.size()), payload);
   };
   write_seed(root, "service_frame", "ping.bin",
@@ -269,6 +270,29 @@ void gen_service_frame(const fs::path& root) {
     stages.add(std::move(entry));
   }
   write_seed(root, "service_frame", "miss_reply.bin", reply("miss", stages));
+
+  // The hit reply in the form the daemon once sent: the response tree
+  // dumped with indentation, addresses zero-padded to 16 digits. Readers
+  // of fetch-service-v1 still take it.
+  Value functions = Value::array();
+  for (const auto& [addr, provenance] : fa.functions) {
+    char padded[19];
+    std::snprintf(padded, sizeof(padded), "0x%016llx",
+                  static_cast<unsigned long long>(addr));
+    Value entry = Value::array();
+    entry.add(Value(padded));
+    entry.add(Value(provenance));
+    functions.add(std::move(entry));
+  }
+  Value result = fetch::service::analysis_json(fa);
+  result.set("functions", std::move(functions));
+  Value pretty = fetch::service::ok_response(Op::kQuery);
+  pretty.set("cache", Value("hit"));
+  pretty.set("result", std::move(result));
+  pretty.set("trace", Value("0123456789abcdef"));
+  pretty.set("stages", Value::array());
+  write_seed(root, "service_frame", "pretty_hit_reply.bin",
+             from_string(pretty.dump()));
 
   // Repeated members (the last one counts) and escaped keys and values.
   write_seed(root, "service_frame", "dup_escaped_reply.bin",
