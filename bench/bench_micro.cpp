@@ -9,8 +9,7 @@
 ///      iterating on the decoder or the detector).
 ///   2. A deterministic self-timed "hot path" report over the corpus at
 ///      the selected --scale: decode throughput, cold and warm insn_at
-///      cost of the lock-free dense cache, sharded predecode, and the
-///      cache hit rate. `--json PATH` writes the same rows as a
+///      cost of the lock-free dense cache, and the cache hit rate. `--json PATH` writes the same rows as a
 ///      fetch-bench-v1 document — the checked-in BENCH_hotpath.json
 ///      baseline is produced by this half.
 
@@ -30,7 +29,6 @@
 #include "eval/runner.hpp"
 #include "synth/codegen.hpp"
 #include "synth/corpus.hpp"
-#include "util/thread_pool.hpp"
 #include "x86/decoder.hpp"
 
 namespace {
@@ -81,8 +79,8 @@ BENCHMARK(BM_DecodeText);
 void BM_InsnAtWarmDense(benchmark::State& state) {
   const elf::ElfFile elf(sample_binary().image);
   const disasm::CodeView code(elf);
-  code.predecode(1);
   const elf::Section* text = elf.section(".text");
+  // The sweep that collects the starts also warms every one of them.
   std::vector<std::uint64_t> starts;
   for (std::uint64_t a = text->addr; a < text->addr + text->size;) {
     const x86::Insn* insn = code.insn_at(a);
@@ -104,16 +102,6 @@ void BM_InsnAtWarmDense(benchmark::State& state) {
                           static_cast<std::int64_t>(starts.size()));
 }
 BENCHMARK(BM_InsnAtWarmDense);
-
-void BM_PredecodeSharded(benchmark::State& state) {
-  const elf::ElfFile elf(sample_binary().image);
-  for (auto _ : state) {
-    const disasm::CodeView code(elf);
-    code.predecode(2);
-    benchmark::DoNotOptimize(code.decoded_records());
-  }
-}
-BENCHMARK(BM_PredecodeSharded);
 
 void BM_ParseElf(benchmark::State& state) {
   const auto& image = sample_binary().image;
@@ -175,13 +163,11 @@ BENCHMARK(BM_FetchPipeline);
 struct HotPathTotals {
   double cold_dense_ns = 0;
   double warm_dense_ns = 0;
-  double predecode_ns = 0;
   std::uint64_t cold_calls = 0;   // insn_at calls during the cold walks
   std::uint64_t warm_calls = 0;   // insn_at calls during the warm loops
   std::uint64_t code_bytes = 0;   // executable bytes walked (per cold pass)
   std::uint64_t dense_calls = 0;  // all dense insn_at calls (cold + warm)
   std::uint64_t dense_misses = 0;  // slots actually decoded or invalidated
-  std::uint64_t predecode_records = 0;
 };
 
 double elapsed_ns(Clock::time_point start) {
@@ -192,7 +178,7 @@ double elapsed_ns(Clock::time_point start) {
 /// Cold + warm measurement of one corpus entry. \p warm_passes controls
 /// how long the warm loops run.
 void measure_entry(const elf::ElfFile& elf, std::size_t warm_passes,
-                   std::size_t jobs, HotPathTotals& totals) {
+                   HotPathTotals& totals) {
   const auto ranges = code_ranges(elf);
   std::vector<std::uint64_t> starts;
 
@@ -253,15 +239,6 @@ void measure_entry(const elf::ElfFile& elf, std::size_t warm_passes,
     totals.dense_calls += calls;
     totals.dense_misses += stats.decoded + stats.invalid;
   }
-
-  // Sharded eager predecode on a fresh view.
-  {
-    const disasm::CodeView code(elf);
-    const auto t0 = Clock::now();
-    code.predecode(jobs);
-    totals.predecode_ns += elapsed_ns(t0);
-    totals.predecode_records += code.decoded_records();
-  }
 }
 
 void run_hotpath_report(const bench::BenchOptions& opts) {
@@ -271,7 +248,7 @@ void run_hotpath_report(const bench::BenchOptions& opts) {
 
   HotPathTotals totals;
   for (const eval::CorpusEntry& entry : corpus.entries()) {
-    measure_entry(entry.elf, warm_passes, opts.effective_jobs(), totals);
+    measure_entry(entry.elf, warm_passes, totals);
   }
 
   const double warm_dense =
@@ -284,7 +261,6 @@ void run_hotpath_report(const bench::BenchOptions& opts) {
   const double hit_rate =
       1.0 - static_cast<double>(totals.dense_misses) /
                 static_cast<double>(totals.dense_calls);
-  const double predecode_ms = totals.predecode_ns / 1e6;
 
   struct Row {
     const char* name;
@@ -297,7 +273,6 @@ void run_hotpath_report(const bench::BenchOptions& opts) {
       {"insn_at_cold_dense", eval::fmt(cold_dense, 2), cold_dense, "ns/op"},
       {"decode_throughput", eval::fmt(throughput_mib_s, 1), throughput_mib_s,
        "MiB/s"},
-      {"predecode_total", eval::fmt(predecode_ms, 2), predecode_ms, "ms"},
       {"cache_hit_rate", eval::fmt(hit_rate, 4), hit_rate, "ratio"},
   };
 
@@ -336,15 +311,6 @@ void run_hotpath_report(const bench::BenchOptions& opts) {
 int main(int argc, char** argv) {
   std::vector<char*> args = {argv[0]};
   const bench::BenchOptions options = bench::parse_args(argc, argv, &args);
-  if (options.predecode) {
-    // The hot-path report constructs its own cold and warm views; a
-    // pre-warmed corpus would burn work without moving any number.
-    std::fprintf(stderr,
-                 "%s: --predecode has no effect on the hot-path report; "
-                 "cold and warm paths are measured explicitly\n",
-                 argv[0]);
-    return 2;
-  }
 
   std::string min_time = "--benchmark_min_time=0.01";
   if (options.scale == fetch::synth::Scale::kSmoke) {

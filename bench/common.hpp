@@ -21,10 +21,6 @@
 ///                    formatted strings printed in the human table.
 ///                    Currently wired into bench_micro and
 ///                    bench_table5_runtime.
-///   --predecode      eagerly pre-decode every corpus entry's executable
-///                    sections (sharded linear sweep on the thread pool)
-///                    before any strategy runs, so cells execute on a warm
-///                    decode cache.
 ///
 /// Every bench is standalone: it materializes the corpus (cache or
 /// generation), runs its strategies, and prints the rows of the paper
@@ -55,7 +51,6 @@ struct BenchOptions {
   synth::Scale scale = synth::Scale::kDefault;
   std::string cache_dir;  ///< validated; empty = caching disabled
   std::string json_path;  ///< empty = no JSON output
-  bool predecode = false;
 
   [[nodiscard]] std::size_t effective_jobs() const {
     return jobs == 0 ? util::default_jobs() : jobs;
@@ -77,7 +72,7 @@ inline BenchOptions parse_args(int argc, char** argv,
   auto usage = [&]() {
     std::cerr << "usage: " << argv[0]
               << " [--smoke] [--scale smoke|default|full] [--jobs N]"
-                 " [--cache-dir DIR] [--json PATH] [--predecode]\n";
+                 " [--cache-dir DIR] [--json PATH]\n";
     std::exit(2);
   };
   auto set_scale = [&](std::string_view text) {
@@ -111,8 +106,6 @@ inline BenchOptions parse_args(int argc, char** argv,
       options.json_path = argv[++i];
     } else if (arg.rfind("--json=", 0) == 0) {
       options.json_path = arg.substr(7);
-    } else if (arg == "--predecode") {
-      options.predecode = true;
     } else if (passthrough != nullptr) {
       passthrough->push_back(argv[i]);
     } else {
@@ -171,35 +164,15 @@ inline void write_json_report(const BenchOptions& opts,
   std::cerr << "json report: " << opts.json_path << "\n";
 }
 
-/// Honors --predecode: eagerly decodes every entry's executable sections
-/// (sharded linear sweep) so the strategy cells below run entirely on a
-/// warm decode cache. Provenance goes to stderr like the corpus note.
-inline void maybe_predecode(const eval::Corpus& corpus,
-                            const BenchOptions& opts) {
-  if (!opts.predecode) {
-    return;
-  }
-  std::uint64_t records = 0;
-  for (const eval::CorpusEntry& entry : corpus.entries()) {
-    const disasm::CodeView& code = entry.detector().code();
-    code.predecode(opts.effective_jobs());
-    records += code.decoded_records();
-  }
-  std::cerr << "predecode: " << records << " instructions across "
-            << corpus.size() << " entries\n";
-}
-
 inline eval::Corpus self_built_corpus(const BenchOptions& options) {
   eval::Corpus corpus = eval::Corpus::self_built(options.corpus_options());
   note_provenance(corpus);
-  maybe_predecode(corpus, options);
   return corpus;
 }
 
 inline eval::Corpus wild_corpus(const BenchOptions& options) {
   eval::Corpus corpus = eval::Corpus::wild(options.corpus_options());
   note_provenance(corpus);
-  maybe_predecode(corpus, options);
   return corpus;
 }
 

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 #include "x86/decoder.hpp"
 
 namespace fetch::disasm {
@@ -30,17 +29,15 @@ static_assert(std::is_trivially_destructible_v<x86::Insn> &&
 /// per-binary and ephemeral, the aggregate is what matters). Looked up
 /// once; the handles are stable references.
 struct CacheMetrics {
-  obs::Counter& claims;           ///< slots won (empty → decoding)
-  obs::Counter& decoded;          ///< claims published as records
-  obs::Counter& invalid;          ///< claims published as undecodable
-  obs::Counter& resync_failures;  ///< 1-byte resteps during predecode
+  obs::Counter& claims;   ///< slots won (empty → decoding)
+  obs::Counter& decoded;  ///< claims published as records
+  obs::Counter& invalid;  ///< claims published as undecodable
 
   static CacheMetrics& get() {
     static CacheMetrics metrics{
         obs::Registry::global().counter("codeview_slot_claims_total"),
         obs::Registry::global().counter("codeview_decoded_total"),
         obs::Registry::global().counter("codeview_invalid_total"),
-        obs::Registry::global().counter("codeview_resync_failures_total"),
     };
     return metrics;
   }
@@ -161,44 +158,6 @@ std::uint32_t CodeView::decode_slot(const Shard& shard, std::uint64_t off,
     }
     // On CAS failure `state` was reloaded; loop re-dispatches on it.
   }
-}
-
-void CodeView::predecode(std::size_t jobs) const {
-  // Shard each section into fixed byte ranges so the pool's workers warm
-  // disjoint stretches. A range's first bytes may sit mid-instruction;
-  // that only decodes a few extra (cached) addresses, and a decode started
-  // before the range end may complete past it, which is exactly the warm
-  // state the linear consumers want.
-  constexpr std::uint64_t kRangeBytes = 1u << 14;
-  struct Range {
-    const Shard* shard;
-    std::uint64_t lo;
-    std::uint64_t hi;
-  };
-  std::vector<Range> ranges;
-  for (const Shard& shard : shards_) {
-    for (std::uint64_t lo = 0; lo < shard.slot_count; lo += kRangeBytes) {
-      ranges.push_back(
-          {&shard, lo, std::min(lo + kRangeBytes, shard.slot_count)});
-    }
-  }
-  util::parallel_for(jobs, ranges.size(), [&](std::size_t i) {
-    const Range& range = ranges[i];
-    std::uint64_t off = range.lo;
-    std::uint64_t resync_failures = 0;
-    while (off < range.hi) {
-      const Rec rec = rec_at(range.shard->addr + off);
-      if (rec.step != nullptr) {
-        off += rec.step->length;
-      } else {
-        off += 1;  // one-byte resynchronization
-        ++resync_failures;
-      }
-    }
-    if (resync_failures != 0) {
-      CacheMetrics::get().resync_failures.add(resync_failures);
-    }
-  });
 }
 
 CodeView::CacheStats CodeView::cache_stats() const {

@@ -15,7 +15,8 @@
 /// no lock, no hashing, no rehash ever. The first thread to reach an
 /// address claims its slot with one compare-exchange (empty → decoding)
 /// and publishes the record (decoding → decoded), so no byte is ever
-/// decoded twice.
+/// decoded twice. Nothing decodes eagerly: only the addresses the
+/// analyses reach are ever decoded.
 
 #include <algorithm>
 #include <array>
@@ -129,13 +130,6 @@ class CodeView {
   [[nodiscard]] const x86::Insn& record(std::uint32_t index) const {
     return records_[index];
   }
-
-  /// Eagerly decodes every executable section (linear sweep with one-byte
-  /// resynchronization), sharded over up to \p jobs workers
-  /// (0 = FETCH_JOBS/hardware default). Afterwards every insn_at on a
-  /// sweep-reachable address is a warm wait-free read. Idempotent and safe
-  /// to run concurrently with readers.
-  void predecode(std::size_t jobs = 0) const;
 
   /// Occupancy of the dense cache (computed by scanning the slot arrays;
   /// diagnostics/benchmarks only, not for the hot path).

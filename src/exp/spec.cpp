@@ -1,6 +1,9 @@
 #include "exp/spec.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <initializer_list>
+#include <string_view>
 
 #include "synth/corpus.hpp"
 #include "util/hash.hpp"
@@ -12,11 +15,31 @@ namespace {
 
 using util::json::Value;
 
+/// False + *error naming the first member of \p obj whose key is not in
+/// \p known. A key the schema does not know (a typo, or an axis since
+/// removed) would leave the spec running part of the matrix it
+/// describes, or a cell without its gate.
+bool only_known_keys(const Value& obj,
+                     std::initializer_list<std::string_view> known,
+                     const std::string& context, std::string* error) {
+  for (const auto& member : obj.members()) {
+    if (std::find(known.begin(), known.end(), member.first) == known.end()) {
+      *error = context + ": unknown key \"" + member.first + "\"";
+      return false;
+    }
+  }
+  return true;
+}
+
 std::optional<Strategy> parse_strategy(const Value& obj, std::size_t index,
                                        std::string* error) {
   const std::string context = "strategies[" + std::to_string(index) + "]";
   if (!obj.is_object()) {
     *error = context + ": must be an object";
+    return std::nullopt;
+  }
+  if (!only_known_keys(obj, {"name", "bench", "args", "baseline"}, context,
+                       error)) {
     return std::nullopt;
   }
   Strategy strategy;
@@ -61,9 +84,6 @@ std::vector<std::string> Invocation::bench_args() const {
   args.push_back(scale);
   args.emplace_back("--jobs");
   args.push_back(std::to_string(jobs));
-  if (predecode) {
-    args.emplace_back("--predecode");
-  }
   for (const std::string& extra : extra_args) {
     args.push_back(extra);
   }
@@ -84,6 +104,11 @@ std::string Invocation::render() const {
 std::optional<ExpSpec> ExpSpec::parse(const Value& doc, std::string* error) {
   error->clear();
   if (!util::json::expect_schema(doc, "fetch-exp-v1", error, "spec")) {
+    return std::nullopt;
+  }
+  if (!only_known_keys(
+          doc, {"schema", "name", "strategies", "scales", "jobs", "cache"},
+          "spec", error)) {
     return std::nullopt;
   }
   ExpSpec spec;
@@ -136,29 +161,21 @@ std::optional<ExpSpec> ExpSpec::parse(const Value& doc, std::string* error) {
     spec.jobs_.push_back(static_cast<std::size_t>(n.as_double()));
   }
 
-  auto parse_bools = [&](const char* key,
-                         std::vector<bool>* out) -> bool {
-    const Value* axis =
-        util::json::require(doc, key, Value::Kind::kArray, error, "spec");
-    if (axis == nullptr) {
-      return false;
-    }
-    for (const Value& b : axis->items()) {
-      if (b.kind() != Value::Kind::kBool) {
-        *error = std::string("spec: ") + key + " entries must be booleans";
-        return false;
-      }
-      out->push_back(b.as_bool());
-    }
-    return true;
-  };
-  if (!parse_bools("cache", &spec.cache_) ||
-      !parse_bools("predecode", &spec.predecode_)) {
+  const Value* cache =
+      util::json::require(doc, "cache", Value::Kind::kArray, error, "spec");
+  if (cache == nullptr) {
     return std::nullopt;
+  }
+  for (const Value& b : cache->items()) {
+    if (b.kind() != Value::Kind::kBool) {
+      *error = "spec: cache entries must be booleans";
+      return std::nullopt;
+    }
+    spec.cache_.push_back(b.as_bool());
   }
 
   if (spec.strategies_.empty() || spec.scales_.empty() ||
-      spec.jobs_.empty() || spec.cache_.empty() || spec.predecode_.empty()) {
+      spec.jobs_.empty() || spec.cache_.empty()) {
     *error = "spec: every axis needs at least one entry";
     return std::nullopt;
   }
@@ -180,21 +197,17 @@ std::vector<Invocation> ExpSpec::expand() const {
     for (const std::string& scale : scales_) {
       for (const std::size_t jobs : jobs_) {
         for (const bool cache : cache_) {
-          for (const bool predecode : predecode_) {
-            Invocation inv;
-            inv.strategy = strategy.name;
-            inv.bench = strategy.bench;
-            inv.scale = scale;
-            inv.jobs = jobs;
-            inv.cache = cache;
-            inv.predecode = predecode;
-            inv.extra_args = strategy.args;
-            inv.baseline = strategy.baseline;
-            inv.id = strategy.name + "." + scale + ".j" +
-                     std::to_string(jobs) + (cache ? ".c1" : ".c0") +
-                     (predecode ? ".p1" : ".p0");
-            out.push_back(std::move(inv));
-          }
+          Invocation inv;
+          inv.strategy = strategy.name;
+          inv.bench = strategy.bench;
+          inv.scale = scale;
+          inv.jobs = jobs;
+          inv.cache = cache;
+          inv.extra_args = strategy.args;
+          inv.baseline = strategy.baseline;
+          inv.id = strategy.name + "." + scale + ".j" + std::to_string(jobs) +
+                   (cache ? ".c1" : ".c0");
+          out.push_back(std::move(inv));
         }
       }
     }
@@ -227,10 +240,6 @@ std::uint64_t ExpSpec::hash() const {
   h.value(cache_.size());
   for (const bool cache : cache_) {
     h.value(cache ? 1 : 0);
-  }
-  h.value(predecode_.size());
-  for (const bool predecode : predecode_) {
-    h.value(predecode ? 1 : 0);
   }
   return h.digest();
 }

@@ -16,19 +16,18 @@
 ///     ],
 ///     "scales": ["smoke"],            // corpus population axis
 ///     "jobs": [2],                    // worker-thread axis
-///     "cache": [false],               // corpus-cache axis
-///     "predecode": [false]            // warm-decode-cache axis
+///     "cache": [false]                // corpus-cache axis
 ///   }
 ///
 /// expand() is the whole point: it turns the spec into an *exact,
 /// ordered* list of bench invocations — strategies × scales × jobs ×
-/// cache × predecode, nested in exactly that order — so "what did the
-/// experiment run" is a pure function of the checked-in file, pinned by
-/// a ctest. hash_hex() fingerprints the spec content (FNV-1a over every
-/// field in canonical form, like synth::CorpusSpec); the hash keys
-/// trajectory entries and CI cache keys, and deliberately does NOT
-/// depend on anything outside the file (runner parallelism, binary
-/// paths, output directories).
+/// cache, nested in exactly that order — so "what did the experiment
+/// run" is a pure function of the checked-in file, pinned by a ctest.
+/// hash_hex() fingerprints the spec content (FNV-1a over every field in
+/// canonical form, like synth::CorpusSpec); the hash keys trajectory
+/// entries and CI cache keys, and deliberately does NOT depend on
+/// anything outside the file (runner parallelism, binary paths, output
+/// directories). A key the schema does not know fails parse().
 
 #include <cstdint>
 #include <optional>
@@ -50,21 +49,19 @@ struct Strategy {
 /// One expanded cell of the matrix: everything needed to run one bench
 /// and to name its output deterministically.
 struct Invocation {
-  std::string id;        ///< "<strategy>.<scale>.j<jobs>.<c0|c1>.<p0|p1>"
+  std::string id;        ///< "<strategy>.<scale>.j<jobs>.<c0|c1>"
   std::string strategy;
   std::string bench;
   std::string scale;
   std::size_t jobs = 0;
   bool cache = false;
-  bool predecode = false;
   std::vector<std::string> extra_args;  ///< the strategy's fixed args
   std::string baseline;                 ///< inherited from the strategy
 
   /// The ordered bench argument list, minus binary path and output/cache
-  /// paths (those are runner-supplied): `--scale S --jobs N
-  /// [--predecode] <extra...>`. `--cache-dir <dir>` and `--json <path>`
-  /// are appended by the runner so the expansion stays a pure function
-  /// of the spec.
+  /// paths (those are runner-supplied): `--scale S --jobs N <extra...>`.
+  /// `--cache-dir <dir>` and `--json <path>` are appended by the runner
+  /// so the expansion stays a pure function of the spec.
   [[nodiscard]] std::vector<std::string> bench_args() const;
 
   /// One-line rendering for `exp_run --list` and the pinned expansion
@@ -88,9 +85,6 @@ class ExpSpec {
   }
   [[nodiscard]] const std::vector<std::size_t>& jobs() const { return jobs_; }
   [[nodiscard]] const std::vector<bool>& cache() const { return cache_; }
-  [[nodiscard]] const std::vector<bool>& predecode() const {
-    return predecode_;
-  }
 
   /// Deterministic full expansion (see file comment for the order).
   [[nodiscard]] std::vector<Invocation> expand() const;
@@ -106,7 +100,6 @@ class ExpSpec {
   std::vector<std::string> scales_;
   std::vector<std::size_t> jobs_;
   std::vector<bool> cache_;
-  std::vector<bool> predecode_;
 };
 
 }  // namespace fetch::exp

@@ -14,9 +14,8 @@
 ///         "spec": "smoke",
 ///         "spec_hash": "<16 hex digits>",
 ///         "runs": [
-///           {"id": "hotpath.smoke.j2.c0.p0", "bench": "bench_micro",
+///           {"id": "hotpath.smoke.j2.c0", "bench": "bench_micro",
 ///            "scale": "smoke", "jobs": 2, "cache": false,
-///            "predecode": false,
 ///            "results": [ ...fetch-bench-v1 rows verbatim... ]},
 ///           ...
 ///         ]

@@ -138,27 +138,18 @@ class MappedFile {
   struct stat status_ {};
 };
 
-/// Reads a whole file in one sized read (seek-to-end + resize + read) —
-/// the shared loader for every "slurp the binary" site (ElfFile::load,
-/// AnalysisSession, the service's query path), so none of them fall back
-/// to per-character istreambuf iteration on a hot path. Returns false
-/// when the file cannot be opened or read.
+/// Reads a whole file into \p out — the shared loader for every "slurp
+/// the binary" site (ElfFile::load, AnalysisSession, the tools). It opens
+/// through MappedFile::map, so it shares that one file-open rule: a FIFO
+/// or a device fails at once instead of blocking or streaming forever.
+/// Returns false when the path is not a readable regular file.
 inline bool read_file_bytes(const std::string& path,
                             std::vector<std::uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
+  const std::optional<MappedFile> file = MappedFile::map(path);
+  if (!file) {
     return false;
   }
-  const std::streamoff size = in.tellg();
-  if (size < 0) {
-    return false;
-  }
-  out->resize(static_cast<std::size_t>(size));
-  in.seekg(0);
-  if (size != 0 &&
-      !in.read(reinterpret_cast<char*>(out->data()), size)) {
-    return false;
-  }
+  out->assign(file->bytes().begin(), file->bytes().end());
   return true;
 }
 

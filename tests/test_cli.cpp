@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -33,8 +35,11 @@ struct CommandResult {
   std::string output;
 };
 
-CommandResult run_cli(const std::string& args) {
-  const std::string cmd = std::string(FETCH_CLI_PATH) + " " + args + " 2>&1";
+/// \p wrapper prefixes the command line (e.g. "timeout 10 ").
+CommandResult run_cli(const std::string& args,
+                      const std::string& wrapper = "") {
+  const std::string cmd =
+      wrapper + std::string(FETCH_CLI_PATH) + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   CommandResult result;
   if (pipe == nullptr) {
@@ -434,6 +439,45 @@ TEST(Cli, BatchTruthModesOnStrippedFixture) {
   EXPECT_EQ(dynsym.status, 0) << dynsym.output;
   EXPECT_NE(dynsym.output.find("none"), std::string::npos) << dynsym.output;
   EXPECT_NE(dynsym.output.find("with truth: 0"), std::string::npos);
+}
+
+TEST(Cli, FifoAndDeviceInputsFailPromptly) {
+  if (!cli_available()) {
+    GTEST_SKIP() << "fetch-cli not built";
+  }
+  // Opening a FIFO for reading waits for a writer, and /dev/zero never
+  // ends. Both must fail at once with the unreadable-file error; the
+  // `timeout` wrapper turns a hang into exit 124 instead of a stuck suite.
+  const std::string fifo = ::testing::TempDir() + "/fetch_cli_fifo";
+  std::filesystem::remove(fifo);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::string& path : {fifo, std::string("/dev/zero")}) {
+    const auto start = std::chrono::steady_clock::now();
+    const CommandResult r = run_cli("detect " + path, "timeout 10 ");
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(5))
+        << path;
+    EXPECT_EQ(r.status, 1) << path << ": " << r.output;
+    EXPECT_NE(r.output.find("ELF: cannot open " + path), std::string::npos)
+        << r.output;
+  }
+
+  // A batch list naming the FIFO gets an error row for it and scores the
+  // rest.
+  const std::string good = write_sample_binary();
+  const std::string list = ::testing::TempDir() + "/fetch_cli_fifo_list.txt";
+  {
+    std::ofstream out(list, std::ios::trunc);
+    out << fifo << "\n" << good << "\n";
+  }
+  const CommandResult batch =
+      run_cli("batch --from-file " + list, "timeout 10 ");
+  EXPECT_EQ(batch.status, 0) << batch.output;
+  EXPECT_NE(batch.output.find("errors: 1"), std::string::npos)
+      << batch.output;
+  EXPECT_NE(batch.output.find("error: " + fifo), std::string::npos)
+      << batch.output;
+  std::filesystem::remove(fifo);
 }
 
 TEST(Cli, BadUsageAndBadFile) {

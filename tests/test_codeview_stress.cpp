@@ -2,8 +2,7 @@
 /// The lock-free dense decode cache: multithreaded determinism (PR 1's
 /// byte-identical guarantee extended to concurrent insn_at), the
 /// section-boundary decode clamp, O(1) failure-path behavior on
-/// resynchronization runs, pointer stability of published records, and
-/// eager-predecode equivalence.
+/// resynchronization runs, and pointer stability of published records.
 
 #include "disasm/code_view.hpp"
 
@@ -208,34 +207,13 @@ TEST(CodeViewDense, RecordsStayValidAcrossArenaGrowth) {
   ASSERT_NE(first, nullptr);
   const std::string before = fingerprint(first);
   // Force the arena through several geometric bucket growths.
-  code.predecode(1);
+  for (std::uint64_t a = text->addr; a < text->addr + text->size;) {
+    const x86::Insn* insn = code.insn_at(a);
+    a += insn != nullptr ? insn->length : 1;
+  }
   ASSERT_GT(code.decoded_records(), 1000u);
   EXPECT_EQ(code.insn_at(text->addr), first);  // same slot, same record
   EXPECT_EQ(fingerprint(first), before);       // record untouched by growth
-}
-
-TEST(CodeViewPredecode, EagerMatchesOnDemand) {
-  const elf::ElfFile elf(stress_binary().image);
-  const elf::Section* text = elf.section(".text");
-  const CodeView eager(elf);
-  eager.predecode(4);
-  // The sweep touches instruction starts and failed resync bytes; bytes
-  // interior to a decoded instruction keep empty slots.
-  const auto warmed = eager.cache_stats();
-  EXPECT_GT(warmed.decoded, 0u);
-  EXPECT_LE(warmed.decoded + warmed.invalid, warmed.code_bytes);
-
-  const CodeView lazy(elf);
-  for (std::uint64_t addr = text->addr; addr < text->addr + text->size;
-       ++addr) {
-    ASSERT_EQ(fingerprint(eager.insn_at(addr)),
-              fingerprint(lazy.insn_at(addr)))
-        << "divergence at " << std::hex << addr;
-  }
-  // Idempotent: a second pass decodes nothing new.
-  const std::uint64_t records = eager.decoded_records();
-  eager.predecode(4);
-  EXPECT_EQ(eager.decoded_records(), records);
 }
 
 TEST(CodeViewDense, NonCodeAddressesAreRejectedWithoutState) {
@@ -251,58 +229,11 @@ TEST(CodeViewDense, NonCodeAddressesAreRejectedWithoutState) {
 }
 
 // The sanitizer-matrix stress case (ctest label "concurrency", run under
-// TSan in CI): an eager predecode sweep racing on-demand readers. This is
-// the publication pattern the CAS slot protocol must survive — predecode
-// workers claim kDecoding slots while readers concurrently spin on them
-// and chase freshly published record pointers into the arena.
-TEST(CodeViewStress, PredecodeRacesOnDemandReaders) {
-  const elf::ElfFile elf(stress_binary().image);
-  const elf::Section* text = elf.section(".text");
-  ASSERT_NE(text, nullptr);
-  const std::uint64_t lo = text->addr;
-  const std::uint64_t hi = text->addr + text->size;
-
-  const CodeView shared(elf);
-  constexpr std::size_t kReaders = 8;
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (std::size_t t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&shared, lo, hi, t] {
-      // Strided probes so every reader collides with the predecode sweep
-      // (and the other readers) at different addresses.
-      for (std::uint64_t a = lo + t; a < hi; a += kReaders) {
-        const x86::Insn* insn = shared.insn_at(a);
-        if (insn != nullptr) {
-          // Published records must be immutable and self-consistent even
-          // while other slots are still being claimed.
-          ASSERT_EQ(insn->addr, a);
-          ASSERT_GE(insn->length, 1);
-          ASSERT_LE(insn->length, 15);
-          ASSERT_EQ(shared.insn_at(a), insn);
-        }
-      }
-    });
-  }
-  // The sweep itself runs multi-threaded, concurrently with the readers.
-  shared.predecode(4);
-  for (std::thread& th : readers) {
-    th.join();
-  }
-
-  // Everyone settled on one record per decoded address; a serial decode
-  // must agree byte-for-byte.
-  const CodeView serial(elf);
-  for (std::uint64_t addr = lo; addr < hi; ++addr) {
-    ASSERT_EQ(fingerprint(shared.insn_at(addr)),
-              fingerprint(serial.insn_at(addr)))
-        << "divergence at " << std::hex << addr;
-  }
-  EXPECT_EQ(shared.decoded_records(), shared.cache_stats().decoded);
-}
-
-// Also run under TSan: readers race rec_at on cold slots, so a step is
-// read by threads that did not publish it. Each must see the step agree
-// with its record and with the ElfFile queries the step stands for.
+// TSan in CI): readers race rec_at on cold slots, so threads claim
+// kDecoding slots while others wait on them and chase freshly published
+// records and steps into the arenas. Each reader must see a step agree
+// with its record and with the ElfFile queries the step stands for, and
+// once they settle a serial decode must agree byte for byte.
 TEST(CodeViewStress, ConcurrentStepReadsAgreeWithRecords) {
   const elf::ElfFile elf(stress_binary().image);
   const elf::Section* text = elf.section(".text");
@@ -333,6 +264,13 @@ TEST(CodeViewStress, ConcurrentStepReadsAgreeWithRecords) {
   }
   for (std::thread& th : readers) {
     th.join();
+  }
+
+  const CodeView serial(elf);
+  for (std::uint64_t addr = lo; addr < hi; ++addr) {
+    ASSERT_EQ(fingerprint(shared.insn_at(addr)),
+              fingerprint(serial.insn_at(addr)))
+        << "divergence at " << std::hex << addr;
   }
   EXPECT_EQ(shared.decoded_records(), shared.cache_stats().decoded);
 }

@@ -44,8 +44,7 @@ const char* kMatrixSpec = R"({
   ],
   "scales": ["smoke", "default"],
   "jobs": [1, 4],
-  "cache": [false, true],
-  "predecode": [false, true]
+  "cache": [false, true]
 })";
 
 // --- Spec expansion ---------------------------------------------------------
@@ -62,12 +61,12 @@ TEST(ExpSpec, CheckedInSmokeSpecExpansionIsPinned) {
   const std::vector<Invocation> matrix = spec->expand();
   ASSERT_EQ(matrix.size(), 3u);
   EXPECT_EQ(matrix[0].render(),
-            "hotpath.smoke.j2.c0.p0: bench_micro --scale smoke --jobs 2");
+            "hotpath.smoke.j2.c0: bench_micro --scale smoke --jobs 2");
   EXPECT_EQ(matrix[1].render(),
-            "runtime.smoke.j2.c0.p0: bench_table5_runtime --scale smoke "
+            "runtime.smoke.j2.c0: bench_table5_runtime --scale smoke "
             "--jobs 2");
   EXPECT_EQ(matrix[2].render(),
-            "service.smoke.j2.c0.p0: bench_service_throughput --scale "
+            "service.smoke.j2.c0: bench_service_throughput --scale "
             "smoke --jobs 2");
   EXPECT_EQ(matrix[0].baseline, "bench_micro_smoke.json");
   EXPECT_EQ(matrix[1].baseline, "");
@@ -80,7 +79,7 @@ TEST(ExpSpec, CheckedInNightlySpecParsesAndHasNoGates) {
       std::string(FETCH_EXPERIMENTS_DIR) + "/nightly.json", &error);
   ASSERT_TRUE(spec.has_value()) << error;
   const std::vector<Invocation> matrix = spec->expand();
-  EXPECT_EQ(matrix.size(), 3u * 2u * 2u);  // strategies x jobs x predecode
+  EXPECT_EQ(matrix.size(), 3u * 2u);  // strategies x jobs
   for (const Invocation& inv : matrix) {
     EXPECT_EQ(inv.baseline, "") << inv.id;  // nightly never blocks
     EXPECT_EQ(inv.scale, "default") << inv.id;
@@ -89,24 +88,23 @@ TEST(ExpSpec, CheckedInNightlySpecParsesAndHasNoGates) {
 
 #endif  // FETCH_EXPERIMENTS_DIR
 
-TEST(ExpSpec, ExpansionOrderIsStrategyScaleJobsCachePredecode) {
+TEST(ExpSpec, ExpansionOrderIsStrategyScaleJobsCache) {
   const ExpSpec spec = parse_spec(kMatrixSpec);
   const std::vector<Invocation> matrix = spec.expand();
-  ASSERT_EQ(matrix.size(), 2u * 2u * 2u * 2u * 2u);
-  // Innermost axis first: predecode flips fastest, strategy slowest.
-  EXPECT_EQ(matrix[0].id, "a.smoke.j1.c0.p0");
-  EXPECT_EQ(matrix[1].id, "a.smoke.j1.c0.p1");
-  EXPECT_EQ(matrix[2].id, "a.smoke.j1.c1.p0");
-  EXPECT_EQ(matrix[4].id, "a.smoke.j4.c0.p0");
-  EXPECT_EQ(matrix[8].id, "a.default.j1.c0.p0");
-  EXPECT_EQ(matrix[16].id, "b.smoke.j1.c0.p0");
+  ASSERT_EQ(matrix.size(), 2u * 2u * 2u * 2u);
+  // Innermost axis first: cache flips fastest, strategy slowest.
+  EXPECT_EQ(matrix[0].id, "a.smoke.j1.c0");
+  EXPECT_EQ(matrix[1].id, "a.smoke.j1.c1");
+  EXPECT_EQ(matrix[2].id, "a.smoke.j4.c0");
+  EXPECT_EQ(matrix[4].id, "a.default.j1.c0");
+  EXPECT_EQ(matrix[8].id, "b.smoke.j1.c0");
   // The strategy's fixed args ride after the axis flags.
-  EXPECT_EQ(matrix[16].render(),
-            "b.smoke.j1.c0.p0: bench_b --scale smoke --jobs 1 --socket "
+  EXPECT_EQ(matrix[8].render(),
+            "b.smoke.j1.c0: bench_b --scale smoke --jobs 1 --socket "
             "/tmp/x");
   // Cache cells advertise the runner-supplied placeholder.
-  EXPECT_EQ(matrix[2].render(),
-            "a.smoke.j1.c1.p0: bench_a --scale smoke --jobs 1 --cache-dir "
+  EXPECT_EQ(matrix[1].render(),
+            "a.smoke.j1.c1: bench_a --scale smoke --jobs 1 --cache-dir "
             "{cache}");
 }
 
@@ -136,7 +134,7 @@ TEST(ExpSpec, HashIsSensitiveToEveryAxis) {
       {"\"scales\": [\"smoke\", \"default\"]", "\"scales\": [\"smoke\"]"},
       {"\"jobs\": [1, 4]", "\"jobs\": [1, 8]"},
       {"\"cache\": [false, true]", "\"cache\": [false]"},
-      {"\"predecode\": [false, true]", "\"predecode\": [true, false]"},
+      {"\"cache\": [false, true]", "\"cache\": [true, false]"},
       {"\"bench\": \"bench_a\"", "\"bench\": \"bench_a2\""},
       {"\"baseline\": \"a.json\"", "\"baseline\": \"a2.json\""},
       {"\"args\": [\"--socket\", \"/tmp/x\"]",
@@ -160,7 +158,7 @@ TEST(ExpSpec, RejectsMalformedSpecs) {
     "schema": "fetch-exp-v1", "name": "x",
     "strategies": [{"name": "a", "bench": "b"}],
     "scales": ["gigantic"], "jobs": [1],
-    "cache": [false], "predecode": [false]})");
+    "cache": [false]})");
   EXPECT_FALSE(ExpSpec::parse(*bad_scale, &error).has_value());
   EXPECT_NE(error.find("smoke|default|full"), std::string::npos);
 
@@ -168,15 +166,39 @@ TEST(ExpSpec, RejectsMalformedSpecs) {
     "schema": "fetch-exp-v1", "name": "x",
     "strategies": [{"name": "a", "bench": "b"}],
     "scales": ["smoke"], "jobs": [0],
-    "cache": [false], "predecode": [false]})");
+    "cache": [false]})");
   EXPECT_FALSE(ExpSpec::parse(*bad_jobs, &error).has_value());
 
   auto empty_axis = Value::parse(R"({
     "schema": "fetch-exp-v1", "name": "x",
     "strategies": [{"name": "a", "bench": "b"}],
     "scales": [], "jobs": [1],
-    "cache": [false], "predecode": [false]})");
+    "cache": [false]})");
   EXPECT_FALSE(ExpSpec::parse(*empty_axis, &error).has_value());
+}
+
+TEST(ExpSpec, RejectsUnknownKeysByName) {
+  // A stale spec that still sweeps a removed axis, or a misspelled key,
+  // must fail loudly instead of running part of the matrix it describes
+  // or dropping a cell's gate.
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"\"jobs\": [1, 4]", "\"job\": [1, 4]"},
+      {"\"cache\": [false, true]",
+       "\"cache\": [false, true], \"warm_decode\": [false, true]"},
+      {"\"baseline\": \"a.json\"", "\"basline\": \"a.json\""}};
+  const std::vector<std::string> errors = {
+      "spec: unknown key \"job\"", "spec: unknown key \"warm_decode\"",
+      "strategies[0]: unknown key \"basline\""};
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    std::string text = kMatrixSpec;
+    text.replace(text.find(edits[i].first), edits[i].first.size(),
+                 edits[i].second);
+    auto doc = Value::parse(text);
+    ASSERT_TRUE(doc.has_value()) << text;
+    std::string error;
+    EXPECT_FALSE(ExpSpec::parse(*doc, &error).has_value()) << text;
+    EXPECT_EQ(error, errors[i]);
+  }
 }
 
 // --- Tolerance policy -------------------------------------------------------
@@ -265,7 +287,22 @@ TEST(Tolerance, CheckedInConfigLoadsAndCoversTheBaselineMetrics) {
   std::string error;
   auto policy = TolerancePolicy::load(FETCH_TOLERANCES_PATH, &error);
   ASSERT_TRUE(policy.has_value()) << error;
-  EXPECT_GE(policy->listed_metrics(), 15u);
+  // Every gated baseline metric has its own policy, and no policy is left
+  // over from a metric the benches no longer emit.
+  const std::filesystem::path dir =
+      std::filesystem::path(FETCH_TOLERANCES_PATH).parent_path();
+  std::size_t baseline_metrics = 0;
+  for (const char* baseline :
+       {"bench_micro_smoke.json", "bench_service_smoke.json"}) {
+    auto doc = util::json::load_file((dir / baseline).string(), &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    for (const Value& row : doc->get("results")->items()) {
+      const std::string& name = row.get("name")->text();
+      EXPECT_NE(&policy->for_metric(name), &policy->fallback()) << name;
+      ++baseline_metrics;
+    }
+  }
+  EXPECT_EQ(policy->listed_metrics(), baseline_metrics);
   // The headline claims must be direction-gated, not symmetric bands.
   EXPECT_EQ(policy->for_metric("cache_hit_rate").direction,
             Direction::kHigher);

@@ -241,7 +241,6 @@ int main(int argc, char** argv) {
       run.set("scale", Value(inv.scale));
       run.set("jobs", Value::number(static_cast<std::uint64_t>(inv.jobs)));
       run.set("cache", Value(inv.cache));
-      run.set("predecode", Value(inv.predecode));
       if (const Value* results = reports[i].get("results")) {
         run.set("results", *results);
       }

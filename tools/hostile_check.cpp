@@ -15,8 +15,11 @@
 /// (4 workers, 64-connection limit, bounded queue, short idle and
 /// write-stall deadlines): N adversarial connections split across idle
 /// campers, slow-loris writers, half-open floods, mid-frame
-/// disconnectors, and read-side stalls, while a healthy probe client
-/// must keep getting answers (ok or `overloaded`) within its deadline.
+/// disconnectors, read-side stalls, and clients that keep querying a
+/// FIFO and /dev/zero, while a healthy probe client must keep getting
+/// answers (ok or `overloaded`) within its deadline. Every FIFO or
+/// device query must get its `none` error reply (or `overloaded`)
+/// within the same deadline.
 /// The phase FAILs unless the daemon evicts the idlers and stalled
 /// readers (counters prove it) and rejects an accept-time connection
 /// flood over the limit. `--corpus` is optional when `--clients` is
@@ -36,6 +39,7 @@
 
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 // Clang spells sanitizer detection __has_feature; GCC defines
@@ -55,6 +59,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -395,7 +401,8 @@ obs::Snapshot run_client_phase(std::size_t clients,
                                const std::string& socket_path,
                                std::vector<std::string>* violations,
                                std::size_t* probe_answers,
-                               std::size_t* probe_overloaded) {
+                               std::size_t* probe_overloaded,
+                               std::size_t* device_answers) {
   constexpr std::uint64_t kIdleMs = 1'500;
   constexpr std::uint64_t kStallMs = 1'500;
   // ThreadSanitizer slows this CPU-bound pipeline by roughly an order
@@ -424,6 +431,16 @@ obs::Snapshot run_client_phase(std::size_t clients,
               static_cast<std::streamsize>(image.size()));
   }
 
+  // A FIFO's open waits for a writer and /dev/zero never ends: the
+  // inputs that could pin a worker before any analysis starts.
+  const std::string fifo_path = "/tmp/fetch-hostile-client." +
+                                std::to_string(::getpid()) + ".fifo";
+  ::unlink(fifo_path.c_str());
+  if (::mkfifo(fifo_path.c_str(), 0600) != 0) {
+    violations->push_back("clients: cannot create " + fifo_path);
+  }
+  const std::string device_paths[2] = {fifo_path, "/dev/zero"};
+
   service::ServerOptions options;
   options.socket_path = socket_path;
   options.workers = 4;
@@ -436,22 +453,26 @@ obs::Snapshot run_client_phase(std::size_t clients,
   if (!server.start(&error)) {
     violations->push_back("clients: cannot start service: " + error);
     ::unlink(sample_path.c_str());
+    ::unlink(fifo_path.c_str());
     return {};
   }
   std::thread runner([&server] { server.run(); });
 
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> evicted{0};
+  std::atomic<std::size_t> device_replies[2] = {};  // per device_paths
+  std::mutex device_mutex;
+  std::vector<std::string> device_faults;  // guarded by device_mutex
   std::vector<std::thread> hostiles;
   const std::vector<std::uint8_t> query_wire =
       frame_request({service::Op::kQuery, sample_path, {}});
   const std::vector<std::uint8_t> stats_wire =
       frame_request({service::Op::kStats, {}, {}});
 
-  // Five cohorts, round-robin. Every cohort models one way a client can
+  // Six cohorts, round-robin. Every cohort models one way a client can
   // hold resources without doing useful work.
   for (std::size_t i = 0; i < clients; ++i) {
-    switch (i % 5) {
+    switch (i % 6) {
       case 0:  // idle camper: connect, never send a byte
         hostiles.emplace_back([&] {
           std::string cerr2;
@@ -507,7 +528,7 @@ obs::Snapshot run_client_phase(std::size_t clients,
           }
         });
         break;
-      default:  // read-side stall: pipeline inline ops, never read
+      case 4:  // read-side stall: pipeline inline ops, never read
         hostiles.emplace_back([&] {
           std::string cerr2;
           const auto fd = util::unix_connect(socket_path, &cerr2);
@@ -529,6 +550,46 @@ obs::Snapshot run_client_phase(std::size_t clients,
           // authoritative witness; unread data masks the EOF here).
           while (!stop.load(std::memory_order_relaxed)) {
             std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          }
+        });
+        break;
+      default:  // device querier: a FIFO and /dev/zero, in turn
+        hostiles.emplace_back([&, i] {
+          for (std::size_t k = i / 6; !stop.load(std::memory_order_relaxed);
+               ++k) {
+            const std::string& path = device_paths[k % 2];
+            const auto t0 = std::chrono::steady_clock::now();
+            service::ClientOptions copts;
+            copts.timeout_ms = kProbeDeadlineMs;
+            copts.retries = 2;
+            std::string derr;
+            auto client =
+                service::ServiceClient::connect(socket_path, &derr, copts);
+            const auto reply =
+                client ? client->query(path, &derr) : std::nullopt;
+            const auto elapsed_ms =
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+            std::string fault;
+            if (reply && (reply->cache != "none" || reply->analysis.row.ok)) {
+              fault = "cache \"" + reply->cache + "\"";
+            } else if (!reply &&
+                       (!client || client->last_error_code() !=
+                                       service::kErrOverloaded)) {
+              fault = "failed (" + derr + ")";
+            } else if (elapsed_ms >
+                       static_cast<long long>(kProbeDeadlineMs + 500)) {
+              fault = "took " + std::to_string(elapsed_ms) + " ms";
+            }
+            if (!fault.empty()) {
+              const std::lock_guard<std::mutex> lock(device_mutex);
+              device_faults.push_back("clients: query for " + path + " " +
+                                      fault);
+              return;
+            }
+            device_replies[k % 2].fetch_add(1, std::memory_order_relaxed);
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
           }
         });
         break;
@@ -579,6 +640,13 @@ obs::Snapshot run_client_phase(std::size_t clients,
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : hostiles) {
     t.join();
+  }
+  violations->insert(violations->end(), device_faults.begin(),
+                     device_faults.end());
+  *device_answers = device_replies[0] + device_replies[1];
+  if (clients > 5 && (device_replies[0] == 0 || device_replies[1] == 0)) {
+    violations->push_back(
+        "clients: the FIFO and /dev/zero were not both answered");
   }
 
   // Accept-time rejection: a burst past the connection limit must be
@@ -640,6 +708,7 @@ obs::Snapshot run_client_phase(std::size_t clients,
   runner.join();
   ::unlink(socket_path.c_str());
   ::unlink(sample_path.c_str());
+  ::unlink(fifo_path.c_str());
   return metrics;
 }
 
@@ -815,9 +884,11 @@ int main(int argc, char** argv) {
   obs::Snapshot client_metrics;
   std::size_t probe_answers = 0;
   std::size_t probe_overloaded = 0;
+  std::size_t device_answers = 0;
   if (clients != 0) {
-    client_metrics = run_client_phase(clients, socket_path, &violations,
-                                      &probe_answers, &probe_overloaded);
+    client_metrics =
+        run_client_phase(clients, socket_path, &violations, &probe_answers,
+                         &probe_overloaded, &device_answers);
   }
 
   // --- Memory bound.
@@ -843,6 +914,7 @@ int main(int argc, char** argv) {
     const auto& client_counters = client_metrics.counters();
     std::cout << ", " << clients << " hostile clients (" << probe_answers
               << " probe answers, " << probe_overloaded << " overloaded, "
+              << device_answers << " FIFO/device answers, "
               << client_counters.at("service_idle_timeouts_total")
               << " idle evictions, "
               << client_counters.at("service_write_stall_timeouts_total")
@@ -887,6 +959,9 @@ int main(int argc, char** argv) {
       clients_doc.set("probe_overloaded",
                       util::json::Value::number(
                           static_cast<std::uint64_t>(probe_overloaded)));
+      clients_doc.set("device_answers",
+                      util::json::Value::number(
+                          static_cast<std::uint64_t>(device_answers)));
       clients_doc.set("server",
                       *service::stats_view(client_metrics).get("server"));
       doc.set("clients", std::move(clients_doc));
