@@ -46,14 +46,13 @@ std::optional<ServiceClient> ServiceClient::connect(
   }
 }
 
-bool ServiceClient::exchange(const Request& request, std::string* payload,
-                             std::string* error) {
+bool ServiceClient::exchange(const Request& request, std::string* error) {
   last_error_code_.clear();
   if (!util::write_frame(fd_.get(), request_json(request).dump_compact(),
                          error)) {
     return false;
   }
-  const util::FrameStatus status = util::read_frame(fd_.get(), payload, error);
+  const util::FrameStatus status = util::read_frame(fd_.get(), &reply_, error);
   if (status == util::FrameStatus::kEof) {
     *error = "server closed the connection";
     return false;
@@ -63,11 +62,10 @@ bool ServiceClient::exchange(const Request& request, std::string* payload,
 
 std::optional<util::json::Value> ServiceClient::request(
     const Request& request, std::string* error) {
-  std::string payload;
-  if (!exchange(request, &payload, error)) {
+  if (!exchange(request, error)) {
     return std::nullopt;
   }
-  auto response = util::json::Value::parse(payload);
+  auto response = util::json::Value::parse(reply_);
   if (!response) {
     *error = "server sent malformed JSON";
     return std::nullopt;
@@ -86,11 +84,10 @@ bool ServiceClient::ping(std::string* error) {
 std::optional<QueryResult> ServiceClient::query(const std::string& path,
                                                 std::string* error,
                                                 const std::string& trace) {
-  std::string payload;
-  if (!exchange({Op::kQuery, path, trace}, &payload, error)) {
+  if (!exchange({Op::kQuery, path, trace}, error)) {
     return std::nullopt;
   }
-  QueryReply reply = parse_query_reply(payload, error);
+  QueryReply reply = parse_query_reply(reply_, error);
   last_error_code_ = std::move(reply.error_code);
   return std::move(reply.result);
 }

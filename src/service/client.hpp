@@ -79,14 +79,17 @@ class ServiceClient {
   ServiceClient(std::string socket_path, util::Fd fd)
       : socket_path_(std::move(socket_path)), fd_(std::move(fd)) {}
 
-  /// Sends \p request and reads the reply's payload; false + *error on a
-  /// transport failure.
-  [[nodiscard]] bool exchange(const Request& request, std::string* payload,
-                              std::string* error);
+  /// Sends \p request and reads the reply's payload into reply_; false +
+  /// *error on a transport failure.
+  [[nodiscard]] bool exchange(const Request& request, std::string* error);
 
   std::string socket_path_;
   util::Fd fd_;
   std::string last_error_code_;
+  /// The last reply's payload. Reused by every exchange, so a warm hit
+  /// neither allocates nor zero-fills its receive buffer; what a call
+  /// returns is copied out of it, never a view into it.
+  std::string reply_;
 };
 
 }  // namespace fetch::service

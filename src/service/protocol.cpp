@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -37,6 +38,21 @@ std::string hex64(std::uint64_t value, int digits) {
   return buf;
 }
 
+/// Each byte's value as a hex digit of either case; 0xff for any other
+/// byte. A lookup, not a digit-or-letter branch, because the address
+/// digits of a reply mix the two at random.
+constexpr std::array<std::uint8_t, 256> kHexDigits = [] {
+  std::array<std::uint8_t, 256> digits{};
+  digits.fill(0xff);
+  for (std::uint8_t i = 0; i < 10; ++i) {
+    digits['0' + i] = i;
+  }
+  for (std::uint8_t i = 0; i < 6; ++i) {
+    digits['a' + i] = digits['A' + i] = 10 + i;
+  }
+  return digits;
+}();
+
 /// Decodes "0x" + 1 to 16 hex digits of either case; false on anything
 /// else (a sign, whitespace, no digits, a 17th digit).
 bool parse_hex64(std::string_view text, std::uint64_t* out) {
@@ -46,13 +62,8 @@ bool parse_hex64(std::string_view text, std::uint64_t* out) {
   }
   std::uint64_t value = 0;
   for (const char c : text.substr(2)) {
-    const char lower = static_cast<char>(c | 0x20);
-    unsigned digit = 0;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<unsigned>(c - '0');
-    } else if (lower >= 'a' && lower <= 'f') {
-      digit = static_cast<unsigned>(lower - 'a' + 10);
-    } else {
+    const std::uint8_t digit = kHexDigits[static_cast<unsigned char>(c)];
+    if (digit > 0xf) {
       return false;
     }
     value = value << 4 | digit;
@@ -124,8 +135,21 @@ constexpr std::size_t kMinEntryBytes = 11;
 using Functions = std::vector<std::pair<std::uint64_t, std::string>>;
 
 /// One ["0x<hex>","<provenance>"] entry, appended to *functions. *good
-/// turns false when the value is anything else.
+/// turns false when the value is anything else. The compact form
+/// query_frame writes takes one scan; any other spelling (whitespace,
+/// escapes, another shape) is read token by token.
 bool read_function(Reader& in, bool* good, Functions* functions) {
+  std::string_view hex;
+  std::string_view provenance_text;
+  if (in.compact_string_pair(&hex, &provenance_text)) {
+    std::uint64_t addr = 0;
+    if (parse_hex64(hex, &addr)) {
+      functions->emplace_back(addr, provenance_text);
+    } else {
+      *good = false;
+    }
+    return true;
+  }
   if (in.peek() != Value::Kind::kArray) {
     *good = false;
     return in.skip();

@@ -16,13 +16,16 @@
 /// write → parse → compare cycle exactly — the property the
 /// "JSON totals match the human-readable table" ctest check relies on.
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -401,8 +404,10 @@ class Reader {
     return true;
   }
 
-  /// A number: its value (std::strtod of the text) and, when \p text is
-  /// given, its source text (valid as long as the document).
+  /// A number: its value (what std::strtod makes of the text in the "C"
+  /// locale: correctly rounded, ±inf past the double range, ±0 below it)
+  /// and, when \p text is given, its source text (valid as long as the
+  /// document).
   [[nodiscard]] bool number(double* value, std::string_view* text = nullptr) {
     if (failed_) {
       return false;
@@ -425,12 +430,49 @@ class Reader {
       }
     }
     const std::string_view source = text_.substr(start, pos_ - start);
-    if (value != nullptr) {
-      *value = std::strtod(std::string(source).c_str(), nullptr);
+    if (value != nullptr &&
+        std::from_chars(source.data(), source.data() + source.size(), *value)
+                .ec != std::errc()) {
+      *value = out_of_range(source);  // from_chars leaves *value as it was
     }
     if (text != nullptr) {
       *text = source;
     }
+    return true;
+  }
+
+  /// Reads a two-string array written in canonical compact form,
+  /// ["<first>","<second>"] with no whitespace and no escape, in one
+  /// scan: both views point into the document, and the reader is left
+  /// as begin_array(), two string() and the closing next_item() leave
+  /// it. Returns false and consumes nothing on any other input (or after
+  /// an error), so the caller reads the value token by token instead.
+  [[nodiscard]] bool compact_string_pair(std::string_view* first,
+                                         std::string_view* second) {
+    if (failed_ || depth_ == kMaxDepth) {
+      return false;
+    }
+    std::size_t at = pos_;
+    const auto byte = [&](char c) {
+      return at < text_.size() && text_[at++] == c;
+    };
+    const auto quoted = [&](std::string_view* out) {
+      if (!byte('"')) {
+        return false;
+      }
+      const std::size_t start = at;
+      while (at < text_.size() && text_[at] != '"' && text_[at] != '\\') {
+        ++at;
+      }
+      *out = text_.substr(start, at - start);
+      return byte('"');
+    };
+    if (!(byte('[') && quoted(first) && byte(',') && quoted(second) &&
+          byte(']'))) {
+      return false;
+    }
+    pos_ = at;
+    first_ = false;
     return true;
   }
 
@@ -573,6 +615,41 @@ class Reader {
 
  private:
   static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  /// What std::strtod gives for a well-formed \p number that
+  /// std::from_chars reports out of range: ±inf when it overflows, ±0
+  /// when it underflows. The two sides lie hundreds of decades apart, so
+  /// the sign of the leading digit's decimal exponent tells them apart.
+  static double out_of_range(std::string_view number) {
+    std::size_t i = number[0] == '-' ? 1 : 0;
+    // The leading digit's exponent is scale - 1 before the e part.
+    std::int64_t scale = 0;
+    bool leading = true;
+    for (; i < number.size() && is_digit(number[i]); ++i) {
+      leading = leading && number[i] == '0';
+      scale += leading ? 0 : 1;
+    }
+    if (i < number.size() && number[i] == '.') {
+      for (++i; i < number.size() && is_digit(number[i]); ++i) {
+        leading = leading && number[i] == '0';
+        scale -= leading ? 1 : 0;
+      }
+    }
+    std::int64_t exponent = 0;
+    if (i < number.size()) {  // [eE][+-]?digits
+      ++i;
+      const bool negative = number[i] == '-';
+      i += number[i] == '-' || number[i] == '+' ? 1 : 0;
+      for (; i < number.size(); ++i) {
+        exponent = std::min<std::int64_t>(exponent * 10 + (number[i] - '0'),
+                                          std::int64_t{1} << 40);
+      }
+      exponent = negative ? -exponent : exponent;
+    }
+    const double magnitude =
+        scale + exponent > 0 ? std::numeric_limits<double>::infinity() : 0.0;
+    return number[0] == '-' ? -magnitude : magnitude;
+  }
 
   /// Merges repeated keys as Value::set would have, in linear time: a
   /// key keeps its first position and takes its last value.

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace fetch::util::json {
 namespace {
@@ -21,6 +25,25 @@ TEST(Json, ParsesScalars) {
   EXPECT_DOUBLE_EQ(Value::parse("-17")->as_double(), -17.0);
   EXPECT_DOUBLE_EQ(Value::parse("2e3")->as_double(), 2000.0);
   EXPECT_EQ(Value::parse("\"hi\"")->text(), "hi");
+
+  // Numbers read as std::strtod reads them: past the double range,
+  // overflow is ±inf and underflow ±0, the sign kept; the text stays.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [text, want] :
+       {std::pair{"1e999", inf}, {"-1e999", -inf}, {"1e-400", 0.0},
+        {"-1e-400", -0.0}, {"-0", -0.0}, {"0e999", 0.0},
+        {"123456789e305", inf}, {"0.000001e-320", 0.0},
+        {"1797693134862316e293", inf},
+        {"1797693134862315e293", 1.797693134862315e308},
+        {"4.9e-324", 4.9e-324}, {"2e-324", 0.0}}) {
+    SCOPED_TRACE(text);
+    const auto v = Value::parse(text);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->as_double(), want);
+    EXPECT_EQ(v->as_double(), std::strtod(text, nullptr));
+    EXPECT_EQ(std::signbit(v->as_double()), std::signbit(want));
+    EXPECT_EQ(v->text(), text);
+  }
 }
 
 TEST(Json, NumberKeepsSourceText) {
@@ -103,6 +126,22 @@ TEST(Json, RejectsNestingPastTheDepthBound) {
   Reader deep(too_deep);
   EXPECT_FALSE(deep.skip());
   EXPECT_FALSE(deep.ok());
+
+  // The one-scan pair read declines a pair that would open one level
+  // too many, and the token path then fails on it.
+  const std::string pair_too_deep =
+      std::string(Reader::kMaxDepth, '[') + R"(["a","b"])" +
+      std::string(Reader::kMaxDepth, ']');
+  Reader at_bound(pair_too_deep);
+  for (std::size_t i = 0; i < Reader::kMaxDepth; ++i) {
+    ASSERT_TRUE(at_bound.begin_array());
+    ASSERT_TRUE(at_bound.next_item());
+  }
+  std::string_view first;
+  std::string_view second;
+  EXPECT_FALSE(at_bound.compact_string_pair(&first, &second));
+  EXPECT_TRUE(at_bound.ok());
+  EXPECT_FALSE(at_bound.begin_array());
 }
 
 TEST(JsonReader, WalksMembersAndItemsInOrder) {
@@ -140,6 +179,30 @@ TEST(JsonReader, WalksMembersAndItemsInOrder) {
   EXPECT_TRUE(c->is_array());
   EXPECT_FALSE(in.next_member(&key));
   EXPECT_TRUE(in.end());
+
+  // A compact pair takes one scan and leaves the walk where the token
+  // path would; any other spelling is declined with nothing consumed.
+  Reader pairs(R"([["0x1","fde"],["a\"","b"],[ "c","d"]])");
+  std::string_view first;
+  std::string_view second;
+  ASSERT_TRUE(pairs.begin_array());
+  ASSERT_TRUE(pairs.next_item());
+  ASSERT_TRUE(pairs.compact_string_pair(&first, &second));
+  EXPECT_EQ(first, "0x1");
+  EXPECT_EQ(second, "fde");
+  for (const std::string_view want : {"a\"", "c"}) {
+    ASSERT_TRUE(pairs.next_item());
+    EXPECT_FALSE(pairs.compact_string_pair(&first, &second));
+    ASSERT_TRUE(pairs.begin_array());
+    ASSERT_TRUE(pairs.next_item());
+    ASSERT_TRUE(pairs.string(&first));
+    EXPECT_EQ(first, want);
+    ASSERT_TRUE(pairs.next_item());
+    ASSERT_TRUE(pairs.skip());
+    EXPECT_FALSE(pairs.next_item());
+  }
+  EXPECT_FALSE(pairs.next_item());
+  EXPECT_TRUE(pairs.end());
 }
 
 TEST(JsonReader, ErrorsAreSticky) {

@@ -537,8 +537,9 @@ TEST(QueryReply, TargetedResultEdits) {
                                        std::string(300, ']')));
 
   // Counts.
-  for (const char* count : {"1e3", "7.0", "7.9", "0", "-0", "-0.5",
-                            "12345678901234", R"("7")", "true", "null"}) {
+  for (const char* count :
+       {"1e3", "7.0", "7.9", "0", "-0", "-0.5", "1e-400", "-1e-400",
+        "12345678901234", R"("7")", "true", "null"}) {
     check_result(with(base, "tp", count));
   }
   check_result(without(base, "aliases"));
@@ -562,6 +563,62 @@ TEST(QueryReply, TargetedResultEdits) {
     check_result(with(base, "functions", functions));
   }
   check_result(without(base, "functions"));
+
+  // Entries at the edge of the compact form, ["<hex>","<provenance>"]
+  // with no whitespace or escape, which read_function takes in one scan;
+  // it must decline every other spelling and read it token by token.
+  // Each variant is checked alone and after a compact entry.
+  const auto check_entry = [&](const std::string& entry) {
+    check_result(with(base, "functions", "[" + entry + "]"));
+    check_result(
+        with(base, "functions", R"([["0x401000","fde"],)" + entry + "]"));
+  };
+  const std::string entry = R"(["0x401200","pointer"])";
+  for (std::size_t at = 0; at <= entry.size(); ++at) {
+    check_entry(entry.substr(0, at));
+    for (const char* space : {" ", "\n"}) {
+      std::string spaced = entry;
+      check_entry(spaced.insert(at, space));
+    }
+  }
+  for (const char* escaped :
+       {R"(["0x1\"","fde"])", R"(["0x\"1","fde"])", R"(["0x1","f\"de"])",
+        R"(["0x1","fde\""])", R"(["0x1\\","fde"])", R"(["0x1","f\\de"])",
+        R"(["0x1","fde\\"])", R"(["\"","\""])", R"(["\u0030x1","fde"])",
+        R"(["0x1","fd\u0065"])", R"(["0x1","fde\/"])", R"(["0x1","\q"])"}) {
+    check_entry(escaped);
+  }
+  for (const char* hex : {"0X1", "0x11111111111111111", "0x1111111111111111",
+                          "0x", "", "x1", "0x1 ", "0x00000000000000000"}) {
+    check_entry(std::string(R"([")") + hex + R"(","fde"])");
+  }
+  for (const char* shape :
+       {R"(["0x1"])", R"(["0x1","fde","x"])", R"(["0x1","fde",])",
+        R"(["0x1",])", R"([,"0x1","fde"])", R"(["0x1""fde"])",
+        R"(["0x1","fde"]])", R"([1,"fde"])", R"(["0x1",null])",
+        R"(["0x1",["fde"]])", R"([["0x1","fde"]])", "[]", R"(["0x1","fde")",
+        R"(["0x1","fde"],)", R"("0x1","fde")"}) {
+    check_entry(shape);
+  }
+
+  // The document cut at every byte of its last entry; at the entry's
+  // end, a lone compact entry is the last bytes of the document.
+  {
+    const std::string text = object(base);
+    const std::string reply = object(reply_members(text));
+    const std::size_t in_text = text.rfind(entry);
+    const std::size_t in_reply = reply.rfind(entry);
+    ASSERT_NE(in_text, std::string::npos);
+    ASSERT_NE(in_reply, std::string::npos);
+    for (std::size_t at = 0; at <= entry.size(); ++at) {
+      SCOPED_TRACE(entry.substr(0, at));
+      expect_same_result(text.substr(0, in_text + at));
+      (void)expect_same_reply(reply.substr(0, in_reply + at));
+    }
+    const std::string lone = R"({"functions":[)" + entry;
+    expect_same_result(lone);
+    (void)expect_same_reply(lone);
+  }
 
   // path, ok and the other text members.
   check_result(with(base, "ok", "1"));
@@ -653,7 +710,7 @@ TEST(QueryReply, TargetedReplyEdits) {
 TEST(QueryReply, CountsNoSizeTHoldsAreRejected) {
   // The tree decode cast any number to std::size_t, which is undefined
   // for these; the one-pass decode calls them missing.
-  for (const char* count : {"-1", "-1e300", "1e20", "1e999"}) {
+  for (const char* count : {"-1", "-1e300", "1e20", "1e999", "-1e999"}) {
     SCOPED_TRACE(count);
     const std::string text = object(with(result_members(), "tp", count));
     std::string error;

@@ -17,9 +17,9 @@
 ///                                  the JSON parser off the daemon's
 ///                                  stack (now past Reader::kMaxDepth)
 ///
-/// The reply seeds (hit_reply, miss_reply, pretty_hit_reply,
-/// dup_escaped_reply) are unframed query replies for the client's
-/// decode, parse_query_reply.
+/// The reply seeds (hit_reply, mixed_hit_reply, miss_reply,
+/// pretty_hit_reply, dup_escaped_reply) are unframed query replies for
+/// the client's decode, parse_query_reply.
 ///
 /// Usage: fuzz_seed_gen <corpus-root>   (writes <root>/{ehframe,elf,x86,
 /// service_frame}/*.bin; existing files are overwritten)
@@ -259,8 +259,20 @@ void gen_service_frame(const fs::path& root) {
                                                    "0123456789abcdef", stages)
                            .substr(4));
   };
-  write_seed(root, "service_frame", "hit_reply.bin",
-             reply("hit", Value::array()));
+  const std::vector<std::uint8_t> hit = reply("hit", Value::array());
+  write_seed(root, "service_frame", "hit_reply.bin", hit);
+
+  // The hit reply with compact entries, which the client reads in one
+  // scan each, between entries it must read token by token: a spaced
+  // one, an escaped one and (last, so the others decode first) a 3-item
+  // one.
+  std::string mixed(hit.begin(), hit.end());
+  const std::size_t list = mixed.find(R"("functions":)") + 12;
+  mixed.replace(list, mixed.find("]]", list) + 2 - list,
+                R"([["0x401000","fde"],[ "0x401020" ,"call-target"],)"
+                R"(["0x401200","po\u0069nter\""],["0x401300","fde"],)"
+                R"(["0x401400","tail-call","x"]])");
+  write_seed(root, "service_frame", "mixed_hit_reply.bin", from_string(mixed));
   Value stages = Value::array();
   for (const auto& [stage, us] :
        {std::pair{"elf_parse", 12u}, {"detect", 3456u}, {"score", 78u}}) {
