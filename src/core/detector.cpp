@@ -62,6 +62,7 @@ DetectionResult FunctionDetector::run(const DetectorOptions& options,
   // (developer-mislabeled CFI, Figure 6b). Only done when error fixing is
   // enabled; the raw-FDE studies keep them.
   if (options.fix_fde_errors) {
+    obs::Span span(trace, "detect.callconv");
     std::vector<std::uint64_t> kept;
     kept.reserve(seeds.size());
     for (const std::uint64_t s : seeds) {

@@ -1,70 +1,28 @@
 #include "eval/runner.hpp"
 
-#include <iostream>
 #include <utility>
 
-#include "synth/corpus_store.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fetch::eval {
 
 Corpus Corpus::materialize_spec(const synth::CorpusSpec& spec,
                                 const CorpusOptions& options) {
-  // One expansion serves both the content hash and (on a miss) generation.
-  const std::vector<synth::ProgramSpec> specs = spec.expand();
-  const std::uint64_t hash = spec.hash(specs);
-
-  // Parallel slot-per-index construction (CorpusEntry parses its ELF, so
-  // this is worth sharding on both the hit and the miss path).
-  const auto build_entries = [&](std::vector<synth::SynthBinary> bins) {
-    std::vector<std::optional<CorpusEntry>> slots(bins.size());
-    util::parallel_for(options.jobs, bins.size(), [&](std::size_t i) {
-      slots[i].emplace(std::move(bins[i]));
-    });
-    Corpus corpus;
-    corpus.spec_hash_ = hash;
-    corpus.entries_.reserve(slots.size());
-    for (std::optional<CorpusEntry>& slot : slots) {
-      corpus.entries_.push_back(std::move(*slot));
-    }
-    return corpus;
-  };
-
-  // Load-or-generate: a cache hit deserializes the stored corpus — which
-  // is byte-identical to regeneration by the CorpusStore contract.
-  if (!options.cache_dir.empty()) {
-    const synth::CorpusStore store(options.cache_dir);
-    if (auto cached = store.load(hash)) {
-      Corpus corpus = build_entries(std::move(*cached));
-      corpus.from_cache_ = true;
-      return corpus;
-    }
-  }
-
   // Sharded generation into stable slots: each entry has its own RNG
   // stream (seed baked into its spec), so the job count can affect only
-  // wall-clock time, never bytes.
-  std::vector<std::optional<synth::SynthBinary>> slots(specs.size());
+  // wall-clock time, never bytes. CorpusEntry parses its ELF, so that
+  // runs in the same shard.
+  const std::vector<synth::ProgramSpec> specs = spec.expand();
+  std::vector<std::optional<CorpusEntry>> slots(specs.size());
   util::parallel_for(options.jobs, specs.size(), [&](std::size_t i) {
     slots[i].emplace(synth::generate(specs[i]));
   });
-  std::vector<synth::SynthBinary> bins;
-  bins.reserve(slots.size());
-  for (std::optional<synth::SynthBinary>& slot : slots) {
-    bins.push_back(std::move(*slot));
+  Corpus corpus;
+  corpus.entries_.reserve(slots.size());
+  for (std::optional<CorpusEntry>& slot : slots) {
+    corpus.entries_.push_back(std::move(*slot));
   }
-
-  if (!options.cache_dir.empty()) {
-    // Best-effort: a failed cache write costs the next run regeneration
-    // time, so it must not fail this run.
-    const synth::CorpusStore store(options.cache_dir);
-    if (!store.save(hash, bins)) {
-      std::cerr << "warning: could not write corpus cache under "
-                << options.cache_dir << "\n";
-    }
-  }
-
-  return build_entries(std::move(bins));
+  return corpus;
 }
 
 Corpus Corpus::self_built(const CorpusOptions& options) {

@@ -61,26 +61,21 @@ struct CorpusEntry {
   std::shared_ptr<Lazy> lazy_;
 };
 
-/// How a Corpus is materialized: which population, how many generation
-/// workers, and whether to go through the on-disk corpus cache.
+/// How a Corpus is materialized: which population and how many
+/// generation workers.
 struct CorpusOptions {
   /// Population size (see synth::Scale): smoke = 8-entry ctest prefix,
   /// default = the 176-entry corpus, full = the paper-scale ≥1,352 set.
   synth::Scale scale = synth::Scale::kDefault;
   /// Generation/evaluation workers (0 = FETCH_JOBS env, else hardware).
   std::size_t jobs = 0;
-  /// Corpus-cache root (validated by util::prepare_cache_dir). Empty
-  /// disables caching; non-empty makes materialization load-or-generate:
-  /// a spec-hash hit deserializes the stored corpus, a miss generates and
-  /// then persists it for the next run.
-  std::string cache_dir;
 };
 
 class Corpus {
  public:
-  /// The self-built corpus (Table II) at the requested scale, loaded from
-  /// the cache when possible (see CorpusOptions::cache_dir). Cached,
-  /// sharded, and serial materialization all yield byte-identical entries.
+  /// The self-built corpus (Table II) at the requested scale. Entries are
+  /// generated into per-index slots, so serial and sharded generation
+  /// yield byte-identical entries.
   [[nodiscard]] static Corpus self_built(const CorpusOptions& options);
   /// The wild suite (Table I) at the requested scale.
   [[nodiscard]] static Corpus wild(const CorpusOptions& options);
@@ -90,19 +85,11 @@ class Corpus {
   }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-  /// True when this corpus was deserialized from the on-disk cache rather
-  /// than generated (diagnostics only — the bytes are identical either way).
-  [[nodiscard]] bool from_cache() const { return from_cache_; }
-  /// The CorpusSpec content hash this corpus was materialized from.
-  [[nodiscard]] std::uint64_t spec_hash() const { return spec_hash_; }
-
  private:
   static Corpus materialize_spec(const synth::CorpusSpec& spec,
                                  const CorpusOptions& options);
 
   std::vector<CorpusEntry> entries_;
-  bool from_cache_ = false;
-  std::uint64_t spec_hash_ = 0;
 };
 
 /// A detection strategy: binary in, start set out.

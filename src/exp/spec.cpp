@@ -95,9 +95,6 @@ std::string Invocation::render() const {
   for (const std::string& arg : bench_args()) {
     line += " " + arg;
   }
-  if (cache) {
-    line += " --cache-dir {cache}";
-  }
   return line;
 }
 
@@ -106,9 +103,8 @@ std::optional<ExpSpec> ExpSpec::parse(const Value& doc, std::string* error) {
   if (!util::json::expect_schema(doc, "fetch-exp-v1", error, "spec")) {
     return std::nullopt;
   }
-  if (!only_known_keys(
-          doc, {"schema", "name", "strategies", "scales", "jobs", "cache"},
-          "spec", error)) {
+  if (!only_known_keys(doc, {"schema", "name", "strategies", "scales", "jobs"},
+                       "spec", error)) {
     return std::nullopt;
   }
   ExpSpec spec;
@@ -161,21 +157,8 @@ std::optional<ExpSpec> ExpSpec::parse(const Value& doc, std::string* error) {
     spec.jobs_.push_back(static_cast<std::size_t>(n.as_double()));
   }
 
-  const Value* cache =
-      util::json::require(doc, "cache", Value::Kind::kArray, error, "spec");
-  if (cache == nullptr) {
-    return std::nullopt;
-  }
-  for (const Value& b : cache->items()) {
-    if (b.kind() != Value::Kind::kBool) {
-      *error = "spec: cache entries must be booleans";
-      return std::nullopt;
-    }
-    spec.cache_.push_back(b.as_bool());
-  }
-
   if (spec.strategies_.empty() || spec.scales_.empty() ||
-      spec.jobs_.empty() || spec.cache_.empty()) {
+      spec.jobs_.empty()) {
     *error = "spec: every axis needs at least one entry";
     return std::nullopt;
   }
@@ -196,19 +179,15 @@ std::vector<Invocation> ExpSpec::expand() const {
   for (const Strategy& strategy : strategies_) {
     for (const std::string& scale : scales_) {
       for (const std::size_t jobs : jobs_) {
-        for (const bool cache : cache_) {
-          Invocation inv;
-          inv.strategy = strategy.name;
-          inv.bench = strategy.bench;
-          inv.scale = scale;
-          inv.jobs = jobs;
-          inv.cache = cache;
-          inv.extra_args = strategy.args;
-          inv.baseline = strategy.baseline;
-          inv.id = strategy.name + "." + scale + ".j" + std::to_string(jobs) +
-                   (cache ? ".c1" : ".c0");
-          out.push_back(std::move(inv));
-        }
+        Invocation inv;
+        inv.strategy = strategy.name;
+        inv.bench = strategy.bench;
+        inv.scale = scale;
+        inv.jobs = jobs;
+        inv.extra_args = strategy.args;
+        inv.baseline = strategy.baseline;
+        inv.id = strategy.name + "." + scale + ".j" + std::to_string(jobs);
+        out.push_back(std::move(inv));
       }
     }
   }
@@ -236,10 +215,6 @@ std::uint64_t ExpSpec::hash() const {
   h.value(jobs_.size());
   for (const std::size_t jobs : jobs_) {
     h.value(jobs);
-  }
-  h.value(cache_.size());
-  for (const bool cache : cache_) {
-    h.value(cache ? 1 : 0);
   }
   return h.digest();
 }

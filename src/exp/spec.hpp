@@ -15,19 +15,19 @@
 ///       ...
 ///     ],
 ///     "scales": ["smoke"],            // corpus population axis
-///     "jobs": [2],                    // worker-thread axis
-///     "cache": [false]                // corpus-cache axis
+///     "jobs": [2]                     // worker-thread axis
 ///   }
 ///
 /// expand() is the whole point: it turns the spec into an *exact,
-/// ordered* list of bench invocations — strategies × scales × jobs ×
-/// cache, nested in exactly that order — so "what did the experiment
-/// run" is a pure function of the checked-in file, pinned by a ctest.
-/// hash_hex() fingerprints the spec content (FNV-1a over every field in
-/// canonical form, like synth::CorpusSpec); the hash keys trajectory
-/// entries and CI cache keys, and deliberately does NOT depend on
-/// anything outside the file (runner parallelism, binary paths, output
-/// directories). A key the schema does not know fails parse().
+/// ordered* list of bench invocations — strategies × scales × jobs,
+/// nested in exactly that order — so "what did the experiment run" is a
+/// pure function of the checked-in file, pinned by a ctest. hash_hex()
+/// fingerprints the spec content (FNV-1a over every field in canonical
+/// form); the hash keys trajectory entries, and deliberately does NOT
+/// depend on anything outside the file (runner parallelism, binary
+/// paths, output directories). A key the schema does not know fails
+/// parse(), so a stale spec that still sweeps a removed axis is an
+/// error, not a smaller matrix.
 
 #include <cstdint>
 #include <optional>
@@ -49,23 +49,22 @@ struct Strategy {
 /// One expanded cell of the matrix: everything needed to run one bench
 /// and to name its output deterministically.
 struct Invocation {
-  std::string id;        ///< "<strategy>.<scale>.j<jobs>.<c0|c1>"
+  std::string id;        ///< "<strategy>.<scale>.j<jobs>"
   std::string strategy;
   std::string bench;
   std::string scale;
   std::size_t jobs = 0;
-  bool cache = false;
   std::vector<std::string> extra_args;  ///< the strategy's fixed args
   std::string baseline;                 ///< inherited from the strategy
 
-  /// The ordered bench argument list, minus binary path and output/cache
-  /// paths (those are runner-supplied): `--scale S --jobs N <extra...>`.
-  /// `--cache-dir <dir>` and `--json <path>` are appended by the runner
-  /// so the expansion stays a pure function of the spec.
+  /// The ordered bench argument list, minus binary path and output path
+  /// (those are runner-supplied): `--scale S --jobs N <extra...>`.
+  /// `--json <path>` is appended by the runner so the expansion stays a
+  /// pure function of the spec.
   [[nodiscard]] std::vector<std::string> bench_args() const;
 
   /// One-line rendering for `exp_run --list` and the pinned expansion
-  /// test: `<id>: <bench> <args...> [--cache-dir {cache}]`.
+  /// test: `<id>: <bench> <args...>`.
   [[nodiscard]] std::string render() const;
 };
 
@@ -84,14 +83,13 @@ class ExpSpec {
     return scales_;
   }
   [[nodiscard]] const std::vector<std::size_t>& jobs() const { return jobs_; }
-  [[nodiscard]] const std::vector<bool>& cache() const { return cache_; }
 
   /// Deterministic full expansion (see file comment for the order).
   [[nodiscard]] std::vector<Invocation> expand() const;
 
   /// Content fingerprint over every field in canonical order.
   [[nodiscard]] std::uint64_t hash() const;
-  /// hash() as the usual 16-hex-digit string (corpus-store style).
+  /// hash() as a 16-hex-digit string.
   [[nodiscard]] std::string hash_hex() const;
 
  private:
@@ -99,7 +97,6 @@ class ExpSpec {
   std::vector<Strategy> strategies_;
   std::vector<std::string> scales_;
   std::vector<std::size_t> jobs_;
-  std::vector<bool> cache_;
 };
 
 }  // namespace fetch::exp

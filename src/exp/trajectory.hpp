@@ -14,8 +14,8 @@
 ///         "spec": "smoke",
 ///         "spec_hash": "<16 hex digits>",
 ///         "runs": [
-///           {"id": "hotpath.smoke.j2.c0", "bench": "bench_micro",
-///            "scale": "smoke", "jobs": 2, "cache": false,
+///           {"id": "hotpath.smoke.j2", "bench": "bench_micro",
+///            "scale": "smoke", "jobs": 2,
 ///            "results": [ ...fetch-bench-v1 rows verbatim... ]},
 ///           ...
 ///         ]

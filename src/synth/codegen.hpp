@@ -12,12 +12,11 @@
 
 namespace fetch::synth {
 
-/// Version of the generated-binary format. Every corpus spec hash folds
-/// this in, so on-disk corpus caches (synth::CorpusStore) invalidate
-/// automatically when generation output changes. Bump it on ANY codegen
-/// or layout change that can alter the emitted bytes or ground truth for
-/// an unchanged ProgramSpec; spec-level changes (new axes, new fields)
-/// are hashed directly and need no bump.
+/// Seed input of every corpus entry: CorpusSpec::expand folds it into the
+/// axes hash that each entry's RNG seed chains from. Changing it reseeds
+/// every entry, so every corpus byte, every bench number and every digest
+/// pinned over the synthetic corpus changes with it. A codegen change
+/// needs no bump: nothing stores generated bytes across runs.
 inline constexpr std::uint32_t kGeneratorVersion = 2;
 
 /// Section layout used by all generated binaries.

@@ -18,8 +18,8 @@ constexpr Reg kCalleeSaved[] = {Reg::kRbx, Reg::kR12, Reg::kR13, Reg::kR14,
                                 Reg::kR15};
 
 /// True when a `features` axis means "just the historical corpus": empty
-/// or a lone "default". Hashes and seeds must not change in that case, so
-/// every feature-aware fold below is guarded on this.
+/// or a lone "default". Seeds must not change in that case, so the
+/// feature fold in axes_hash is guarded on this.
 bool default_features(const std::vector<std::string>& features) {
   return features.empty() ||
          (features.size() == 1 && features.front() == "default");
@@ -29,7 +29,7 @@ bool default_features(const std::vector<std::string>& features) {
 /// per-entry RNG seeds). Deliberately excludes `limit`: a truncated corpus
 /// (smoke) is a byte-identical prefix of the untruncated one. The
 /// `features` axis is folded in only when non-default so that every
-/// pre-existing corpus keeps its hash and per-entry seeds byte-identical.
+/// pre-existing corpus keeps its per-entry seeds byte-identical.
 std::uint64_t axes_hash(const CorpusSpec& spec) {
   util::Fnv1a h;
   h.value(kGeneratorVersion);
@@ -65,75 +65,6 @@ std::uint64_t entry_seed(std::uint64_t axes, const std::string& project,
   h.str(opt);
   h.value(variant);
   return h.digest();
-}
-
-template <typename T>
-void hash_optional(util::Fnv1a& h, const std::optional<T>& v) {
-  h.value(v.has_value());
-  if (v.has_value()) {
-    h.value(*v);
-  }
-}
-
-void hash_function(util::Fnv1a& h, const FunctionSpec& fn) {
-  h.str(fn.name);
-  h.value(fn.role);
-  h.value(fn.has_fde);
-  h.value(fn.frame_pointer);
-  h.value(fn.cold_part);
-  h.value(fn.blocks);
-  h.value(fn.saves.size());
-  for (const Reg r : fn.saves) {
-    h.value(r);
-  }
-  h.value(fn.frame_size);
-  h.value(fn.callees.size());
-  for (const std::size_t c : fn.callees) {
-    h.value(c);
-  }
-  h.value(fn.indirect_callees.size());
-  for (const std::size_t c : fn.indirect_callees) {
-    h.value(c);
-  }
-  hash_optional(h, fn.tail_callee);
-  h.value(fn.jump_table_cases);
-  hash_optional(h, fn.noreturn_callee);
-  hash_optional(h, fn.error_callee);
-  h.value(fn.error_arg_zero);
-  hash_optional(h, fn.stdcall_callee);
-  h.value(fn.long_backward_jump);
-  hash_optional(h, fn.thunk_mid_target);
-  h.value(fn.nop_entry);
-  h.value(fn.via_rel_table);
-}
-
-void hash_program(util::Fnv1a& h, const ProgramSpec& spec) {
-  h.str(spec.name);
-  h.str(spec.compiler);
-  h.str(spec.opt);
-  h.value(spec.seed);
-  h.value(spec.functions.size());
-  for (const FunctionSpec& fn : spec.functions) {
-    hash_function(h, fn);
-  }
-  h.value(spec.blobs.size());
-  for (const DataBlobSpec& blob : spec.blobs) {
-    h.value(blob.after_function);
-    h.value(blob.size);
-    h.value(blob.seed);
-  }
-  h.value(spec.cxx);
-  h.value(spec.stripped);
-  h.value(spec.int3_padding);
-  h.value(spec.alignment);
-  // Feature-axis fields, folded only when away from their defaults: a
-  // default spec must keep its historical hash (the CorpusStore content
-  // address) since it still generates byte-identical output.
-  if (!spec.unwind_tables || spec.static_pie || spec.endbr64) {
-    h.value(spec.unwind_tables);
-    h.value(spec.static_pie);
-    h.value(spec.endbr64);
-  }
 }
 
 }  // namespace
@@ -597,37 +528,6 @@ CorpusSpec CorpusSpec::wild(Scale scale) {
     spec.limit = 8;
   }
   return spec;
-}
-
-std::uint64_t CorpusSpec::hash() const { return hash(expand()); }
-
-std::uint64_t CorpusSpec::hash(
-    const std::vector<ProgramSpec>& expanded) const {
-  // Content address: generator version + every axis + every field of every
-  // expanded ProgramSpec. Hashing the expansion (not just the axes) means
-  // any change in make_program/profiles/project tables changes the hash
-  // even without a kGeneratorVersion bump. `scale` itself is deliberately
-  // NOT hashed: its entire effect is already in the hashed axes and
-  // expansion, so content-identical corpora (e.g. the fixed wild suite at
-  // default vs full scale) share one cache entry.
-  util::Fnv1a h;
-  h.value(kGeneratorVersion);
-  h.value(kind);
-  h.value(variants);
-  h.value(limit);
-  h.value(compilers.size());
-  for (const std::string& c : compilers) {
-    h.str(c);
-  }
-  h.value(opts.size());
-  for (const std::string& o : opts) {
-    h.str(o);
-  }
-  h.value(expanded.size());
-  for (const ProgramSpec& spec : expanded) {
-    hash_program(h, spec);
-  }
-  return h.digest();
 }
 
 std::vector<ProgramSpec> CorpusSpec::expand() const {

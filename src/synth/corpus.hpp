@@ -15,8 +15,7 @@
 ///    scale × compiler set × opt set × seed variants × entry limit).
 ///    `Scale::kFull` widens every axis (extra project templates, -O0/-O1
 ///    profiles, multiple seed variants per cell) until the expansion
-///    reaches the paper's 1,352-binary population. The spec's hash() is
-///    the content address used by synth::CorpusStore.
+///    reaches the paper's 1,352-binary population.
 ///
 /// Everything is deterministic: each expanded ProgramSpec carries a seed
 /// derived (FNV-1a) from the spec's identity axes and the entry's own
@@ -120,10 +119,8 @@ enum class Scale : std::uint8_t { kSmoke, kDefault, kFull };
 
 /// Declarative description of a whole corpus. A CorpusSpec fully
 /// determines the generated population: expand() yields one ProgramSpec
-/// per entry and hash() is a content address over everything that can
-/// influence the generated bytes (kGeneratorVersion, every axis, every
-/// field of every expanded ProgramSpec) — any change to any axis yields a
-/// new hash, which is what keys the on-disk CorpusStore.
+/// per entry, each seeded from a hash of the identity axes (with
+/// kGeneratorVersion) and the entry's own coordinates.
 struct CorpusSpec {
   enum class Kind : std::uint8_t { kSelfBuilt, kWild };
 
@@ -137,7 +134,7 @@ struct CorpusSpec {
   /// Toolchain-feature axis (see apply_feature): each entry multiplies
   /// the self-built expansion by one more layout per cell. Empty (or a
   /// lone "default") is the historical corpus — byte-identical output,
-  /// same hash, same per-entry seeds. Non-default entries suffix the
+  /// same per-entry seeds. Non-default entries suffix the
   /// program name ("-no-unwind", "-static-pie", "-cet") and chain the
   /// feature into the entry seed. The wild suite (a fixed inventory of
   /// specific real-world programs) ignores this axis.
@@ -147,17 +144,6 @@ struct CorpusSpec {
   [[nodiscard]] static CorpusSpec self_built(Scale scale);
   /// The Table I wild suite (fixed shape; kSmoke truncates to 8 entries).
   [[nodiscard]] static CorpusSpec wild(Scale scale);
-
-  /// Content address of the corpus this spec expands to; the CorpusStore
-  /// cache key. Folds in synth::kGeneratorVersion, so codegen changes
-  /// invalidate cached corpora.
-  [[nodiscard]] std::uint64_t hash() const;
-
-  /// Same, over an expansion the caller already computed. \p expanded
-  /// must be this spec's own expand() result (callers that need both the
-  /// hash and the programs use this to expand only once).
-  [[nodiscard]] std::uint64_t hash(
-      const std::vector<ProgramSpec>& expanded) const;
 
   /// Expands the axes into one ProgramSpec per corpus entry. Pure: same
   /// spec, same result; each entry's seed is independent of every other's.

@@ -186,8 +186,8 @@ struct GroundTruth {
 };
 
 /// One generated corpus entry: the ELF image plus its exact ground truth.
-/// This is the unit the on-disk corpus cache (synth::CorpusStore)
-/// round-trips; equality is field-wise and byte-exact.
+/// Equality is field-wise and byte-exact, which is what the serial-vs-
+/// sharded generation checks compare.
 struct SynthBinary {
   std::string name;
   std::string compiler;  ///< profile tag ("gcc" / "llvm")

@@ -5,11 +5,10 @@
 /// bytes, so digests agree across platforms and runs.
 ///
 /// - Fnv1a: a streaming FNV-1a (64-bit) hasher for structured values:
-///   corpus spec hashes (the cache key of synth::CorpusStore), per-entry
-///   RNG seeds, and the corpus-file payload checksum. Multi-byte values
-///   are fed in a fixed little-endian canonical form and variable-length
-///   values (strings, spans) are length-prefixed, so adjacent fields can
-///   never alias each other ("ab"+"c" != "a"+"bc").
+///   per-entry corpus RNG seeds, experiment-spec fingerprints and trace
+///   ids. Multi-byte values are fed in a fixed little-endian canonical
+///   form and variable-length values (strings, spans) are length-prefixed,
+///   so adjacent fields can never alias each other ("ab"+"c" != "a"+"bc").
 /// - xxh64: XXH64 with seed 0 over a whole buffer, the content key of the
 ///   analysis service's result cache. It consumes four 8-byte lanes per
 ///   32-byte stripe, so it runs an order of magnitude faster than the

@@ -488,6 +488,17 @@ TEST(Cli, BadUsageAndBadFile) {
   EXPECT_NE(usage.output.find("usage"), std::string::npos);
   const CommandResult bad = run_cli("detect /nonexistent-file");
   EXPECT_NE(bad.output.find("error"), std::string::npos);
+  // Commands and flags fetch-cli does not know are usage errors, never
+  // silently ignored, even on a command line that is otherwise valid: a
+  // stale script fails loudly.
+  const std::string good = write_sample_binary();
+  for (const std::string& args :
+       {"--cache-dir D detect " + good, "--scale smoke detect " + good,
+        std::string("corpus"), std::string("corpus wild")}) {
+    const CommandResult stale = run_cli(args);
+    EXPECT_EQ(stale.status, 2) << args;
+    EXPECT_NE(stale.output.find("usage"), std::string::npos) << args;
+  }
 }
 
 }  // namespace

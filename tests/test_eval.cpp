@@ -104,7 +104,7 @@ const Strategy kFetchStrategy = [](const CorpusEntry& entry) {
   return entry.detector().run(fetch_options(entry.bin.truth)).starts();
 };
 
-/// The 8-entry smoke corpus, generated by \p jobs workers, uncached.
+/// The 8-entry smoke corpus, generated by \p jobs workers.
 Corpus smoke_corpus(std::size_t jobs = 0) {
   CorpusOptions options;
   options.scale = synth::Scale::kSmoke;
@@ -112,14 +112,18 @@ Corpus smoke_corpus(std::size_t jobs = 0) {
   return Corpus::self_built(options);
 }
 
-TEST(Runner, CorpusLimitAndGenerationJobsAreDeterministic) {
-  const Corpus serial = smoke_corpus(1);
-  const Corpus parallel = smoke_corpus(4);
-  ASSERT_EQ(serial.size(), 8u);
-  ASSERT_EQ(parallel.size(), 8u);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial.entries()[i].bin.name, parallel.entries()[i].bin.name);
-    EXPECT_EQ(serial.entries()[i].bin.image, parallel.entries()[i].bin.image);
+/// Serial and sharded generation yield identical entries, field by field
+/// (image bytes and ground truth), for both corpus kinds.
+TEST(Runner, SerialAndShardedCorporaAreIdentical) {
+  for (const auto make : {&Corpus::self_built, &Corpus::wild}) {
+    const Corpus serial = make({synth::Scale::kSmoke, 1});
+    const Corpus sharded = make({synth::Scale::kSmoke, 4});
+    ASSERT_EQ(serial.size(), 8u);
+    ASSERT_EQ(sharded.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(sharded.entries()[i].bin, serial.entries()[i].bin)
+          << serial.entries()[i].bin.name;
+    }
   }
 }
 

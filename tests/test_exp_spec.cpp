@@ -4,7 +4,8 @@
 /// edit to the spec or the expansion logic must touch this file too),
 /// the spec hash is a pure function of spec content, tolerance policies
 /// honor direction / absolute floors / warn-only marks, and the
-/// trajectory store appends without rewriting history.
+/// trajectory store appends without rewriting history, also to the
+/// checked-in BENCH_trajectory.json.
 
 #include <gtest/gtest.h>
 
@@ -43,8 +44,7 @@ const char* kMatrixSpec = R"({
     {"name": "b", "bench": "bench_b", "args": ["--socket", "/tmp/x"]}
   ],
   "scales": ["smoke", "default"],
-  "jobs": [1, 4],
-  "cache": [false, true]
+  "jobs": [1, 4]
 })";
 
 // --- Spec expansion ---------------------------------------------------------
@@ -61,12 +61,12 @@ TEST(ExpSpec, CheckedInSmokeSpecExpansionIsPinned) {
   const std::vector<Invocation> matrix = spec->expand();
   ASSERT_EQ(matrix.size(), 3u);
   EXPECT_EQ(matrix[0].render(),
-            "hotpath.smoke.j2.c0: bench_micro --scale smoke --jobs 2");
+            "hotpath.smoke.j2: bench_micro --scale smoke --jobs 2");
   EXPECT_EQ(matrix[1].render(),
-            "runtime.smoke.j2.c0: bench_table5_runtime --scale smoke "
+            "runtime.smoke.j2: bench_table5_runtime --scale smoke "
             "--jobs 2");
   EXPECT_EQ(matrix[2].render(),
-            "service.smoke.j2.c0: bench_service_throughput --scale "
+            "service.smoke.j2: bench_service_throughput --scale "
             "smoke --jobs 2");
   EXPECT_EQ(matrix[0].baseline, "bench_micro_smoke.json");
   EXPECT_EQ(matrix[1].baseline, "");
@@ -88,24 +88,19 @@ TEST(ExpSpec, CheckedInNightlySpecParsesAndHasNoGates) {
 
 #endif  // FETCH_EXPERIMENTS_DIR
 
-TEST(ExpSpec, ExpansionOrderIsStrategyScaleJobsCache) {
+TEST(ExpSpec, ExpansionOrderIsStrategyScaleJobs) {
   const ExpSpec spec = parse_spec(kMatrixSpec);
   const std::vector<Invocation> matrix = spec.expand();
-  ASSERT_EQ(matrix.size(), 2u * 2u * 2u * 2u);
-  // Innermost axis first: cache flips fastest, strategy slowest.
-  EXPECT_EQ(matrix[0].id, "a.smoke.j1.c0");
-  EXPECT_EQ(matrix[1].id, "a.smoke.j1.c1");
-  EXPECT_EQ(matrix[2].id, "a.smoke.j4.c0");
-  EXPECT_EQ(matrix[4].id, "a.default.j1.c0");
-  EXPECT_EQ(matrix[8].id, "b.smoke.j1.c0");
+  ASSERT_EQ(matrix.size(), 2u * 2u * 2u);
+  // Innermost axis first: jobs flips fastest, strategy slowest.
+  EXPECT_EQ(matrix[0].id, "a.smoke.j1");
+  EXPECT_EQ(matrix[1].id, "a.smoke.j4");
+  EXPECT_EQ(matrix[2].id, "a.default.j1");
+  EXPECT_EQ(matrix[4].id, "b.smoke.j1");
+  EXPECT_EQ(matrix[1].render(), "a.smoke.j4: bench_a --scale smoke --jobs 4");
   // The strategy's fixed args ride after the axis flags.
-  EXPECT_EQ(matrix[8].render(),
-            "b.smoke.j1.c0: bench_b --scale smoke --jobs 1 --socket "
-            "/tmp/x");
-  // Cache cells advertise the runner-supplied placeholder.
-  EXPECT_EQ(matrix[1].render(),
-            "a.smoke.j1.c1: bench_a --scale smoke --jobs 1 --cache-dir "
-            "{cache}");
+  EXPECT_EQ(matrix[4].render(),
+            "b.smoke.j1: bench_b --scale smoke --jobs 1 --socket /tmp/x");
 }
 
 TEST(ExpSpec, ExpansionIsAPureFunctionOfTheSpec) {
@@ -133,8 +128,7 @@ TEST(ExpSpec, HashIsSensitiveToEveryAxis) {
       {"\"name\": \"unit\"", "\"name\": \"unit2\""},
       {"\"scales\": [\"smoke\", \"default\"]", "\"scales\": [\"smoke\"]"},
       {"\"jobs\": [1, 4]", "\"jobs\": [1, 8]"},
-      {"\"cache\": [false, true]", "\"cache\": [false]"},
-      {"\"cache\": [false, true]", "\"cache\": [true, false]"},
+      {"\"jobs\": [1, 4]", "\"jobs\": [4, 1]"},
       {"\"bench\": \"bench_a\"", "\"bench\": \"bench_a2\""},
       {"\"baseline\": \"a.json\"", "\"baseline\": \"a2.json\""},
       {"\"args\": [\"--socket\", \"/tmp/x\"]",
@@ -157,23 +151,20 @@ TEST(ExpSpec, RejectsMalformedSpecs) {
   auto bad_scale = Value::parse(R"({
     "schema": "fetch-exp-v1", "name": "x",
     "strategies": [{"name": "a", "bench": "b"}],
-    "scales": ["gigantic"], "jobs": [1],
-    "cache": [false]})");
+    "scales": ["gigantic"], "jobs": [1]})");
   EXPECT_FALSE(ExpSpec::parse(*bad_scale, &error).has_value());
   EXPECT_NE(error.find("smoke|default|full"), std::string::npos);
 
   auto bad_jobs = Value::parse(R"({
     "schema": "fetch-exp-v1", "name": "x",
     "strategies": [{"name": "a", "bench": "b"}],
-    "scales": ["smoke"], "jobs": [0],
-    "cache": [false]})");
+    "scales": ["smoke"], "jobs": [0]})");
   EXPECT_FALSE(ExpSpec::parse(*bad_jobs, &error).has_value());
 
   auto empty_axis = Value::parse(R"({
     "schema": "fetch-exp-v1", "name": "x",
     "strategies": [{"name": "a", "bench": "b"}],
-    "scales": [], "jobs": [1],
-    "cache": [false]})");
+    "scales": [], "jobs": [1]})");
   EXPECT_FALSE(ExpSpec::parse(*empty_axis, &error).has_value());
 }
 
@@ -183,11 +174,13 @@ TEST(ExpSpec, RejectsUnknownKeysByName) {
   // or dropping a cell's gate.
   const std::vector<std::pair<std::string, std::string>> edits = {
       {"\"jobs\": [1, 4]", "\"job\": [1, 4]"},
-      {"\"cache\": [false, true]",
-       "\"cache\": [false, true], \"warm_decode\": [false, true]"},
+      {"\"jobs\": [1, 4]", "\"jobs\": [1, 4], \"cache\": [false, true]"},
+      {"\"jobs\": [1, 4]",
+       "\"jobs\": [1, 4], \"warm_decode\": [false, true]"},
       {"\"baseline\": \"a.json\"", "\"basline\": \"a.json\""}};
   const std::vector<std::string> errors = {
-      "spec: unknown key \"job\"", "spec: unknown key \"warm_decode\"",
+      "spec: unknown key \"job\"", "spec: unknown key \"cache\"",
+      "spec: unknown key \"warm_decode\"",
       "strategies[0]: unknown key \"basline\""};
   for (std::size_t i = 0; i < edits.size(); ++i) {
     std::string text = kMatrixSpec;
@@ -397,6 +390,51 @@ TEST(Trajectory, AppendsWithoutRewritingHistory) {
   EXPECT_EQ(entries[0].get("spec_hash")->text(), "aaaa");
   std::remove(path.c_str());
 }
+
+#ifdef FETCH_TRAJECTORY_PATH
+
+TEST(Trajectory, CheckedInFileTakesAnEntryOfTheCurrentShape) {
+  std::string error;
+  auto doc = load_or_init_trajectory(FETCH_TRAJECTORY_PATH, &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const std::size_t before = doc->get("entries")->items().size();
+  ASSERT_GE(before, 1u);
+  // Entries written while the spec still had cache and predecode axes
+  // keep those members and the longer ids.
+  const Value& old_run =
+      doc->get("entries")->items()[0].get("runs")->items()[0];
+  EXPECT_EQ(old_run.get("id")->text(), "hotpath.smoke.j2.c0.p0");
+  ASSERT_NE(old_run.get("cache"), nullptr);
+  EXPECT_FALSE(old_run.get("cache")->as_bool());
+
+  // A run as exp_run writes it now: no cache member, no .cN id suffix.
+  Value run = Value::object();
+  run.set("id", Value("hotpath.smoke.j2"));
+  run.set("bench", Value("bench_micro"));
+  run.set("scale", Value("smoke"));
+  run.set("jobs", Value::number(std::uint64_t{2}));
+  run.set("results", Value::array());
+  Value runs = Value::array();
+  runs.add(std::move(run));
+  Value entry = make_trajectory_entry("commit-new", "smoke", "bbbb");
+  entry.set("runs", std::move(runs));
+  append_trajectory_entry(&*doc, std::move(entry));
+
+  const std::string path =
+      ::testing::TempDir() + "/trajectory_checked_in_test.json";
+  ASSERT_TRUE(write_trajectory(path, *doc, &error)) << error;
+  auto reloaded = load_or_init_trajectory(path, &error);
+  ASSERT_TRUE(reloaded.has_value()) << error;
+  EXPECT_TRUE(*reloaded == *doc);
+  const auto& entries = reloaded->get("entries")->items();
+  ASSERT_EQ(entries.size(), before + 1);
+  const Value& new_run = entries.back().get("runs")->items()[0];
+  EXPECT_EQ(new_run.get("id")->text(), "hotpath.smoke.j2");
+  EXPECT_EQ(new_run.get("cache"), nullptr);
+  std::remove(path.c_str());
+}
+
+#endif  // FETCH_TRAJECTORY_PATH
 
 TEST(Trajectory, RefusesToClobberAnInvalidFile) {
   const std::string path =

@@ -16,7 +16,7 @@ namespace {
 
 /// Pinned behavior of the unconventional-toolchain corpus profiles (the
 /// CorpusSpec `features` axis): no-unwind-tables, static-PIE, and CET
-/// layouts, plus the hash-stability contract that keeps the historical
+/// layouts, plus the seed-stability contract that keeps the historical
 /// corpus byte-identical when the axis is absent.
 
 CorpusSpec one_cell_spec(std::vector<std::string> features) {
@@ -60,7 +60,7 @@ TEST(Profiles, FeatureAxisMultipliesEachCell) {
     const ProgramSpec& feat = expanded[2 * i + 1];
     // The feature half is a genuinely distinct program: suffixed name,
     // chained seed, toggled layout flag. (Adding a non-default axis is a
-    // new population: the axis folds into the content address, so even
+    // new population: the axis folds into every entry's seed, so even
     // the default half gets fresh seeds — only an absent-or-lone-default
     // axis reproduces the historical corpus, pinned separately below.)
     EXPECT_EQ(dflt.name, base[i].name);
@@ -72,22 +72,24 @@ TEST(Profiles, FeatureAxisMultipliesEachCell) {
   }
 }
 
-TEST(Profiles, HashIsStableForDefaultFeatureAxis) {
-  // Absent axis and a lone "default" are the same corpus — same content
-  // address, so cached corpora and pinned seeds survive the new axis.
-  const CorpusSpec absent = one_cell_spec({});
-  const CorpusSpec lone_default = one_cell_spec({"default"});
-  EXPECT_EQ(absent.hash(), lone_default.hash());
-  const std::vector<ProgramSpec> a = absent.expand();
-  const std::vector<ProgramSpec> b = lone_default.expand();
+TEST(Profiles, SeedsAreStableForDefaultFeatureAxis) {
+  // Absent axis and a lone "default" are the same corpus — same names and
+  // seeds, so pinned seeds and digests survive the axis.
+  const std::vector<ProgramSpec> a = one_cell_spec({}).expand();
+  const std::vector<ProgramSpec> b = one_cell_spec({"default"}).expand();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].name, b[i].name);
     EXPECT_EQ(a[i].seed, b[i].seed);
   }
 
-  const CorpusSpec with_cet = one_cell_spec({"default", "cet"});
-  EXPECT_NE(absent.hash(), with_cet.hash());
+  // A non-default entry reseeds the whole population, its default half
+  // included.
+  const std::vector<ProgramSpec> with_cet =
+      one_cell_spec({"default", "cet"}).expand();
+  ASSERT_EQ(with_cet.size(), 2 * a.size());
+  EXPECT_EQ(with_cet[0].name, a[0].name);
+  EXPECT_NE(with_cet[0].seed, a[0].seed);
 }
 
 TEST(Profiles, UnknownFeatureThrows) {

@@ -1012,9 +1012,10 @@ TEST(ServiceMetrics, TraceIdsEchoAndStagesFollowCacheState) {
   EXPECT_EQ(stage_names,
             (std::vector<std::string>{"elf_parse", "truth", "detector_build",
                                       "detect", "score"}));
-  ASSERT_GE(detect_stages.size(), 2u);
-  EXPECT_EQ(detect_stages[0], "detect.analyze");
-  EXPECT_EQ(detect_stages[1], "detect.pointer");
+  ASSERT_GE(detect_stages.size(), 3u);
+  EXPECT_EQ(detect_stages[0], "detect.callconv");
+  EXPECT_EQ(detect_stages[1], "detect.analyze");
+  EXPECT_EQ(detect_stages[2], "detect.pointer");
 
   // No id supplied: the daemon mints a 16-hex one. A cache hit answers
   // from the stored result, so it has no stage timings to report.

@@ -179,6 +179,35 @@ TEST(Corpus, WildSuiteMixesSymbolPresence) {
   EXPECT_TRUE(some_with_symbols);
 }
 
+TEST(CorpusSpec, FullScaleReachesPaperPopulation) {
+  const auto specs = CorpusSpec::self_built(Scale::kFull).expand();
+  EXPECT_GE(specs.size(), 1352u);  // the paper's self-built corpus size
+  std::set<std::string> names;
+  std::set<std::uint64_t> seeds;
+  std::set<std::string> opts;
+  for (const ProgramSpec& spec : specs) {
+    names.insert(spec.name);
+    seeds.insert(spec.seed);
+    opts.insert(spec.opt);
+    EXPECT_TRUE(spec.stripped);
+  }
+  EXPECT_EQ(names.size(), specs.size()) << "entry names must be unique";
+  EXPECT_EQ(seeds.size(), specs.size())
+      << "every entry must own an independent RNG stream";
+  EXPECT_EQ(opts.size(), 6u);  // the full -O{0,1,2,3,s,fast} ladder
+}
+
+TEST(CorpusSpec, SmokeIsPrefixOfDefault) {
+  const auto smoke = CorpusSpec::self_built(Scale::kSmoke).expand();
+  const auto deflt = CorpusSpec::self_built(Scale::kDefault).expand();
+  ASSERT_EQ(smoke.size(), 8u);
+  ASSERT_GE(deflt.size(), smoke.size());
+  for (std::size_t i = 0; i < smoke.size(); ++i) {
+    EXPECT_EQ(smoke[i].name, deflt[i].name);
+    EXPECT_EQ(smoke[i].seed, deflt[i].seed);
+  }
+}
+
 TEST(Corpus, ProfilesDifferByOptLevel) {
   const Profile o2 = profile_for("gcc", "O2");
   const Profile os = profile_for("gcc", "Os");

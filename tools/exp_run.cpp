@@ -187,7 +187,6 @@ int main(int argc, char** argv) {
               << ec.message() << "\n";
     return 2;
   }
-  const std::string cache_dir = opt.out_dir + "/corpus-cache";
 
   // --- Run every cell, in expansion order ----------------------------------
   std::cerr << "spec " << spec->name() << " hash " << spec->hash_hex()
@@ -200,9 +199,6 @@ int main(int argc, char** argv) {
     std::string command = shell_quote(opt.bin_dir + "/" + inv.bench);
     for (const std::string& arg : inv.bench_args()) {
       command += " " + shell_quote(arg);
-    }
-    if (inv.cache) {
-      command += " --cache-dir " + shell_quote(cache_dir);
     }
     command += " --json " + shell_quote(json_path);
     command += " > " + shell_quote(log_path) + " 2>&1";
@@ -240,7 +236,6 @@ int main(int argc, char** argv) {
       run.set("bench", Value(inv.bench));
       run.set("scale", Value(inv.scale));
       run.set("jobs", Value::number(static_cast<std::uint64_t>(inv.jobs)));
-      run.set("cache", Value(inv.cache));
       if (const Value* results = reports[i].get("results")) {
         run.set("results", *results);
       }

@@ -9,9 +9,6 @@
 ///                                   tools, concurrently on N workers
 ///   fetch-cli [opts] audit <elf>    CFI-policy gadget exposure of raw
 ///                                   FDE starts vs repaired starts
-///   fetch-cli [opts] corpus [self-built|wild]
-///                                   materialize the synthetic corpus
-///                                   (cache-aware) and print its summary
 ///   fetch-cli [opts] batch <elf>... evaluate many ELFs concurrently
 ///                                   against their own .symtab/.dynsym
 ///                                   ground truth (per-file + aggregate
@@ -27,10 +24,7 @@
 ///                                   is byte-identical to `detect`
 ///   fetch-cli [opts] shutdown       stop a running daemon gracefully
 ///
-/// Options: --jobs N (default: FETCH_JOBS env, else hardware concurrency),
-/// --scale smoke|default|full (corpus population; default "default"),
-/// --cache-dir DIR (corpus cache root; default: FETCH_CACHE_DIR env,
-/// unset = no caching).
+/// Options: --jobs N (default: FETCH_JOBS env, else hardware concurrency).
 ///
 /// Batch-only options: --from-file LIST (newline-separated paths, `#`
 /// comments; repeatable), --dir DIR (every ELF-magic regular file in DIR,
@@ -89,15 +83,12 @@
 #include "elf/elf_file.hpp"
 #include "eval/batch.hpp"
 #include "eval/gadget.hpp"
-#include "eval/runner.hpp"
 #include "eval/session.hpp"
 #include "eval/table.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
-#include "synth/corpus_store.hpp"
-#include "util/fs.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -271,40 +262,6 @@ int cmd_audit(const elf::ElfFile& elf) {
   std::cout << "  false targets removed: " << removed.size() << "\n";
   std::cout << "  ROP/JOP gadgets no longer whitelisted: " << gadgets
             << "\n";
-  return 0;
-}
-
-/// Materializes a corpus through the load-or-generate path and prints a
-/// summary: population, spec hash (the cache key), sizes, provenance.
-int cmd_corpus(const std::string& which, const eval::CorpusOptions& options) {
-  if (which != "self-built" && which != "wild") {
-    std::cerr << "unknown corpus \"" << which
-              << "\" (expected self-built or wild)\n";
-    return 2;
-  }
-  const eval::Corpus corpus = which == "wild"
-                                  ? eval::Corpus::wild(options)
-                                  : eval::Corpus::self_built(options);
-  std::size_t image_bytes = 0;
-  std::size_t functions = 0;
-  for (const eval::CorpusEntry& entry : corpus.entries()) {
-    image_bytes += entry.bin.image.size();
-    functions += entry.bin.truth.starts.size();
-  }
-  std::cout << "corpus:     " << which << "\n";
-  std::cout << "scale:      " << synth::scale_name(options.scale) << "\n";
-  std::cout << "spec hash:  " << std::hex << std::setw(16)
-            << std::setfill('0') << corpus.spec_hash() << std::dec << "\n";
-  std::cout << "entries:    " << corpus.size() << "\n";
-  std::cout << "functions:  " << functions << "\n";
-  std::cout << "image size: " << image_bytes << " bytes\n";
-  std::cout << "source:     "
-            << (corpus.from_cache() ? "cache" : "generated") << "\n";
-  if (!options.cache_dir.empty()) {
-    const synth::CorpusStore store(options.cache_dir);
-    std::cout << "cache file: "
-              << store.corpus_path(corpus.spec_hash()).string() << "\n";
-  }
   return 0;
 }
 
@@ -725,12 +682,10 @@ int finish_with_metrics(const std::string& path, int rc) {
 }
 
 int usage() {
-  std::cerr << "usage: fetch-cli [--jobs N] [--scale smoke|default|full] "
-               "[--cache-dir DIR]\n"
-               "                 [--log-level LEVEL] [--log-file PATH]\n"
+  std::cerr << "usage: fetch-cli [--jobs N] [--log-level LEVEL] "
+               "[--log-file PATH]\n"
                "                 <detect|fde|unwind|compare|audit> <elf> [pc]\n"
                "       fetch-cli [opts] detect [--metrics-json PATH] <elf>\n"
-               "       fetch-cli [opts] corpus [self-built|wild]\n"
                "       fetch-cli [opts] batch [--from-file LIST] [--dir DIR]\n"
                "                 [--json PATH] [--csv PATH] "
                "[--metrics-json PATH]\n"
@@ -755,8 +710,6 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  eval::CorpusOptions corpus_options;
-  corpus_options.cache_dir = util::default_cache_dir();
   std::size_t jobs = 0;  // 0 → FETCH_JOBS env / hardware default
   BatchArgs batch;
   ServiceArgs service;
@@ -804,22 +757,6 @@ int main(int argc, char** argv) {
       }
       batch.truth = *mode;
       batch.truth_set = true;
-    } else if (arg == "--scale" && i + 1 < argc) {
-      const auto scale = synth::parse_scale(argv[++i]);
-      if (!scale) {
-        return usage();
-      }
-      corpus_options.scale = *scale;
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      const auto scale = synth::parse_scale(arg.substr(8));
-      if (!scale) {
-        return usage();
-      }
-      corpus_options.scale = *scale;
-    } else if (arg == "--cache-dir" && i + 1 < argc) {
-      corpus_options.cache_dir = argv[++i];
-    } else if (arg.rfind("--cache-dir=", 0) == 0) {
-      corpus_options.cache_dir = arg.substr(12);
     } else if (arg == "--socket" && i + 1 < argc) {
       service.socket = argv[++i];
     } else if (arg.rfind("--socket=", 0) == 0) {
@@ -946,7 +883,6 @@ int main(int argc, char** argv) {
       args.push_back(argv[i]);
     }
   }
-  corpus_options.jobs = jobs;
   if (!log_level.empty()) {
     const auto level = obs::parse_log_level(log_level);
     if (!level) {
@@ -1032,28 +968,10 @@ int main(int argc, char** argv) {
                ? finish_with_metrics(metrics_json, cmd_detect(args[1]))
                : usage();
   }
-  if (cmd == "corpus") {
-    // Shared validation (same path as the benches): reject unusable
-    // --cache-dir/FETCH_CACHE_DIR values before doing any work. Only the
-    // corpus command touches the cache, so only it validates — `detect`
-    // and friends must keep working with a stale FETCH_CACHE_DIR.
-    if (!corpus_options.cache_dir.empty()) {
-      std::string error;
-      if (!util::prepare_cache_dir(&corpus_options.cache_dir, &error)) {
-        std::cerr << "fetch-cli: --cache-dir/FETCH_CACHE_DIR: " << error
-                  << "\n";
-        return 2;
-      }
-    }
-    try {
-      return cmd_corpus(args.size() > 1 ? args[1] : "self-built",
-                        corpus_options);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 1;
-    }
-  }
-  if (args.size() < 2) {
+  // Name check before the load: an unknown command with a path argument
+  // is a usage error, not a "cannot open" error about its argument.
+  if (args.size() < 2 || (cmd != "fde" && cmd != "unwind" &&
+                          cmd != "compare" && cmd != "audit")) {
     return usage();
   }
   try {
@@ -1070,10 +988,7 @@ int main(int argc, char** argv) {
     if (cmd == "compare") {
       return cmd_compare(elf, jobs);
     }
-    if (cmd == "audit") {
-      return cmd_audit(elf);
-    }
-    return usage();
+    return cmd_audit(elf);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
