@@ -6,8 +6,18 @@
 #include "analysis/pointer_scan.hpp"
 #include "core/pointer_detector.hpp"
 #include "core/tail_call_merger.hpp"
+#include "obs/metrics.hpp"
 
 namespace fetch::core {
+
+namespace {
+
+/// The histogram in the global registry that times one detector step.
+obs::Histogram* step_histogram(const char* name) {
+  return &obs::Registry::global().histogram(name);
+}
+
+}  // namespace
 
 const char* provenance_name(Provenance p) {
   switch (p) {
@@ -62,7 +72,8 @@ DetectionResult FunctionDetector::run(const DetectorOptions& options,
   // (developer-mislabeled CFI, Figure 6b). Only done when error fixing is
   // enabled; the raw-FDE studies keep them.
   if (options.fix_fde_errors) {
-    obs::Span span(trace, "detect.callconv");
+    obs::Span span(trace, "detect.callconv",
+                   step_histogram("detect_callconv_us"));
     std::vector<std::uint64_t> kept;
     kept.reserve(seeds.size());
     for (const std::uint64_t s : seeds) {
@@ -94,7 +105,8 @@ DetectionResult FunctionDetector::run(const DetectorOptions& options,
 
   // --- Function-pointer detection (§IV-E) ------------------------------------
   if (options.pointer_detection && options.recursive) {
-    obs::Span pointer_span(trace, "detect.pointer");
+    obs::Span pointer_span(trace, "detect.pointer",
+                           step_histogram("detect_pointer_us"));
     const PointerDetectionResult pd =
         detect_pointer_functions(code_, state, options.disasm);
     pointer_span.finish();
@@ -110,11 +122,13 @@ DetectionResult FunctionDetector::run(const DetectorOptions& options,
 
   // --- Algorithm 1 (§V-B) -----------------------------------------------------
   if (options.fix_fde_errors && options.recursive && eh_) {
-    obs::Span refs_span(trace, "detect.data_refs");
+    obs::Span refs_span(trace, "detect.data_refs",
+                        step_histogram("detect_data_refs_us"));
     const std::set<std::uint64_t> data_refs =
         analysis::scan_data_pointers(elf_, state);
     refs_span.finish();
-    obs::Span alg1_span(trace, "detect.alg1");
+    obs::Span alg1_span(trace, "detect.alg1",
+                        step_histogram("detect_alg1_us"));
     const MergeOutcome mo = merge_noncontiguous_functions(
         code_, state, *eh_, data_refs, out.fde_starts);
     alg1_span.finish();

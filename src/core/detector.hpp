@@ -106,8 +106,11 @@ class FunctionDetector {
   explicit FunctionDetector(const elf::ElfFile& elf);
 
   /// Runs the pipeline selected by \p options. With a \p trace, each
-  /// stage that runs records a `detect.<stage>` span into it: analyze,
-  /// pointer, reanalyze, data_refs, alg1.
+  /// stage that runs records a `detect.<stage>` span into it: callconv,
+  /// analyze, pointer, reanalyze, data_refs, alg1. Callconv, pointer,
+  /// data_refs and alg1 also time themselves into the global registry's
+  /// `detect_<stage>_us` histograms; the analyses' steps feed the
+  /// `disasm_*_us` ones.
   [[nodiscard]] DetectionResult run(const DetectorOptions& options = {},
                                     obs::Trace* trace = nullptr) const;
 

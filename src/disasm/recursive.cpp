@@ -1,5 +1,7 @@
 #include "disasm/recursive.hpp"
 
+#include <iterator>
+
 #include "disasm/walk.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -456,7 +458,30 @@ Result analyze(const CodeView& code, const std::vector<std::uint64_t>& seeds,
     span.finish();
     noreturn.insert(options.noreturn_functions.begin(),
                     options.noreturn_functions.end());
-    if (noreturn == opts.noreturn_functions) {
+    // A pass asks the no-return set only about direct-call targets:
+    // discovery makes every code call target a start, and bodies (built
+    // or reused) ask about their callees. Both sets hold only starts of
+    // some pass plus options.noreturn_functions, so a difference at no
+    // start and no callee is one this pass never asked about. Another
+    // pass would repeat it exactly, build no body, and get this same set
+    // back: stop now.
+    std::vector<std::uint64_t> changed;
+    std::set_symmetric_difference(noreturn.begin(), noreturn.end(),
+                                  opts.noreturn_functions.begin(),
+                                  opts.noreturn_functions.end(),
+                                  std::back_inserter(changed));
+    const auto is_changed = [&](std::uint64_t a) {
+      return std::binary_search(changed.begin(), changed.end(), a);
+    };
+    const auto is_start = [&](std::uint64_t a) {
+      return result.starts.count(a) != 0;
+    };
+    if (std::none_of(changed.begin(), changed.end(), is_start) &&
+        std::none_of(result.functions.begin(), result.functions.end(),
+                     [&](const auto& f) {
+                       return std::any_of(f.second.callees.begin(),
+                                          f.second.callees.end(), is_changed);
+                     })) {
       break;
     }
     opts.noreturn_functions = std::move(noreturn);

@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -381,18 +382,19 @@ void expect_same(const Result& a, const Result& b, const std::string& what) {
   EXPECT_EQ(a.jump_tables.size(), b.jump_tables.size()) << what;
 }
 
-/// analyze()'s rounds on explore() without a body cache: every function
-/// is built from scratch in every round. Adds each round's start count to
-/// \p pass_starts when given.
+/// analyze()'s rounds on explore() without a body cache, run until the
+/// no-return set repeats exactly: every function is built from scratch in
+/// every round. Appends each pass' start count to \p pass_starts when
+/// given.
 Result uncached_analyze(const CodeView& code,
                         const std::vector<std::uint64_t>& seeds,
                         const Options& options,
-                        std::size_t* pass_starts = nullptr) {
+                        std::vector<std::size_t>* pass_starts = nullptr) {
   Options opts = options;
   Result result = explore(code, seeds, opts);
   auto count_starts = [&] {
     if (pass_starts != nullptr) {
-      *pass_starts += result.starts.size();
+      pass_starts->push_back(result.starts.size());
     }
   };
   count_starts();
@@ -473,6 +475,84 @@ TEST(Reanalysis, RoundsReuseTheMatchingEarlierRound) {
   EXPECT_EQ(r.insn_starts.size(), 2u);
   EXPECT_EQ(counter("disasm_insns_visited_total") - visited, 3u + 2u);
   expect_same(r, uncached_analyze(code, {kTextAddr}, {}), "repeat");
+}
+
+TEST(Reanalysis, StopsWhenNoAnswerAPassAskedChanged) {
+  // Round 0 assumes exit returns, so main's `call f` makes f a start.
+  // Round 1 ends main at `call exit` and drops f: the no-return sets
+  // differ only at f, which that pass never asked about. A third pass
+  // would repeat the second exactly, so analyze() stops after two.
+  Assembler a(kTextAddr);
+  Label exit_fn = a.label();
+  Label f = a.label();
+  a.call(exit_fn);
+  a.call(f);
+  a.ret();
+  a.bind(exit_fn);
+  a.hlt();
+  a.bind(f);
+  a.hlt();
+  const elf::ElfFile elf = MiniBinary(a).build();
+  CodeView code(elf);
+  const std::uint64_t passes = counter("disasm_explore_passes_total");
+  const Result r = analyze(code, {kTextAddr});
+  EXPECT_EQ(counter("disasm_explore_passes_total") - passes, 2u);
+  EXPECT_EQ(r.starts.count(a.address_of(f)), 0u);
+  expect_same(r, uncached_analyze(code, {kTextAddr}, {}), "dropped callee");
+}
+
+TEST(Reanalysis, GoesOnWhileABodyCallsAChangedAddress) {
+  // g's body reaches `call c` on a path discovery never takes: discovery
+  // reaches L first from main, with edi = 1, where error ends the path;
+  // g's body reaches it with edi = 0 and falls through. Round 0 also
+  // reaches c from m2, so c is a start that never returns. Round 1 ends
+  // m2 at `call exit`: c is no start, only g's callee, and the sets
+  // differ at c. g asked about c, so the rounds go on until g's call to
+  // c falls through to its ret.
+  Assembler a(kTextAddr);
+  Label error = a.label();
+  Label exit_fn = a.label();
+  Label c = a.label();
+  Label g = a.label();
+  Label m2 = a.label();
+  Label l = a.label();
+  Label g_ret = a.label();
+  Label ok = a.label();
+  a.mov_ri32(Reg::kRdi, 1);  // main
+  a.bind(l);
+  a.call(error);
+  a.call(c);
+  a.bind(g_ret);
+  a.ret();
+  a.bind(g);
+  a.xor_rr(Reg::kRdi, Reg::kRdi);
+  a.jmp(l);
+  a.bind(m2);
+  a.call(exit_fn);
+  a.call(c);
+  a.ret();
+  a.bind(c);
+  a.hlt();
+  a.bind(exit_fn);
+  a.hlt();
+  a.bind(error);
+  a.test_rr(Reg::kRdi, Reg::kRdi);
+  a.jcc(Cond::kE, ok);
+  a.call(exit_fn);
+  a.bind(ok);
+  a.ret();
+  const elf::ElfFile elf = MiniBinary(a).build();
+  CodeView code(elf);
+  Options options;
+  options.conditional_noreturn = {a.address_of(error)};
+  const std::vector<std::uint64_t> seeds = {kTextAddr, a.address_of(g),
+                                            a.address_of(m2)};
+  const std::uint64_t passes = counter("disasm_explore_passes_total");
+  const Result r = analyze(code, seeds, options);
+  EXPECT_EQ(counter("disasm_explore_passes_total") - passes, 4u);
+  EXPECT_EQ(r.starts.count(a.address_of(c)), 0u);
+  EXPECT_TRUE(r.functions.at(a.address_of(g)).contains(a.address_of(g_ret)));
+  expect_same(r, uncached_analyze(code, seeds, options), "changed callee");
 }
 
 TEST(Reanalysis, EqualsFreshAnalyzeOnSmokeCorpus) {
@@ -565,10 +645,35 @@ TEST(EngineSteps, AnalyzeTimesEachStepAndCountsEveryBody) {
   EXPECT_LE(samples["disasm_noreturn_us"], pass_count);
   EXPECT_EQ(samples["disasm_finish_us"], 1u);
 
-  // Every pass places one body per start, built or reused.
-  std::size_t pass_starts = 0;
+  // Every pass places one body per start, built or reused. analyze()
+  // may stop before the replay, whose extra passes repeat its last one.
+  std::vector<std::size_t> pass_starts;
   (void)uncached_analyze(det.code(), seeds, {}, &pass_starts);
-  EXPECT_EQ(bodies, pass_starts);
+  ASSERT_LE(pass_count, pass_starts.size());
+  EXPECT_EQ(bodies, std::accumulate(pass_starts.begin(),
+                                    pass_starts.begin() + pass_count,
+                                    std::size_t{0}));
+}
+
+TEST(EngineSteps, DetectTimesItsOwnSteps) {
+  // The detector's steps outside analyze() each have a histogram; the two
+  // analyze() calls are timed by the disasm_*_us steps above.
+  const auto all = fixtures();
+  ASSERT_FALSE(all.empty());
+  const elf::ElfFile elf(all.front().second);
+  const core::FunctionDetector det(elf);
+  const char* const steps[] = {"detect_callconv_us", "detect_pointer_us",
+                               "detect_data_refs_us", "detect_alg1_us"};
+  std::map<std::string, std::uint64_t> samples;
+  for (const char* step : steps) {
+    samples[step] = obs::Registry::global().histogram(step).count();
+  }
+  (void)det.run(core::DetectorOptions{});
+  for (const char* step : steps) {
+    EXPECT_EQ(obs::Registry::global().histogram(step).count() - samples[step],
+              1u)
+        << step;
+  }
 }
 
 // --- Flow steps ---------------------------------------------------------------
