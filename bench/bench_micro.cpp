@@ -8,8 +8,9 @@
 ///   1. google-benchmark cases on one sample binary (quick signal while
 ///      iterating on the decoder or the detector).
 ///   2. A deterministic self-timed "hot path" report over the corpus at
-///      the selected --scale: decode throughput, cold and warm insn_at
-///      cost of the lock-free dense cache, and the cache hit rate. `--json PATH` writes the same rows as a
+///      the selected --scale: decode throughput, cold and warm step-read
+///      (`rec_at`) cost of the lock-free dense cache, and the cache hit
+///      rate. `--json PATH` writes the same rows as a
 ///      fetch-bench-v1 document — the checked-in BENCH_hotpath.json
 ///      baseline is produced by this half.
 
@@ -76,32 +77,32 @@ void BM_DecodeText(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeText);
 
-void BM_InsnAtWarmDense(benchmark::State& state) {
+void BM_StepAtWarmDense(benchmark::State& state) {
   const elf::ElfFile elf(sample_binary().image);
   const disasm::CodeView code(elf);
   const elf::Section* text = elf.section(".text");
   // The sweep that collects the starts also warms every one of them.
   std::vector<std::uint64_t> starts;
   for (std::uint64_t a = text->addr; a < text->addr + text->size;) {
-    const x86::Insn* insn = code.insn_at(a);
-    if (insn == nullptr) {
+    const disasm::Step* step = code.rec_at(a).step;
+    if (step == nullptr) {
       ++a;
       continue;
     }
     starts.push_back(a);
-    a += insn->length;
+    a += step->length;
   }
   for (auto _ : state) {
     std::uint64_t sink = 0;
     for (const std::uint64_t a : starts) {
-      sink += code.insn_at(a)->length;
+      sink += code.rec_at(a).step->length;
     }
     benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(starts.size()));
 }
-BENCHMARK(BM_InsnAtWarmDense);
+BENCHMARK(BM_StepAtWarmDense);
 
 void BM_ParseElf(benchmark::State& state) {
   const auto& image = sample_binary().image;
@@ -163,10 +164,10 @@ BENCHMARK(BM_FetchPipeline);
 struct HotPathTotals {
   double cold_dense_ns = 0;
   double warm_dense_ns = 0;
-  std::uint64_t cold_calls = 0;   // insn_at calls during the cold walks
-  std::uint64_t warm_calls = 0;   // insn_at calls during the warm loops
+  std::uint64_t cold_calls = 0;   // rec_at calls during the cold walks
+  std::uint64_t warm_calls = 0;   // rec_at calls during the warm loops
   std::uint64_t code_bytes = 0;   // executable bytes walked (per cold pass)
-  std::uint64_t dense_calls = 0;  // all dense insn_at calls (cold + warm)
+  std::uint64_t dense_calls = 0;  // all dense rec_at calls (cold + warm)
   std::uint64_t dense_misses = 0;  // slots actually decoded or invalidated
 };
 
@@ -190,14 +191,14 @@ void measure_entry(const elf::ElfFile& elf, std::size_t warm_passes,
     for (const auto& [lo, hi] : ranges) {
       std::uint64_t a = lo;
       while (a < hi) {
-        const x86::Insn* insn = code.insn_at(a);
+        const disasm::Step* step = code.rec_at(a).step;
         ++calls;
-        if (insn == nullptr) {
+        if (step == nullptr) {
           ++a;
           continue;
         }
         starts.push_back(a);
-        a += insn->length;
+        a += step->length;
       }
     }
     totals.cold_dense_ns += elapsed_ns(t0);
@@ -212,22 +213,22 @@ void measure_entry(const elf::ElfFile& elf, std::size_t warm_passes,
   // everything else was a wait-free hit).
   {
     const disasm::CodeView code(elf);
-    // Warm the view with a counted linear walk so every insn_at call made
+    // Warm the view with a counted linear walk so every rec_at call made
     // against it is in the hit-rate denominator.
     std::uint64_t calls = 0;
     for (const auto& [lo, hi] : ranges) {
       std::uint64_t a = lo;
       while (a < hi) {
-        const x86::Insn* insn = code.insn_at(a);
+        const disasm::Step* step = code.rec_at(a).step;
         ++calls;
-        a += insn != nullptr ? insn->length : 1;
+        a += step != nullptr ? step->length : 1;
       }
     }
     const auto t0 = Clock::now();
     for (std::size_t pass = 0; pass < warm_passes; ++pass) {
       std::uint64_t sink = 0;
       for (const std::uint64_t a : starts) {
-        sink += code.insn_at(a)->length;
+        sink += code.rec_at(a).step->length;
       }
       benchmark::DoNotOptimize(sink);
       calls += starts.size();
@@ -269,8 +270,8 @@ void run_hotpath_report(const bench::BenchOptions& opts) {
     const char* unit;
   };
   const std::vector<Row> rows = {
-      {"insn_at_warm_dense", eval::fmt(warm_dense, 2), warm_dense, "ns/op"},
-      {"insn_at_cold_dense", eval::fmt(cold_dense, 2), cold_dense, "ns/op"},
+      {"step_at_warm_dense", eval::fmt(warm_dense, 2), warm_dense, "ns/op"},
+      {"step_at_cold_dense", eval::fmt(cold_dense, 2), cold_dense, "ns/op"},
       {"decode_throughput", eval::fmt(throughput_mib_s, 1), throughput_mib_s,
        "MiB/s"},
       {"cache_hit_rate", eval::fmt(hit_rate, 4), hit_rate, "ratio"},

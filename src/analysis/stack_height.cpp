@@ -77,7 +77,7 @@ HeightMap analyze_stack_heights(
       continue;
     }
     AbsState state = state_it->second;
-    const auto insn = code.insn_at(addr);
+    const auto insn = code.decode(addr);
     if (!insn) {
       continue;
     }
@@ -193,7 +193,7 @@ std::map<std::uint64_t, std::uint64_t> compute_callee_pops(
   std::map<std::uint64_t, std::uint64_t> pops;
   for (const auto& [entry, fn] : result.functions) {
     for (const std::uint64_t addr : fn.insn_addrs) {
-      const auto insn = code.insn_at(addr);
+      const auto insn = code.decode(addr);
       if (insn && insn->kind == Kind::kRet && insn->rsp_delta &&
           *insn->rsp_delta > 8) {
         pops[entry] = static_cast<std::uint64_t>(*insn->rsp_delta - 8);

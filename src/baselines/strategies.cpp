@@ -16,7 +16,7 @@ using x86::Reg;
 /// instructions; loose accepts one push/endbr.
 bool prologue_at(const disasm::CodeView& code, std::uint64_t addr,
                  bool strict) {
-  const auto first = code.insn_at(addr);
+  const auto first = code.decode(addr);
   if (!first) {
     return false;
   }
@@ -30,7 +30,7 @@ bool prologue_at(const disasm::CodeView& code, std::uint64_t addr,
   if (!first_push && !first_endbr && !first_subrsp) {
     return false;
   }
-  const auto second = code.insn_at(addr + first->length);
+  const auto second = code.decode(addr + first->length);
   if (!second) {
     return false;
   }
@@ -63,7 +63,7 @@ std::set<std::uint64_t> match_prologues(const disasm::CodeView& code,
       for (std::uint64_t addr = gap.lo; addr < gap.hi; ++addr) {
         // Skip padding bytes: matchers anchor at the first plausible
         // instruction after alignment.
-        const auto insn = code.insn_at(addr);
+        const auto insn = code.decode(addr);
         if (insn && insn->is_padding()) {
           addr += insn->length - 1;
           continue;
@@ -105,7 +105,7 @@ std::set<std::uint64_t> control_flow_repair(const disasm::CodeView& code,
       bool stepped = false;
       // Padding instructions are 1..9 bytes; try to find one ending at p.
       for (std::uint64_t len = 1; len <= 9 && len <= p; ++len) {
-        const auto insn = code.insn_at(p - len);
+        const auto insn = code.decode(p - len);
         if (insn && insn->length == len && insn->is_padding()) {
           p -= len;
           stepped = true;
@@ -118,7 +118,7 @@ std::set<std::uint64_t> control_flow_repair(const disasm::CodeView& code,
     }
     bool preceded_by_call = false;
     for (std::uint64_t len = 2; len <= 7 && len <= p; ++len) {
-      const auto insn = code.insn_at(p - len);
+      const auto insn = code.decode(p - len);
       if (insn && insn->length == len &&
           (insn->kind == Kind::kCallDirect ||
            insn->kind == Kind::kCallIndirect)) {
@@ -137,7 +137,7 @@ std::set<std::uint64_t> thunk_targets(const disasm::CodeView& code,
                                       const disasm::Result& result) {
   std::set<std::uint64_t> out;
   for (const std::uint64_t s : result.starts) {
-    const auto insn = code.insn_at(s);
+    const auto insn = code.decode(s);
     if (insn && insn->kind == Kind::kJmpDirect && insn->target &&
         code.is_code(*insn->target) && result.starts.count(*insn->target) == 0) {
       out.insert(*insn->target);
@@ -187,14 +187,14 @@ std::set<std::uint64_t> alignment_split(const disasm::CodeView& code,
                                         const disasm::Result& result) {
   std::set<std::uint64_t> out;
   for (const std::uint64_t s : result.starts) {
-    auto insn = code.insn_at(s);
+    auto insn = code.decode(s);
     if (!insn || !insn->is_padding()) {
       continue;
     }
     std::uint64_t addr = s;
     while (insn && insn->is_padding()) {
       addr += insn->length;
-      insn = code.insn_at(addr);
+      insn = code.decode(addr);
     }
     if (insn && result.starts.count(addr) == 0) {
       out.insert(addr);
@@ -216,11 +216,11 @@ std::set<std::uint64_t> linear_scan_gaps(const disasm::CodeView& code,
            disasm::linear_sweep(code, gap.lo, gap.hi)) {
         // Skip leading padding inside the piece, as ANGR does.
         std::uint64_t addr = piece.start;
-        for (const x86::Insn* insn : piece.insns) {
-          if (!insn->is_padding()) {
+        for (const x86::Insn& insn : piece.insns) {
+          if (!insn.is_padding()) {
             break;
           }
-          addr += insn->length;
+          addr += insn.length;
         }
         if (addr < gap.hi && result.starts.count(addr) == 0) {
           out.insert(addr);

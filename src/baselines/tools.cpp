@@ -188,17 +188,17 @@ std::set<std::uint64_t> radare2_like(const elf::ElfFile& elf) {
     for (const disasm::LinearPiece& piece :
          disasm::linear_sweep(code, sec.addr, sec.addr + sec.size)) {
       bool after_padding = true;  // section start counts as a boundary
-      for (const x86::Insn* insn : piece.insns) {
-        if (insn->kind == x86::Kind::kCallDirect && insn->target &&
-            code.is_code(*insn->target)) {
-          starts.insert(*insn->target);
+      for (const x86::Insn& insn : piece.insns) {
+        if (insn.kind == x86::Kind::kCallDirect && insn.target &&
+            code.is_code(*insn.target)) {
+          starts.insert(*insn.target);
         }
-        if (after_padding && !insn->is_padding() &&
-            (insn->kind == x86::Kind::kPush ||
-             insn->kind == x86::Kind::kEndbr)) {
-          starts.insert(insn->addr);
+        if (after_padding && !insn.is_padding() &&
+            (insn.kind == x86::Kind::kPush ||
+             insn.kind == x86::Kind::kEndbr)) {
+          starts.insert(insn.addr);
         }
-        after_padding = insn->is_padding();
+        after_padding = insn.is_padding();
       }
     }
   }
@@ -223,8 +223,8 @@ std::set<std::uint64_t> nucleus_like(const elf::ElfFile& elf) {
     }
   }
   for (const auto& piece : pieces) {
-    for (const x86::Insn* insn : piece.insns) {
-      insns.emplace(insn->addr, insn);
+    for (const x86::Insn& insn : piece.insns) {
+      insns.emplace(insn.addr, &insn);
     }
   }
 
@@ -303,7 +303,7 @@ std::set<std::uint64_t> ida_like(const elf::ElfFile& elf) {
     for (std::size_t off = 0; off + 8 <= bytes.size(); off += 8) {
       std::uint64_t value;
       std::memcpy(&value, bytes.data() + off, 8);
-      if (code.is_code(value) && code.insn_at(value)) {
+      if (code.is_code(value) && code.rec_at(value).step) {
         starts.insert(value);
       }
     }
@@ -328,7 +328,7 @@ std::set<std::uint64_t> ninja_like(const elf::ElfFile& elf) {
     for (std::size_t off = 0; off + 8 <= bytes.size(); ++off) {
       std::uint64_t value;
       std::memcpy(&value, bytes.data() + off, 8);
-      if (code.is_code(value) && code.insn_at(value)) {
+      if (code.is_code(value) && code.rec_at(value).step) {
         starts.insert(value);
       }
     }

@@ -11,7 +11,6 @@ namespace fetch::core {
 
 namespace {
 
-using x86::Insn;
 using x86::Kind;
 
 /// Outcome of probing one candidate.
@@ -84,12 +83,13 @@ Probe probe_pointer(const disasm::CodeView& code, const disasm::Result& state,
                    const disasm::InsnWindow& window) {
     using disasm::Step;
     if (step.has(Step::kMemIsCode | Step::kImmIsCode)) {
-      const Insn& insn = code.record(window.back());
+      const disasm::CodeView::Operands ops =
+          code.operands(window.back(), step);
       if (step.has(Step::kMemIsCode)) {
-        probe.constants.insert(*insn.mem_target);
+        probe.constants.insert(ops.mem);
       }
       if (step.has(Step::kImmIsCode)) {
-        probe.constants.insert(*insn.imm);
+        probe.constants.insert(ops.imm);
       }
     }
     if (step.kind == Kind::kCallDirect || step.kind == Kind::kJmpDirect ||

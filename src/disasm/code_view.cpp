@@ -1,6 +1,7 @@
 #include "disasm/code_view.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <thread>
 #include <type_traits>
 
@@ -16,28 +17,30 @@ namespace {
 /// more, and the shard clamp keeps it from crossing the section end.
 constexpr std::uint64_t kMaxInsnBytes = 15;
 
-// The arena stores instructions as flat, trivially-copyable records — a
-// publish is a plain struct copy followed by one release store — and frees
-// its raw buckets without running a destructor.
-static_assert(std::is_trivially_copyable_v<x86::Insn>,
-              "arena records must be flat copyable structs");
-static_assert(std::is_trivially_destructible_v<x86::Insn> &&
+// A publish is a plain struct copy followed by one release store, and the
+// arena frees its raw buckets without running a destructor.
+static_assert(std::is_trivially_copyable_v<Step> &&
                   std::is_trivially_destructible_v<Step>,
-              "arena buckets are freed without destroying records");
+              "arena steps must be flat copyable structs");
 
-/// Cold-path decode-cache counters (global registry: CodeViews are
-/// per-binary and ephemeral, the aggregate is what matters). Looked up
-/// once; the handles are stable references.
+/// Decode-cache metrics (global registry: CodeViews are per-binary and
+/// ephemeral, the aggregate is what matters). Looked up once; the handles
+/// are stable references.
 struct CacheMetrics {
-  obs::Counter& claims;   ///< slots won (empty → decoding)
-  obs::Counter& decoded;  ///< claims published as records
-  obs::Counter& invalid;  ///< claims published as undecodable
+  obs::Counter& claims;     ///< slots won (empty → decoding)
+  obs::Counter& decoded;    ///< claims published as steps
+  obs::Counter& invalid;    ///< claims published as undecodable
+  obs::Counter& redecodes;  ///< full decodes outside the cache
+  obs::Histogram& bytes;    ///< slot arrays + step arena, once per view
 
   static CacheMetrics& get() {
+    obs::Registry& reg = obs::Registry::global();
     static CacheMetrics metrics{
-        obs::Registry::global().counter("codeview_slot_claims_total"),
-        obs::Registry::global().counter("codeview_decoded_total"),
-        obs::Registry::global().counter("codeview_invalid_total"),
+        reg.counter("codeview_slot_claims_total"),
+        reg.counter("codeview_decoded_total"),
+        reg.counter("codeview_invalid_total"),
+        reg.counter("codeview_redecodes_total"),
+        reg.histogram("codeview_bytes"),
     };
     return metrics;
   }
@@ -54,32 +57,47 @@ CodeView::CodeView(const elf::ElfFile& elf) : elf_(elf) {
     Shard shard;
     shard.addr = sec.addr;
     // SHT_NOBITS (or truncated) executable sections have no file bytes to
-    // decode; clamping the slot count here is what guarantees insn_at can
+    // decode; clamping the slot count here is what guarantees a decode can
     // never read past the section's file-backed extent.
     shard.slot_count = std::min<std::uint64_t>(sec.size, bytes.size());
     if (shard.slot_count == 0) {
       continue;
     }
     shard.bytes = bytes.data();
-    shard.slots =
-        std::make_unique<std::atomic<std::uint32_t>[]>(shard.slot_count);
     shards_.push_back(std::move(shard));
   }
   std::sort(shards_.begin(), shards_.end(),
             [](const Shard& a, const Shard& b) { return a.addr < b.addr; });
+  std::uint64_t base = 0;
+  for (Shard& shard : shards_) {
+    shard.base = base;
+    base += shard.slot_count;
+  }
+  // Checked before any slot array is allocated.
+  if (base > std::numeric_limits<std::uint32_t>::max()) {
+    throw ParseError("ELF: executable sections exceed 4 GiB");
+  }
+  for (Shard& shard : shards_) {
+    shard.slots =
+        std::make_unique<std::atomic<std::uint32_t>[]>(shard.slot_count);
+  }
 }
 
 std::vector<CodeView::SlotRange> CodeView::slot_ranges() const {
   std::vector<SlotRange> ranges;
-  std::uint64_t base = 0;
   for (const Shard& shard : shards_) {
-    ranges.push_back({shard.addr, shard.slot_count, base});
-    base += shard.slot_count;
+    ranges.push_back({shard.addr, shard.slot_count, shard.base});
   }
   return ranges;
 }
 
-CodeView::~CodeView() = default;
+CodeView::~CodeView() {
+  std::uint64_t bytes = steps_.bytes();
+  for (const Shard& shard : shards_) {
+    bytes += shard.slot_count * sizeof(std::atomic<std::uint32_t>);
+  }
+  CacheMetrics::get().bytes.record_us(bytes);
+}
 
 const CodeView::Shard* CodeView::shard_at(std::uint64_t addr) const {
   // Binaries have a handful of executable sections at most; an upper_bound
@@ -95,8 +113,15 @@ const CodeView::Shard* CodeView::shard_at(std::uint64_t addr) const {
 }
 
 Step CodeView::make_step(const x86::Insn& insn) const {
+  const bool imm_in_section =
+      insn.imm && elf_.section_at(*insn.imm) != nullptr;
   Step step;
-  step.target = insn.target.value_or(0);
+  step.target = insn.target       ? *insn.target
+                : insn.mem_target ? *insn.mem_target
+                : imm_in_section  ? *insn.imm
+                                  : 0;
+  step.regs_read = insn.regs_read;
+  step.regs_written = insn.regs_written;
   step.length = insn.length;
   step.kind = insn.kind;
   auto set = [&](std::uint8_t flag, bool on) {
@@ -106,49 +131,77 @@ Step CodeView::make_step(const x86::Insn& insn) const {
   set(Step::kTargetIsCode,
       insn.target && elf_.is_code_address(*insn.target));
   set(Step::kHasMemTarget, insn.mem_target.has_value());
-  set(Step::kImmInSection,
-      insn.imm && elf_.section_at(*insn.imm) != nullptr);
+  set(Step::kImmInSection, imm_in_section);
   set(Step::kMemIsCode,
       insn.mem_target && elf_.is_code_address(*insn.mem_target));
   set(Step::kImmIsCode, insn.imm && elf_.is_code_address(*insn.imm));
   return step;
 }
 
-std::uint32_t CodeView::decode_slot(const Shard& shard, std::uint64_t off,
-                                    std::uint64_t addr) const {
+std::optional<x86::Insn> CodeView::decode_at(const Shard& shard,
+                                             std::uint64_t off) const {
+  // The window is clamped to the shard so it cannot cross the section
+  // boundary.
+  const std::uint64_t window =
+      std::min<std::uint64_t>(kMaxInsnBytes, shard.slot_count - off);
+  return x86::decode({shard.bytes + off, window}, shard.addr + off);
+}
+
+std::optional<x86::Insn> CodeView::decode(std::uint64_t addr) const {
+  const Shard* shard = shard_at(addr);
+  if (shard == nullptr) {
+    return std::nullopt;
+  }
+  CacheMetrics::get().redecodes.add();
+  return decode_at(*shard, addr - shard->addr);
+}
+
+void CodeView::redecode(std::uint32_t slot, x86::Insn& out) const {
+  const Shard& shard = shard_of(slot);
+  CacheMetrics::get().redecodes.add();
+  const auto insn = decode_at(shard, slot - shard.base);
+  FETCH_ASSERT(insn.has_value());  // the slot holds a step: its bytes decode
+  out = *insn;
+}
+
+CodeView::Operands CodeView::operands(std::uint32_t slot,
+                                      const Step& step) const {
+  if (step.has(Step::kHasMemTarget) && step.has(Step::kImmInSection)) {
+    x86::Insn insn;
+    redecode(slot, insn);
+    return {*insn.mem_target, *insn.imm};
+  }
+  return {step.target, step.target};
+}
+
+std::uint32_t CodeView::decode_slot(const Shard& shard,
+                                    std::uint64_t off) const {
   std::atomic<std::uint32_t>& slot = shard.slots[off];
   std::uint32_t state = slot.load(std::memory_order_acquire);
   for (;;) {
-    if (state >= kFirstRecord) {
-      return state - kFirstRecord;
-    }
-    if (state == kInvalid) {
-      return kNoRecord;
+    if (state >= kFirstStep || state == kInvalid) {
+      return state;
     }
     if (state == kEmpty &&
         slot.compare_exchange_strong(state, kDecoding,
                                      std::memory_order_acq_rel,
                                      std::memory_order_acquire)) {
-      // We own the claim: decode once, publish once. The window is clamped
-      // to the shard so it cannot cross the section boundary.
+      // We own the claim: decode once, publish once.
       CacheMetrics& metrics = CacheMetrics::get();
       metrics.claims.add();
-      const std::uint64_t window =
-          std::min<std::uint64_t>(kMaxInsnBytes, shard.slot_count - off);
-      const auto insn = x86::decode({shard.bytes + off, window}, addr);
+      const auto insn = decode_at(shard, off);
       if (!insn) {
         metrics.invalid.add();
         slot.store(kInvalid, std::memory_order_release);
-        return kNoRecord;
+        return kInvalid;
       }
       const std::uint32_t index =
           arena_next_.fetch_add(1, std::memory_order_relaxed);
-      FETCH_ASSERT(index < Arena<Step>::kCapacity - kFirstRecord);
-      records_.publish(index, *insn);
+      FETCH_ASSERT(index < StepArena::kCapacity - kFirstStep);
       steps_.publish(index, make_step(*insn));
       metrics.decoded.add();
-      slot.store(index + kFirstRecord, std::memory_order_release);
-      return index;
+      slot.store(index + kFirstStep, std::memory_order_release);
+      return index + kFirstStep;
     }
     if (state == kDecoding) {
       // Another thread holds the claim; decoding is a few hundred ns, so
@@ -167,7 +220,7 @@ CodeView::CacheStats CodeView::cache_stats() const {
     for (std::uint64_t off = 0; off < shard.slot_count; ++off) {
       const std::uint32_t state =
           shard.slots[off].load(std::memory_order_relaxed);
-      if (state >= kFirstRecord) {
+      if (state >= kFirstStep) {
         ++stats.decoded;
       } else if (state == kInvalid) {
         ++stats.invalid;

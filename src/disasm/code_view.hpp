@@ -3,20 +3,22 @@
 /// \file code_view.hpp
 /// Decode-on-demand view of a binary's executable sections with a
 /// lock-free dense decode cache. All disassembly passes share one CodeView
-/// per binary so an address is decoded at most once; concurrent strategy
-/// cells of the parallel evaluation engine share one CodeView per corpus
-/// entry (see DESIGN.md, "Hot path: the dense decode cache").
+/// per binary so an address is decoded into the cache at most once;
+/// concurrent strategy cells of the parallel evaluation engine share one
+/// CodeView per corpus entry (see DESIGN.md, "Hot path: the dense decode
+/// cache").
 ///
 /// Layout: one atomic 32-bit slot per executable-section byte, indexed by
 /// section offset. A slot is either empty, claimed-for-decoding, invalid,
-/// or an index into two append-only arenas: packed instruction records
-/// and, at the same index, the 16-byte flow steps the walks read.
-/// Reads of decoded/invalid slots are a single acquire load — wait-free,
-/// no lock, no hashing, no rehash ever. The first thread to reach an
-/// address claims its slot with one compare-exchange (empty → decoding)
-/// and publishes the record (decoding → decoded), so no byte is ever
-/// decoded twice. Nothing decodes eagerly: only the addresses the
-/// analyses reach are ever decoded.
+/// or an index into one append-only arena of 16-byte flow steps, the only
+/// thing the cache keeps of an instruction. Reads of decoded/invalid slots
+/// are a single acquire load — wait-free, no lock, no hashing, no rehash
+/// ever. The first thread to reach an address claims its slot with one
+/// compare-exchange (empty → decoding) and publishes the step (decoding →
+/// decoded), so no byte is ever decoded into the cache twice. The few
+/// readers that need a full x86::Insn decode it again, into storage they
+/// own. Nothing decodes eagerly: only the addresses the analyses reach are
+/// ever decoded.
 
 #include <algorithm>
 #include <array>
@@ -34,12 +36,12 @@
 
 namespace fetch::disasm {
 
-/// The flow facts a walk reads per instruction: 16 bytes published beside
-/// each decoded record, at the same arena index. Each flag bit is the
-/// answer of an ElfFile query made once at decode, so a walk step makes no
-/// section lookup and reads the full record only for the few instructions
-/// whose flags say they carry reference or pointer material. The packing
-/// follows X86Emu's per-instruction decode flags.
+/// What the analyses read per instruction: 16 bytes, published once per
+/// decoded slot. Each flag bit is the answer of an ElfFile query made once
+/// at decode, so a walk step makes no section lookup, and `target` carries
+/// the one address operand an instruction has, so a walk re-decodes only
+/// where a decision needs more. The packing follows X86Emu's
+/// per-instruction decode flags.
 struct Step {
   static constexpr std::uint8_t kNextIsCode = 1;     ///< addr + length
   static constexpr std::uint8_t kTargetIsCode = 2;   ///< direct target
@@ -48,7 +50,13 @@ struct Step {
   static constexpr std::uint8_t kMemIsCode = 16;     ///< mem_target in code
   static constexpr std::uint8_t kImmIsCode = 32;     ///< imm in code
 
-  std::uint64_t target = 0;  ///< direct call/jmp/jcc target, else 0
+  /// The direct call/jmp/jcc target; else the RIP-relative memory target;
+  /// else the immediate when it lies in a section; else 0. (A direct
+  /// branch has neither operand, so only an instruction with both a
+  /// memory target and an in-section immediate loses one.)
+  std::uint64_t target = 0;
+  std::uint16_t regs_read = 0;     ///< x86::Insn::regs_read
+  std::uint16_t regs_written = 0;  ///< x86::Insn::regs_written
   std::uint8_t length = 0;
   x86::Kind kind = x86::Kind::kOther;
   std::uint8_t flags = 0;
@@ -61,18 +69,18 @@ struct Step {
 };
 static_assert(sizeof(Step) == 16, "a flow step is one 16-byte record");
 
-/// The last (up to) 32 instructions on a path, oldest first, as record
-/// indices into a CodeView's arenas: a fixed ring copied by value, so
-/// forking a path never allocates.
+/// The last (up to) 32 instructions on a path, oldest first, as slot
+/// numbers of a CodeView: a fixed ring copied by value, so forking a path
+/// never allocates.
 class InsnWindow {
  public:
   static constexpr std::size_t kCapacity = 32;
 
-  void push(std::uint32_t index) {
+  void push(std::uint32_t slot) {
     if (size_ < kCapacity) {
-      slots_[(start_ + size_++) % kCapacity] = index;
+      slots_[(start_ + size_++) % kCapacity] = slot;
     } else {
-      slots_[start_] = index;
+      slots_[start_] = slot;
       start_ = (start_ + 1) % kCapacity;
     }
   }
@@ -92,7 +100,10 @@ class InsnWindow {
 
 class CodeView {
  public:
+  /// Throws ParseError when the executable sections hold 2^32 bytes or
+  /// more, since slot numbers are 32-bit.
   explicit CodeView(const elf::ElfFile& elf);
+  /// Records the view's memory in the `codeview_bytes` histogram.
   ~CodeView();
 
   CodeView(const CodeView&) = delete;
@@ -105,45 +116,74 @@ class CodeView {
     return elf_.is_code_address(addr);
   }
 
-  /// Decodes (with dense memoization) the instruction at \p addr.
-  /// nullptr when \p addr is not in code or the bytes are invalid. The
-  /// returned pointer is stable for the CodeView's lifetime. Safe to call
-  /// from multiple threads; reads of already-decoded addresses are
-  /// wait-free.
-  [[nodiscard]] const x86::Insn* insn_at(std::uint64_t addr) const {
-    const std::uint32_t index = index_at(addr);
-    return index == kNoRecord ? nullptr : &record(index);
-  }
-
-  /// A decoded address' arena index and flow step; `step` is null where
-  /// insn_at gives nullptr.
+  /// A decoded address' slot number and flow step; `step` is null when
+  /// \p addr is not in code or its bytes are invalid.
   struct Rec {
-    std::uint32_t index = 0;
+    std::uint32_t slot = 0;
     const Step* step = nullptr;
   };
-  /// insn_at's lookup, returning the 16-byte step instead of the record.
+  /// Looks \p addr up in the dense cache, decoding it on first touch. The
+  /// step is stable for the CodeView's lifetime. Safe to call from
+  /// multiple threads; reads of already-decoded addresses are wait-free.
   [[nodiscard]] Rec rec_at(std::uint64_t addr) const {
-    const std::uint32_t index = index_at(addr);
-    return index == kNoRecord ? Rec{} : Rec{index, &steps_[index]};
+    const Shard* shard = shard_at(addr);
+    if (shard == nullptr) {
+      return {};
+    }
+    const std::uint64_t off = addr - shard->addr;
+    // Deliberately uninstrumented: even a striped relaxed fetch_add is
+    // an atomic RMW (~6 ns) on this ~4 ns read, more than doubling
+    // bench_micro's gated step_at_warm_dense. The decode (cold) path
+    // carries the codeview_* counters instead.
+    std::uint32_t state = shard->slots[off].load(std::memory_order_acquire);
+    if (state < kFirstStep) {
+      state = state == kInvalid ? kInvalid : decode_slot(*shard, off);
+      if (state == kInvalid) {
+        return {};
+      }
+    }
+    return {static_cast<std::uint32_t>(shard->base + off),
+            &steps_[state - kFirstStep]};
   }
-  /// The full record behind an index from rec_at (or an InsnWindow).
-  [[nodiscard]] const x86::Insn& record(std::uint32_t index) const {
-    return records_[index];
+  /// The step behind a slot number from rec_at (or an InsnWindow).
+  [[nodiscard]] const Step& step(std::uint32_t slot) const {
+    const Shard& shard = shard_of(slot);
+    return steps_[shard.slots[slot - shard.base].load(
+                      std::memory_order_acquire) -
+                  kFirstStep];
   }
+
+  /// Decodes the instruction at \p addr afresh, with the cache's decode
+  /// window; nullopt where rec_at gives no step. Leaves the cache untouched
+  /// and counts one `codeview_redecodes_total`, as redecode() does.
+  [[nodiscard]] std::optional<x86::Insn> decode(std::uint64_t addr) const;
+  /// The full instruction behind a slot number from rec_at (or an
+  /// InsnWindow), re-decoded into \p out, storage the caller owns.
+  void redecode(std::uint32_t slot, x86::Insn& out) const;
+
+  /// The address operands discovery and pointer probing read: the
+  /// RIP-relative memory target (meaningful when the step has
+  /// kHasMemTarget) and the immediate (when it has kImmInSection). Read
+  /// from the step's target, or re-decoded when the instruction has both.
+  struct Operands {
+    std::uint64_t mem = 0;
+    std::uint64_t imm = 0;
+  };
+  [[nodiscard]] Operands operands(std::uint32_t slot, const Step& step) const;
 
   /// Occupancy of the dense cache (computed by scanning the slot arrays;
   /// diagnostics/benchmarks only, not for the hot path).
   struct CacheStats {
     std::uint64_t code_bytes = 0;  ///< total slots (executable bytes)
-    std::uint64_t decoded = 0;     ///< slots holding a decoded record
+    std::uint64_t decoded = 0;     ///< slots holding a decoded step
     std::uint64_t invalid = 0;     ///< slots marked undecodable
   };
   [[nodiscard]] CacheStats cache_stats() const;
 
-  /// Number of packed instruction records in the arena. Because a slot is
-  /// claimed before decoding, this equals the number of distinct addresses
-  /// ever decoded successfully (no double-decode).
-  [[nodiscard]] std::uint64_t decoded_records() const {
+  /// Number of steps in the arena. Because a slot is claimed before
+  /// decoding, this equals the number of distinct addresses ever decoded
+  /// successfully into the cache (no double-decode).
+  [[nodiscard]] std::uint64_t decoded_steps() const {
     return arena_next_.load(std::memory_order_relaxed);
   }
 
@@ -166,68 +206,77 @@ class CodeView {
  private:
   /// Dense per-section cache: one atomic slot per code byte. `slot_count`
   /// is clamped to the section's file-backed bytes, so a decode window can
-  /// never extend past the section (or into a neighboring one).
+  /// never extend past the section (or into a neighboring one). Its slots
+  /// are numbered from `base`.
   struct Shard {
     std::uint64_t addr = 0;
     std::uint64_t slot_count = 0;
+    std::uint64_t base = 0;
     const std::uint8_t* bytes = nullptr;
     std::unique_ptr<std::atomic<std::uint32_t>[]> slots;
   };
 
-  // Slot states. Values >= kFirstRecord are arena indices shifted by
-  // kFirstRecord; the transitions are kEmpty -> kDecoding -> (record |
+  // Slot states. Values >= kFirstStep are arena indices shifted by
+  // kFirstStep; the transitions are kEmpty -> kDecoding -> (step |
   // kInvalid), each a single atomic operation.
   static constexpr std::uint32_t kEmpty = 0;
   static constexpr std::uint32_t kDecoding = 1;
   static constexpr std::uint32_t kInvalid = 2;
-  static constexpr std::uint32_t kFirstRecord = 3;
-  /// index_at's "no instruction here".
-  static constexpr std::uint32_t kNoRecord = ~std::uint32_t{0};
+  static constexpr std::uint32_t kFirstStep = 3;
 
-  /// An append-only arena that grows in geometrically sized buckets
-  /// (bucket b holds 2^b * 256 records), so memory stays proportional to
-  /// the number of decoded instructions while published records never
-  /// move. Buckets are raw storage and a record is constructed when it is
-  /// published, so a bucket's pages are touched only as records land in
-  /// them.
-  template <typename T>
-  class Arena {
+  /// An append-only arena of steps that grows in geometrically sized
+  /// buckets (bucket b holds 2^b * 256 steps), so memory stays
+  /// proportional to the number of decoded instructions while published
+  /// steps never move. Buckets are raw storage and a step is constructed
+  /// when it is published, so a bucket's pages are touched only as steps
+  /// land in them.
+  class StepArena {
    public:
-    static constexpr unsigned kBucket0Shift = 8;  // 256 records
+    static constexpr unsigned kBucket0Shift = 8;  // 256 steps
     static constexpr unsigned kMaxBuckets = 24;
     static constexpr std::uint64_t kCapacity =
         ((std::uint64_t{1} << kMaxBuckets) - 1) << kBucket0Shift;
 
-    Arena() = default;
-    Arena(const Arena&) = delete;
-    Arena& operator=(const Arena&) = delete;
-    ~Arena() {
+    StepArena() = default;
+    StepArena(const StepArena&) = delete;
+    StepArena& operator=(const StepArena&) = delete;
+    ~StepArena() {
       for (unsigned b = 0; b < kMaxBuckets; ++b) {
-        if (T* bucket = buckets_[b].load(std::memory_order_relaxed)) {
-          std::allocator<T>().deallocate(bucket, capacity(b));
+        if (Step* bucket = buckets_[b].load(std::memory_order_relaxed)) {
+          std::allocator<Step>().deallocate(bucket, capacity(b));
         }
       }
     }
 
-    [[nodiscard]] const T& operator[](std::uint32_t index) const {
+    [[nodiscard]] const Step& operator[](std::uint32_t index) const {
       const unsigned b = bucket_of(index);
       return buckets_[b].load(std::memory_order_acquire)[index - base(b)];
     }
-    /// Constructs the record at \p index; each index is published once.
-    void publish(std::uint32_t index, const T& value) {
+    /// Constructs the step at \p index; each index is published once.
+    void publish(std::uint32_t index, const Step& value) {
       const unsigned b = bucket_of(index);
-      T* bucket = buckets_[b].load(std::memory_order_acquire);
+      Step* bucket = buckets_[b].load(std::memory_order_acquire);
       if (bucket == nullptr) {
-        T* fresh = std::allocator<T>().allocate(capacity(b));
+        Step* fresh = std::allocator<Step>().allocate(capacity(b));
         if (buckets_[b].compare_exchange_strong(bucket, fresh,
                                                 std::memory_order_acq_rel,
                                                 std::memory_order_acquire)) {
           bucket = fresh;
         } else {  // another thread won the allocation race
-          std::allocator<T>().deallocate(fresh, capacity(b));
+          std::allocator<Step>().deallocate(fresh, capacity(b));
         }
       }
       std::construct_at(bucket + (index - base(b)), value);
+    }
+    /// Bytes held by the allocated buckets.
+    [[nodiscard]] std::uint64_t bytes() const {
+      std::uint64_t total = 0;
+      for (unsigned b = 0; b < kMaxBuckets; ++b) {
+        if (buckets_[b].load(std::memory_order_acquire) != nullptr) {
+          total += capacity(b) * sizeof(Step);
+        }
+      }
+      return total;
     }
 
    private:
@@ -243,46 +292,31 @@ class CodeView {
       return std::size_t{1} << (bucket + kBucket0Shift);
     }
 
-    std::atomic<T*> buckets_[kMaxBuckets] = {};
+    std::atomic<Step*> buckets_[kMaxBuckets] = {};
   };
 
   /// The shard holding \p addr: the one with the greatest start at or
   /// below it, if that one holds it.
   [[nodiscard]] const Shard* shard_at(std::uint64_t addr) const;
-  /// The arena index of the instruction at \p addr (decoding it on first
-  /// touch), or kNoRecord.
-  [[nodiscard]] std::uint32_t index_at(std::uint64_t addr) const {
-    const Shard* shard = shard_at(addr);
-    if (shard == nullptr) {
-      return kNoRecord;
-    }
-    const std::uint64_t off = addr - shard->addr;
-    // Deliberately uninstrumented: even a striped relaxed fetch_add is
-    // an atomic RMW (~6 ns) on this ~4 ns read, more than doubling
-    // bench_micro's gated insn_at_warm_dense. The decode (cold) path
-    // carries the codeview_* counters instead.
-    const std::uint32_t slot =
-        shard->slots[off].load(std::memory_order_acquire);
-    if (slot >= kFirstRecord) {
-      return slot - kFirstRecord;
-    }
-    if (slot == kInvalid) {
-      return kNoRecord;
-    }
-    return decode_slot(*shard, off, addr);
+  /// The shard whose slots are numbered through \p slot.
+  [[nodiscard]] const Shard& shard_of(std::uint32_t slot) const {
+    return *std::prev(std::upper_bound(
+        shards_.begin(), shards_.end(), slot,
+        [](std::uint64_t s, const Shard& shard) { return s < shard.base; }));
   }
+  /// Claims and decodes an empty slot (or waits for the thread that holds
+  /// the claim); returns the slot's final state.
   [[nodiscard]] std::uint32_t decode_slot(const Shard& shard,
-                                          std::uint64_t off,
-                                          std::uint64_t addr) const;
+                                          std::uint64_t off) const;
+  [[nodiscard]] std::optional<x86::Insn> decode_at(const Shard& shard,
+                                                   std::uint64_t off) const;
   [[nodiscard]] Step make_step(const x86::Insn& insn) const;
 
   const elf::ElfFile& elf_;
   std::vector<Shard> shards_;  // sorted by addr; slots mutated atomically
   mutable std::atomic<std::uint32_t> arena_next_{0};
-  // Records and their steps share indices; both are published before the
-  // slot's release store.
-  mutable Arena<x86::Insn> records_;
-  mutable Arena<Step> steps_;
+  // A step is published before its slot's release store.
+  mutable StepArena steps_;
 };
 
 /// A set of addresses stored as one bit per decode slot of a CodeView,

@@ -20,16 +20,19 @@ std::optional<std::uint64_t> find_bound(const CodeView& code,
   // The bound check may sit a few instructions above the dispatch sequence.
   std::size_t checked = 0;
   for (std::size_t i = from; i-- > 0 && checked < 12; ++checked) {
-    const Insn& insn = code.record(window[i]);
+    const Step& step = code.step(window[i]);
     // cmp index_reg, imm  (group1 /7 keeps imm in insn.imm, register in
     // rm_reg, and marks only reads).
-    if (insn.kind == Kind::kOther && insn.imm && insn.rm_reg == index_reg &&
-        insn.regs_written == 0 &&
-        (insn.regs_read & reg_bit(index_reg)) != 0) {
-      return *insn.imm + 1;  // cmp N; ja default => N+1 entries
+    if (step.kind == Kind::kOther && step.regs_written == 0 &&
+        (step.regs_read & reg_bit(index_reg)) != 0) {
+      Insn insn;
+      code.redecode(window[i], insn);
+      if (insn.imm && insn.rm_reg == index_reg) {
+        return *insn.imm + 1;  // cmp N; ja default => N+1 entries
+      }
     }
     // Give up if the index register is redefined before we find the bound.
-    if ((insn.regs_written & reg_bit(index_reg)) != 0) {
+    if ((step.regs_written & reg_bit(index_reg)) != 0) {
       return std::nullopt;
     }
   }
@@ -94,13 +97,14 @@ std::optional<JumpTable> read_table_abs(const CodeView& code,
 
 std::optional<JumpTable> resolve_jump_table(const CodeView& code,
                                             const InsnWindow& window) {
-  if (window.empty()) {
+  if (window.empty() ||
+      code.step(window.back()).kind != Kind::kJmpIndirect) {
     return std::nullopt;
   }
-  const Insn& jmp = code.record(window.back());
-  if (jmp.kind != Kind::kJmpIndirect) {
-    return std::nullopt;
-  }
+  // Steps rule out most window entries; only the candidates of each scan
+  // below are decoded in full.
+  Insn jmp;
+  code.redecode(window.back(), jmp);
   const std::size_t last = window.size() - 1;
 
   // --- Form B: jmp qword [table + I*8] --------------------------------------
@@ -127,22 +131,26 @@ std::optional<JumpTable> resolve_jump_table(const CodeView& code,
   std::optional<Reg> index_reg;
   std::uint64_t table_addr = 0;
   std::size_t movsxd_pos = 0;
+  Insn insn;
 
   // Scan back for: add jreg, T
   std::optional<std::size_t> add_pos;
   for (std::size_t k = i; k-- > 0;) {
-    const Insn& insn = code.record(window[k]);
-    if (insn.kind == Kind::kOther &&
-        (insn.regs_written & reg_bit(jreg)) != 0 && insn.rm_reg == jreg &&
-        insn.reg_op && !insn.mem && !insn.imm) {
-      // matches `add jreg, reg_op` (01 /r form: rm=dst, reg=src)
-      table_reg = insn.reg_op;
-      add_pos = k;
-      break;
+    const Step& step = code.step(window[k]);
+    if ((step.regs_written & reg_bit(jreg)) == 0) {
+      continue;
     }
-    if ((insn.regs_written & reg_bit(jreg)) != 0) {
+    if (step.kind != Kind::kOther) {
       return std::nullopt;  // jump register defined by something else
     }
+    code.redecode(window[k], insn);
+    if (insn.rm_reg != jreg || !insn.reg_op || insn.mem || insn.imm) {
+      return std::nullopt;
+    }
+    // matches `add jreg, reg_op` (01 /r form: rm=dst, reg=src)
+    table_reg = insn.reg_op;
+    add_pos = k;
+    break;
   }
   if (!add_pos || !table_reg) {
     return std::nullopt;
@@ -151,15 +159,18 @@ std::optional<JumpTable> resolve_jump_table(const CodeView& code,
   // Scan back for: movsxd jreg, dword [table_reg + I*4]
   bool found_movsxd = false;
   for (std::size_t k = *add_pos; k-- > 0;) {
-    const Insn& insn = code.record(window[k]);
-    if (insn.kind == Kind::kMov && insn.mem && insn.mem->base == *table_reg &&
-        insn.mem->index && insn.mem->scale == 4 && insn.reg_op == jreg) {
-      index_reg = insn.mem->index;
-      movsxd_pos = k;
-      found_movsxd = true;
-      break;
+    const Step& step = code.step(window[k]);
+    if (step.kind == Kind::kMov) {
+      code.redecode(window[k], insn);
+      if (insn.mem && insn.mem->base == *table_reg && insn.mem->index &&
+          insn.mem->scale == 4 && insn.reg_op == jreg) {
+        index_reg = insn.mem->index;
+        movsxd_pos = k;
+        found_movsxd = true;
+        break;
+      }
     }
-    if ((insn.regs_written & (reg_bit(jreg) | reg_bit(*table_reg))) != 0) {
+    if ((step.regs_written & (reg_bit(jreg) | reg_bit(*table_reg))) != 0) {
       return std::nullopt;
     }
   }
@@ -170,14 +181,16 @@ std::optional<JumpTable> resolve_jump_table(const CodeView& code,
   // Scan back for: lea table_reg, [rip + table]
   bool found_lea = false;
   for (std::size_t k = movsxd_pos; k-- > 0;) {
-    const Insn& insn = code.record(window[k]);
-    if (insn.kind == Kind::kLea && insn.reg_op == *table_reg &&
-        insn.mem_target) {
-      table_addr = *insn.mem_target;
-      found_lea = true;
-      break;
+    const Step& step = code.step(window[k]);
+    if (step.kind == Kind::kLea) {
+      code.redecode(window[k], insn);
+      if (insn.reg_op == *table_reg && insn.mem_target) {
+        table_addr = *insn.mem_target;
+        found_lea = true;
+        break;
+      }
     }
-    if ((insn.regs_written & reg_bit(*table_reg)) != 0) {
+    if ((step.regs_written & reg_bit(*table_reg)) != 0) {
       return std::nullopt;
     }
   }

@@ -10,13 +10,13 @@ std::vector<LinearPiece> linear_sweep(const CodeView& code, std::uint64_t lo,
   bool in_piece = false;
 
   while (addr < hi) {
-    const x86::Insn* insn = code.insn_at(addr);
-    if (insn != nullptr && addr + insn->length <= hi) {
+    const std::optional<x86::Insn> insn = code.decode(addr);
+    if (insn && addr + insn->length <= hi) {
       if (!in_piece) {
         current = LinearPiece{addr, {}};
         in_piece = true;
       }
-      current.insns.push_back(insn);
+      current.insns.push_back(*insn);
       addr += insn->length;
     } else {
       if (in_piece) {

@@ -17,9 +17,8 @@ namespace fetch::disasm {
 struct LinearPiece {
   /// First correctly-decoded address of a contiguous run.
   std::uint64_t start = 0;
-  /// Decoded instructions of the run, as pointers into the CodeView's
-  /// record arena (zero-copy; valid for the CodeView's lifetime).
-  std::vector<const x86::Insn*> insns;
+  /// Decoded instructions of the run.
+  std::vector<x86::Insn> insns;
 };
 
 /// Decodes [lo, hi) sequentially. On an undecodable byte, skips forward one

@@ -28,13 +28,19 @@ constexpr std::size_t kMaxInsnsPerFunction = 1u << 20;
 
 /// Backward slice of the first-argument register (edi) at a call site:
 /// returns true when edi provably holds zero. Used for the paper's
-/// `error`/`error_at_line` conditional-noreturn special case.
+/// `error`/`error_at_line` conditional-noreturn special case. Steps find
+/// the last definition; only it is decoded in full.
 bool first_arg_is_zero(const CodeView& code, const InsnWindow& window) {
   for (std::size_t i = window.size(); i-- > 0;) {
-    const Insn& insn = code.record(window[i]);
-    if ((insn.regs_written & reg_bit(Reg::kRdi)) == 0) {
+    const Step& step = code.step(window[i]);
+    if ((step.regs_written & reg_bit(Reg::kRdi)) == 0) {
       continue;
     }
+    if (step.kind != Kind::kMov && step.kind != Kind::kOther) {
+      return false;
+    }
+    Insn insn;
+    code.redecode(window[i], insn);
     if (insn.kind == Kind::kMov && insn.imm) {
       return *insn.imm == 0;
     }
@@ -99,12 +105,12 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
   walk(work, claim, [&](std::uint64_t addr, const Step& step,
                         const InsnWindow& window) {
     if (step.has(Step::kHasMemTarget | Step::kImmInSection)) {
-      const Insn& insn = code.record(window.back());
-      if (insn.mem_target) {
-        result.xrefs.add(*insn.mem_target, addr, RefKind::kMemory);
+      const CodeView::Operands ops = code.operands(window.back(), step);
+      if (step.has(Step::kHasMemTarget)) {
+        result.xrefs.add(ops.mem, addr, RefKind::kMemory);
       }
       if (step.has(Step::kImmInSection)) {
-        result.xrefs.add(*insn.imm, addr, RefKind::kImmediate);
+        result.xrefs.add(ops.imm, addr, RefKind::kImmediate);
       }
     }
     switch (step.kind) {

@@ -5,8 +5,8 @@
 /// function construction, the no-return fixpoint, pointer probing): a FIFO
 /// of work items, each a start address plus the instruction window of the
 /// path that queued it, followed by fallthrough until the pass ends it.
-/// A walk reads each instruction's 16-byte Step; passes fetch the full
-/// record only where a decision needs more.
+/// A walk reads each instruction's 16-byte Step; passes re-decode the full
+/// instruction only where a decision needs more.
 
 #include <cstddef>
 #include <cstdint>
@@ -70,9 +70,9 @@ class WorkQueue {
 };
 
 /// Pops work items and follows each path by fallthrough while the next
-/// address is code. `claim(addr)` yields the record to visit (a null step
+/// address is code. `claim(addr)` yields the slot to visit (a null step
 /// ends the path); `visit(addr, step, window)` handles its successors (the
-/// window already ends with its record). Returns true when a visit ended
+/// window already ends with its slot). Returns true when a visit ended
 /// the whole walk with Flow::kDone.
 template <typename Claim, typename Visit>
 bool walk(WorkQueue& work, Claim&& claim, Visit&& visit) {
@@ -80,7 +80,7 @@ bool walk(WorkQueue& work, Claim&& claim, Visit&& visit) {
     auto [addr, window] = work.pop();
     for (CodeView::Rec rec = claim(addr); rec.step != nullptr;
          rec = claim(addr)) {
-      window.push(rec.index);
+      window.push(rec.slot);
       const Flow flow = visit(addr, *rec.step, window);
       if (flow == Flow::kDone) {
         work.clear();

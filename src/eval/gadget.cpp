@@ -11,11 +11,11 @@ bool gadget_at(const disasm::CodeView& code, std::uint64_t addr,
                std::size_t max_insns) {
   std::uint64_t pc = addr;
   for (std::size_t i = 0; i < max_insns; ++i) {
-    const auto insn = code.insn_at(pc);
-    if (!insn) {
+    const disasm::Step* step = code.rec_at(pc).step;
+    if (step == nullptr) {
       return false;
     }
-    switch (insn->kind) {
+    switch (step->kind) {
       case Kind::kRet:
       case Kind::kJmpIndirect:
       case Kind::kCallIndirect:
@@ -27,7 +27,7 @@ bool gadget_at(const disasm::CodeView& code, std::uint64_t addr,
       case Kind::kHlt:
         return false;  // direct transfers end attacker-useful sequences
       default:
-        pc += insn->length;
+        pc += step->length;
         break;
     }
   }

@@ -68,6 +68,7 @@ struct MemOperand {
   std::uint8_t scale = 1;
   std::int64_t disp = 0;
   bool rip_relative = false;
+  friend bool operator==(const MemOperand&, const MemOperand&) = default;
 };
 
 struct Insn {
@@ -146,6 +147,8 @@ struct Insn {
 
   /// Short human-readable form (class + key operands), for diagnostics.
   [[nodiscard]] std::string to_string() const;
+
+  friend bool operator==(const Insn&, const Insn&) = default;
 };
 
 }  // namespace fetch::x86

@@ -5,7 +5,12 @@
 /// code/data/eh_frame into a parseable ELF image, so tests can construct
 /// precise scenarios without going through the corpus synthesizer.
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "disasm/code_view.hpp"
@@ -13,6 +18,7 @@
 #include "elf/elf_builder.hpp"
 #include "elf/elf_file.hpp"
 #include "x86/assembler.hpp"
+#include "x86/decoder.hpp"
 
 namespace fetch::test {
 
@@ -79,7 +85,15 @@ inline disasm::Step expected_step(const x86::Insn& insn,
                                   const elf::ElfFile& elf) {
   using disasm::Step;
   Step step;
-  step.target = insn.target ? *insn.target : 0;
+  if (insn.target) {
+    step.target = *insn.target;
+  } else if (insn.mem_target) {
+    step.target = *insn.mem_target;
+  } else if (insn.imm && elf.section_at(*insn.imm) != nullptr) {
+    step.target = *insn.imm;
+  }
+  step.regs_read = insn.regs_read;
+  step.regs_written = insn.regs_written;
   step.length = insn.length;
   step.kind = insn.kind;
   if (elf.is_code_address(insn.addr + insn.length)) {
@@ -101,6 +115,77 @@ inline disasm::Step expected_step(const x86::Insn& insn,
     step.flags |= Step::kImmIsCode;
   }
   return step;
+}
+
+/// Every field of an x86::Insn, flattened for equality.
+inline std::string insn_fingerprint(const x86::Insn& insn) {
+  std::ostringstream os;
+  auto opt = [&os](const char* name, const auto& v) {
+    if (v) {
+      os << "|" << name << "=" << static_cast<std::uint64_t>(*v);
+    }
+  };
+  os << insn.to_string() << "|addr=" << insn.addr
+     << "|len=" << static_cast<int>(insn.length)
+     << "|kind=" << static_cast<int>(insn.kind) << "|rd=" << insn.regs_read
+     << "|wr=" << insn.regs_written << "|clob=" << insn.rsp_clobbered;
+  opt("t", insn.target);
+  opt("mt", insn.mem_target);
+  opt("imm", insn.imm);
+  opt("rsp", insn.rsp_delta);
+  opt("reg", insn.reg_op);
+  opt("rm", insn.rm_reg);
+  if (insn.mem) {
+    opt("base", insn.mem->base);
+    opt("index", insn.mem->index);
+    os << "|scale=" << static_cast<int>(insn.mem->scale)
+       << "|disp=" << insn.mem->disp << "|rip=" << insn.mem->rip_relative;
+  }
+  return os.str();
+}
+
+/// Checks every slot of \p code's executable bytes: the step the cache
+/// publishes (or its absence) against a fresh x86::decode of the same
+/// bytes through the same 15-byte, section-clamped window, and the
+/// re-decode of the slot against that decode. Returns the number of
+/// decoded slots; \p lo / \p hi narrow the check to an address range.
+/// (For binaries whose executable sections do not overlap.)
+inline std::uint64_t expect_steps_match_fresh_decode(
+    const disasm::CodeView& code, std::uint64_t lo = 0,
+    std::uint64_t hi = ~std::uint64_t{0}) {
+  std::uint64_t decoded = 0;
+  for (const disasm::CodeView::SlotRange& range : code.slot_ranges()) {
+    const auto bytes = code.bytes_at(range.addr, range.count);
+    EXPECT_TRUE(bytes.has_value());
+    if (!bytes) {
+      continue;
+    }
+    for (std::uint64_t off = 0; off < range.count; ++off) {
+      const std::uint64_t addr = range.addr + off;
+      if (addr < lo || addr >= hi) {
+        continue;
+      }
+      const auto fresh = x86::decode(
+          bytes->subspan(off, std::min<std::uint64_t>(15, range.count - off)),
+          addr);
+      const disasm::CodeView::Rec rec = code.rec_at(addr);
+      EXPECT_EQ(rec.step != nullptr, fresh.has_value()) << std::hex << addr;
+      if (rec.step == nullptr || !fresh) {
+        continue;
+      }
+      EXPECT_EQ(*rec.step, expected_step(*fresh, code.elf()))
+          << std::hex << addr;
+      EXPECT_EQ(&code.step(rec.slot), rec.step) << std::hex << addr;
+      x86::Insn again;
+      code.redecode(rec.slot, again);
+      if (!(again == *fresh)) {
+        ADD_FAILURE() << std::hex << addr << ": " << insn_fingerprint(again)
+                      << " vs " << insn_fingerprint(*fresh);
+      }
+      ++decoded;
+    }
+  }
+  return decoded;
 }
 
 /// Little-endian u64 bytes (for .data pointer slots).

@@ -107,7 +107,7 @@ TEST(BenchJson, MicroSchemaAndTableAgree) {
 
   // The rows the perf acceptance criteria read must exist...
   for (const char* required :
-       {"insn_at_warm_dense", "insn_at_cold_dense", "decode_throughput",
+       {"step_at_warm_dense", "step_at_cold_dense", "decode_throughput",
         "cache_hit_rate"}) {
     bool found = false;
     for (const util::json::Value& row : results->items()) {

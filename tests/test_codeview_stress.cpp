@@ -1,15 +1,16 @@
 /// \file test_codeview_stress.cpp
-/// The lock-free dense decode cache: multithreaded determinism (PR 1's
-/// byte-identical guarantee extended to concurrent insn_at), the
+/// The lock-free dense decode cache: multithreaded determinism (the
+/// byte-identical guarantee extended to concurrent rec_at), the
 /// section-boundary decode clamp, O(1) failure-path behavior on
-/// resynchronization runs, and pointer stability of published records.
+/// resynchronization runs, stability of published steps, and every step
+/// checked against a fresh decode of its bytes.
 
 #include "disasm/code_view.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,8 @@
 #include "helpers.hpp"
 #include "synth/codegen.hpp"
 #include "synth/corpus.hpp"
+#include "util/error.hpp"
+#include "util/fs.hpp"
 #include "x86/decoder.hpp"
 
 namespace fetch::disasm {
@@ -37,30 +40,16 @@ const synth::SynthBinary& stress_binary() {
   return bin;
 }
 
-/// Everything detection logic reads from an Insn, flattened for equality.
-std::string fingerprint(const x86::Insn* insn) {
-  if (insn == nullptr) {
+/// The step at \p addr, or a marker for "nothing decodes here".
+std::string step_text(const CodeView& code, std::uint64_t addr) {
+  const Step* step = code.rec_at(addr).step;
+  if (step == nullptr) {
     return "<invalid>";
   }
-  std::ostringstream os;
-  os << insn->to_string() << "|addr=" << insn->addr
-     << "|len=" << static_cast<int>(insn->length)
-     << "|kind=" << static_cast<int>(insn->kind)
-     << "|rd=" << insn->regs_read << "|wr=" << insn->regs_written
-     << "|clob=" << insn->rsp_clobbered;
-  if (insn->rsp_delta) {
-    os << "|rsp=" << *insn->rsp_delta;
-  }
-  if (insn->target) {
-    os << "|t=" << *insn->target;
-  }
-  if (insn->mem_target) {
-    os << "|mt=" << *insn->mem_target;
-  }
-  if (insn->imm) {
-    os << "|imm=" << *insn->imm;
-  }
-  return os.str();
+  return std::to_string(step->target) + "|" + std::to_string(step->length) +
+         "|" + std::to_string(static_cast<int>(step->kind)) + "|" +
+         std::to_string(step->flags) + "|" + std::to_string(step->regs_read) +
+         "|" + std::to_string(step->regs_written);
 }
 
 TEST(CodeViewStress, ConcurrentDecodeIsByteIdenticalToSerial) {
@@ -81,14 +70,14 @@ TEST(CodeViewStress, ConcurrentDecodeIsByteIdenticalToSerial) {
       // collide at different addresses in different threads.
       std::uint64_t addr = lo + t;
       while (addr < hi) {
-        const x86::Insn* insn = shared.insn_at(addr);
-        // A published record must be stable: the second lookup has to
+        const Step* step = shared.rec_at(addr).step;
+        // A published step must be stable: the second lookup has to
         // return the exact same pointer.
-        ASSERT_EQ(shared.insn_at(addr), insn);
-        addr += insn != nullptr ? insn->length : 1;
+        ASSERT_EQ(shared.rec_at(addr).step, step);
+        addr += step != nullptr ? step->length : 1;
       }
       for (std::uint64_t a = lo + (t * 7) % 13; a < hi; a += 13) {
-        (void)shared.insn_at(a);
+        (void)shared.rec_at(a);
       }
     });
   }
@@ -99,13 +88,12 @@ TEST(CodeViewStress, ConcurrentDecodeIsByteIdenticalToSerial) {
   // Reference: a fresh, strictly single-threaded decode of every byte.
   const CodeView serial(elf);
   for (std::uint64_t addr = lo; addr < hi; ++addr) {
-    ASSERT_EQ(fingerprint(shared.insn_at(addr)),
-              fingerprint(serial.insn_at(addr)))
+    ASSERT_EQ(step_text(shared, addr), step_text(serial, addr))
         << "divergence at " << std::hex << addr;
   }
-  // Every decoded address produced exactly one record (no double decode).
+  // Every decoded address produced exactly one step (no double decode).
   const auto stats = shared.cache_stats();
-  EXPECT_EQ(shared.decoded_records(), stats.decoded);
+  EXPECT_EQ(shared.decoded_steps(), stats.decoded);
 }
 
 TEST(CodeViewBoundary, WindowIsClampedAtSectionEnd) {
@@ -133,13 +121,16 @@ TEST(CodeViewBoundary, WindowIsClampedAtSectionEnd) {
   const elf::ElfFile elf(b.build());
   const CodeView code(elf);
 
-  const x86::Insn* ret = code.insn_at(kTextAddr);
+  const Step* ret = code.rec_at(kTextAddr).step;
   ASSERT_NE(ret, nullptr);
   EXPECT_EQ(ret->kind, x86::Kind::kRet);
-  // The truncated movabs must NOT be completed from the next section.
-  EXPECT_EQ(code.insn_at(kTextAddr + 1), nullptr);
+  // The truncated movabs must NOT be completed from the next section,
+  // neither in the cache nor by a fresh decode.
+  EXPECT_EQ(code.rec_at(kTextAddr + 1).step, nullptr);
+  EXPECT_FALSE(code.decode(kTextAddr + 1).has_value());
   // The neighboring section decodes independently.
-  EXPECT_NE(code.insn_at(kTextAddr + head.size() + tail.size() - 1), nullptr);
+  EXPECT_NE(code.rec_at(kTextAddr + head.size() + tail.size() - 1).step,
+            nullptr);
 }
 
 TEST(CodeViewBoundary, OverlappingSectionsResolveToTheLastStartAtOrBelow) {
@@ -159,10 +150,10 @@ TEST(CodeViewBoundary, OverlappingSectionsResolveToTheLastStartAtOrBelow) {
   const elf::ElfFile elf(b.build());
   const CodeView code(elf);
   auto kind_at = [&](std::uint64_t addr) -> std::string {
-    const x86::Insn* insn = code.insn_at(addr);
-    return insn == nullptr ? "none"
-           : insn->kind == x86::Kind::kNop ? "nop"
-           : insn->kind == x86::Kind::kRet ? "ret"
+    const Step* step = code.rec_at(addr).step;
+    return step == nullptr ? "none"
+           : step->kind == x86::Kind::kNop ? "nop"
+           : step->kind == x86::Kind::kRet ? "ret"
                                            : "other";
   };
   EXPECT_EQ(kind_at(kTextAddr), "nop");
@@ -188,6 +179,11 @@ TEST(CodeViewDense, ResyncFailureRunCostsNoRecords) {
   const elf::ElfFile elf = MiniBinary(a).build();
   const CodeView code(elf);
 
+  // A resynchronizing sweep through the cache: one lookup per byte.
+  for (std::uint64_t addr = kTextAddr; addr < kTextAddr + 257; ++addr) {
+    EXPECT_EQ(code.rec_at(addr).step == nullptr, addr < kTextAddr + 256);
+  }
+  // The baselines' linear sweep re-decodes and leaves the cache alone.
   const auto pieces = linear_sweep(code, kTextAddr, kTextAddr + 257);
   ASSERT_EQ(pieces.size(), 1u);
   EXPECT_EQ(pieces[0].start, kTextAddr + 256);
@@ -196,24 +192,29 @@ TEST(CodeViewDense, ResyncFailureRunCostsNoRecords) {
   EXPECT_EQ(stats.code_bytes, 257u);
   EXPECT_EQ(stats.invalid, 256u);
   EXPECT_EQ(stats.decoded, 1u);
-  EXPECT_EQ(code.decoded_records(), 1u);  // arena did not grow per failure
+  EXPECT_EQ(code.decoded_steps(), 1u);  // arena did not grow per failure
 }
 
-TEST(CodeViewDense, RecordsStayValidAcrossArenaGrowth) {
+TEST(CodeViewDense, StepsStayValidAcrossArenaGrowth) {
   const elf::ElfFile elf(stress_binary().image);
   const elf::Section* text = elf.section(".text");
   const CodeView code(elf);
-  const x86::Insn* first = code.insn_at(text->addr);
+  const Step* first = code.rec_at(text->addr).step;
   ASSERT_NE(first, nullptr);
-  const std::string before = fingerprint(first);
+  const Step before = *first;
   // Force the arena through several geometric bucket growths.
   for (std::uint64_t a = text->addr; a < text->addr + text->size;) {
-    const x86::Insn* insn = code.insn_at(a);
-    a += insn != nullptr ? insn->length : 1;
+    const Step* step = code.rec_at(a).step;
+    a += step != nullptr ? step->length : 1;
   }
-  ASSERT_GT(code.decoded_records(), 1000u);
-  EXPECT_EQ(code.insn_at(text->addr), first);  // same slot, same record
-  EXPECT_EQ(fingerprint(first), before);       // record untouched by growth
+  ASSERT_GT(code.decoded_steps(), 1000u);
+  EXPECT_EQ(code.rec_at(text->addr).step, first);  // same slot, same step
+  EXPECT_EQ(*first, before);                       // untouched by growth
+  // Every step, old buckets and new, agrees with a fresh decode of its
+  // bytes. (Checking every byte also decodes the misaligned starts.)
+  const std::uint64_t checked = test::expect_steps_match_fresh_decode(
+      code, text->addr, text->addr + text->size);
+  EXPECT_EQ(checked, code.decoded_steps());
 }
 
 TEST(CodeViewDense, NonCodeAddressesAreRejectedWithoutState) {
@@ -222,43 +223,52 @@ TEST(CodeViewDense, NonCodeAddressesAreRejectedWithoutState) {
   const elf::ElfFile elf =
       MiniBinary(a).rodata(std::vector<std::uint8_t>(64, 0xC3)).build();
   const CodeView code(elf);
-  EXPECT_EQ(code.insn_at(test::kRodataAddr), nullptr);  // not executable
-  EXPECT_EQ(code.insn_at(0x12345), nullptr);            // unmapped
-  EXPECT_EQ(code.decoded_records(), 0u);
+  EXPECT_EQ(code.rec_at(test::kRodataAddr).step, nullptr);  // not executable
+  EXPECT_EQ(code.rec_at(0x12345).step, nullptr);            // unmapped
+  EXPECT_FALSE(code.decode(test::kRodataAddr).has_value());
+  EXPECT_EQ(code.decoded_steps(), 0u);
   EXPECT_EQ(code.cache_stats().code_bytes, 1u);
 }
 
 // The sanitizer-matrix stress case (ctest label "concurrency", run under
 // TSan in CI): readers race rec_at on cold slots, so threads claim
 // kDecoding slots while others wait on them and chase freshly published
-// records and steps into the arenas. Each reader must see a step agree
-// with its record and with the ElfFile queries the step stands for, and
-// once they settle a serial decode must agree byte for byte.
-TEST(CodeViewStress, ConcurrentStepReadsAgreeWithRecords) {
+// steps into the arena, and re-decode slots beside them. Each reader must
+// see a step agree with a fresh decode of its bytes and with the ElfFile
+// queries the step stands for, and once they settle a serial CodeView
+// must agree byte for byte with no slot decoded twice.
+TEST(CodeViewStress, ConcurrentStepReadsAgreeWithFreshDecodes) {
   const elf::ElfFile elf(stress_binary().image);
   const elf::Section* text = elf.section(".text");
   ASSERT_NE(text, nullptr);
   const std::uint64_t lo = text->addr;
   const std::uint64_t hi = text->addr + text->size;
+  const std::span<const std::uint8_t> bytes = elf.section_bytes(*text);
 
   const CodeView shared(elf);
   constexpr std::size_t kReaders = 8;
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
   for (std::size_t t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&shared, &elf, lo, hi, t] {
+    readers.emplace_back([&shared, &elf, bytes, lo, hi, t] {
       // Phase-shifted so the readers claim different slots first.
       for (std::uint64_t k = 0; k < hi - lo; ++k) {
         const std::uint64_t a = lo + (k + t * 97) % (hi - lo);
+        const auto fresh = x86::decode(
+            bytes.subspan(a - lo, std::min<std::uint64_t>(15, hi - a)), a);
         const CodeView::Rec rec = shared.rec_at(a);
+        ASSERT_EQ(rec.step != nullptr, fresh.has_value()) << a;
         if (rec.step == nullptr) {
-          ASSERT_EQ(shared.insn_at(a), nullptr);
           continue;
         }
-        const x86::Insn& insn = shared.record(rec.index);
-        ASSERT_EQ(insn.addr, a);
-        ASSERT_EQ(*rec.step, test::expected_step(insn, elf));
+        ASSERT_EQ(*rec.step, test::expected_step(*fresh, elf));
         ASSERT_EQ(shared.rec_at(a).step, rec.step);
+        ASSERT_EQ(&shared.step(rec.slot), rec.step);
+        if (k % 64 == t) {  // a sample of on-demand re-decodes
+          x86::Insn again;
+          shared.redecode(rec.slot, again);
+          ASSERT_TRUE(again == *fresh) << test::insn_fingerprint(again);
+        }
       }
     });
   }
@@ -268,11 +278,61 @@ TEST(CodeViewStress, ConcurrentStepReadsAgreeWithRecords) {
 
   const CodeView serial(elf);
   for (std::uint64_t addr = lo; addr < hi; ++addr) {
-    ASSERT_EQ(fingerprint(shared.insn_at(addr)),
-              fingerprint(serial.insn_at(addr)))
+    ASSERT_EQ(step_text(shared, addr), step_text(serial, addr))
         << "divergence at " << std::hex << addr;
   }
-  EXPECT_EQ(shared.decoded_records(), shared.cache_stats().decoded);
+  EXPECT_EQ(shared.decoded_steps(), shared.cache_stats().decoded);
+}
+
+TEST(CodeViewDense, SlotNumbersPast32BitsAreAParseError) {
+  // 65,000 section headers that all describe one 70,000-byte executable
+  // section: a 4.3 MB file whose slots would number 4.55e9 and need 18 GB.
+  // Slot numbers are 32-bit, so the view refuses it before allocating.
+  constexpr std::uint16_t kHeaders = 65000;
+  elf::ElfBuilder b;
+  const std::uint16_t text = b.add_section(
+      ".text", elf::kShtProgbits, elf::kShfAlloc | elf::kShfExecinstr,
+      kTextAddr, std::vector<std::uint8_t>(70000, 0x90), 16);
+  b.set_entry(kTextAddr);
+  std::vector<std::uint8_t> image = b.build();
+  auto get = [&](std::size_t at, std::size_t n) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, image.data() + at, n);
+    return v;
+  };
+  const std::uint64_t shoff = get(0x28, 8);
+  const std::uint64_t entsize = get(0x3a, 2);
+  const std::uint64_t shnum = get(0x3c, 2);
+  std::vector<std::uint8_t> headers(image.begin() + shoff,
+                                    image.begin() + shoff + shnum * entsize);
+  for (std::uint64_t i = shnum; i < kHeaders; ++i) {
+    headers.insert(headers.end(), image.begin() + shoff + text * entsize,
+                   image.begin() + shoff + (text + 1) * entsize);
+  }
+  image.resize((image.size() + 7) / 8 * 8);
+  const std::uint64_t new_shoff = image.size();
+  image.insert(image.end(), headers.begin(), headers.end());
+  std::memcpy(image.data() + 0x28, &new_shoff, 8);
+  std::memcpy(image.data() + 0x3c, &kHeaders, 2);
+
+  const elf::ElfFile elf(image);
+  ASSERT_EQ(elf.sections().size(), kHeaders);
+  EXPECT_THROW(CodeView{elf}, ParseError);
+}
+
+// A real compiler's output, not the synthesizer's: every executable slot
+// of a binary from this build tree, step against a fresh decode.
+TEST(CodeViewDense, BuildTreeBinaryStepsMatchFreshDecodes) {
+  std::vector<std::uint8_t> image;
+  ASSERT_TRUE(util::read_file_bytes(FETCH_CLI_PATH, &image));
+  const elf::ElfFile elf(image);
+  const elf::Section* text = elf.section(".text");
+  ASSERT_NE(text, nullptr);
+  const CodeView code(elf);
+  const std::uint64_t decoded = test::expect_steps_match_fresh_decode(
+      code, text->addr, text->addr + text->size);
+  EXPECT_GT(decoded, text->size / 4);  // most bytes start some instruction
+  EXPECT_EQ(decoded, code.decoded_steps());
 }
 
 }  // namespace

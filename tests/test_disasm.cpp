@@ -209,7 +209,7 @@ TEST(LinearSweep, ResynchronizesAfterGarbage) {
   EXPECT_EQ(pieces[0].start, kTextAddr);
   EXPECT_EQ(pieces[0].insns.size(), 1u);
   EXPECT_EQ(pieces[1].start, kTextAddr + 6);
-  EXPECT_EQ(pieces[1].insns[0]->kind, x86::Kind::kRet);
+  EXPECT_EQ(pieces[1].insns[0].kind, x86::Kind::kRet);
 }
 
 TEST(LinearSweep, EmptyRange) {

@@ -36,7 +36,8 @@ using x86::Reg;
 
 bool oracle_first_arg_is_zero(const CodeView& code, const InsnWindow& window) {
   for (std::size_t i = window.size(); i-- > 0;) {
-    const x86::Insn& insn = code.record(window[i]);
+    x86::Insn insn;
+    code.redecode(window[i], insn);
     if ((insn.regs_written & reg_bit(Reg::kRdi)) == 0) {
       continue;
     }
@@ -66,8 +67,10 @@ std::set<std::uint64_t> oracle_noreturn(const CodeView& code,
         if (rec.step == nullptr) {
           break;
         }
-        window.push(rec.index);
-        const x86::Insn* insn = &code.record(rec.index);
+        window.push(rec.slot);
+        x86::Insn full;
+        code.redecode(rec.slot, full);
+        const x86::Insn* insn = &full;
         bool fall = false;
         const std::uint64_t t = insn->target.value_or(0);
         if (insn->kind == Kind::kRet) {
@@ -679,28 +682,14 @@ TEST(EngineSteps, DetectTimesItsOwnSteps) {
 // --- Flow steps ---------------------------------------------------------------
 
 /// Decodes every slot of \p code and checks each published step against
-/// its record and the ElfFile queries it stands for.
+/// a fresh decode of its bytes and the ElfFile queries it stands for.
 void expect_steps_match(const CodeView& code, const std::string& what) {
-  std::uint64_t decoded = 0;
-  for (const CodeView::SlotRange& range : code.slot_ranges()) {
-    for (std::uint64_t addr = range.addr; addr < range.addr + range.count;
-         ++addr) {
-      const CodeView::Rec rec = code.rec_at(addr);
-      const x86::Insn* insn = code.insn_at(addr);
-      ASSERT_EQ(rec.step == nullptr, insn == nullptr) << what << " " << addr;
-      if (insn == nullptr) {
-        continue;
-      }
-      ASSERT_EQ(&code.record(rec.index), insn) << what << " " << addr;
-      ASSERT_EQ(*rec.step, test::expected_step(*insn, code.elf()))
-          << what << " " << addr;
-      ++decoded;
-    }
-  }
-  EXPECT_EQ(decoded, code.decoded_records()) << what;
+  SCOPED_TRACE(what);
+  const std::uint64_t checked = test::expect_steps_match_fresh_decode(code);
+  EXPECT_EQ(checked, code.decoded_steps());
 }
 
-TEST(CodeViewSteps, StepMatchesRecordAndElf) {
+TEST(CodeViewSteps, StepMatchesFreshDecodeAndElf) {
   for (const auto& [path, bytes] : fixtures()) {
     const elf::ElfFile elf(bytes);
     const CodeView code(elf);

@@ -92,7 +92,7 @@ TEST(Json, DumpParseRoundTrip) {
   doc.set("jobs", Value::number(static_cast<std::uint64_t>(4)));
   Value rows = Value::array();
   Value row = Value::object();
-  row.set("name", Value("insn_at_warm_dense"));
+  row.set("name", Value("step_at_warm_dense"));
   row.set("value", Value::number(5.23, "5.23"));
   row.set("unit", Value("ns/op"));
   rows.add(std::move(row));

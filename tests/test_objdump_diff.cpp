@@ -82,9 +82,9 @@ void check_boundaries_against_objdump(const std::string& binary) {
     if (addr < text->addr || addr >= text_end) {
       continue;
     }
-    const auto insn = code.insn_at(addr);
+    const disasm::Step* insn = code.rec_at(addr).step;
     ++checked;
-    if (!insn) {
+    if (insn == nullptr) {
       ++disagreements;  // we failed where objdump decoded
       continue;
     }

@@ -116,7 +116,7 @@ TEST(Synth, EveryFunctionBodyDecodes) {
   for (const std::uint64_t s : bin.truth.starts) {
     std::uint64_t addr = s;
     for (int i = 0; i < 200; ++i) {
-      const auto insn = code.insn_at(addr);
+      const auto insn = code.decode(addr);
       ASSERT_TRUE(insn) << "undecodable byte at " << std::hex << addr
                         << " in function " << s;
       if (insn->is_terminator()) {
