@@ -43,18 +43,6 @@ const synth::SynthBinary& sample_binary() {
   return bin;
 }
 
-/// Executable-section byte ranges of an ELF, for linear walks.
-std::vector<std::pair<std::uint64_t, std::uint64_t>> code_ranges(
-    const elf::ElfFile& elf) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  for (const elf::Section& sec : elf.sections()) {
-    if (sec.executable() && sec.alloc() && sec.size != 0) {
-      out.emplace_back(sec.addr, sec.addr + sec.size);
-    }
-  }
-  return out;
-}
-
 // --- google-benchmark half -------------------------------------------------
 
 void BM_DecodeText(benchmark::State& state) {
@@ -180,7 +168,6 @@ double elapsed_ns(Clock::time_point start) {
 /// how long the warm loops run.
 void measure_entry(const elf::ElfFile& elf, std::size_t warm_passes,
                    HotPathTotals& totals) {
-  const auto ranges = code_ranges(elf);
   std::vector<std::uint64_t> starts;
 
   // Cold, dense: construction + full linear decode of every section.
@@ -188,9 +175,9 @@ void measure_entry(const elf::ElfFile& elf, std::size_t warm_passes,
     const auto t0 = Clock::now();
     const disasm::CodeView code(elf);
     std::uint64_t calls = 0;
-    for (const auto& [lo, hi] : ranges) {
-      std::uint64_t a = lo;
-      while (a < hi) {
+    for (const elf::ElfFile::SectionRun& run : elf.code_runs()) {
+      std::uint64_t a = run.lo;
+      while (a < run.hi) {
         const disasm::Step* step = code.rec_at(a).step;
         ++calls;
         if (step == nullptr) {
@@ -203,8 +190,8 @@ void measure_entry(const elf::ElfFile& elf, std::size_t warm_passes,
     }
     totals.cold_dense_ns += elapsed_ns(t0);
     totals.cold_calls += calls;
-    for (const auto& [lo, hi] : ranges) {
-      totals.code_bytes += hi - lo;
+    for (const elf::ElfFile::SectionRun& run : elf.code_runs()) {
+      totals.code_bytes += run.hi - run.lo;
     }
   }
 
@@ -216,9 +203,9 @@ void measure_entry(const elf::ElfFile& elf, std::size_t warm_passes,
     // Warm the view with a counted linear walk so every rec_at call made
     // against it is in the hit-rate denominator.
     std::uint64_t calls = 0;
-    for (const auto& [lo, hi] : ranges) {
-      std::uint64_t a = lo;
-      while (a < hi) {
+    for (const elf::ElfFile::SectionRun& run : elf.code_runs()) {
+      std::uint64_t a = run.lo;
+      while (a < run.hi) {
         const disasm::Step* step = code.rec_at(a).step;
         ++calls;
         a += step != nullptr ? step->length : 1;

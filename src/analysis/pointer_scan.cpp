@@ -28,20 +28,17 @@ std::set<std::uint64_t> scan_data_pointers(const elf::ElfFile& elf,
   const std::size_t step = aligned_only ? 8 : 1;
   std::set<std::uint64_t> out;
 
-  for (const elf::Section& sec : elf.sections()) {
-    if (!sec.alloc() || sec.type == elf::kShtNobits) {
-      continue;
-    }
-    if (sec.executable()) {
-      // Only the non-disassembled gaps of code sections.
-      for (const auto& gap :
-           disasm.covered.gaps(sec.addr, sec.addr + sec.size)) {
-        const auto bytes = elf.bytes_at(gap.lo, gap.hi - gap.lo);
-        if (bytes) {
-          scan_window(elf, *bytes, out, step);
-        }
+  // Only the non-disassembled gaps of code.
+  for (const elf::ElfFile::SectionRun& run : elf.code_runs()) {
+    for (const auto& gap : disasm.covered.gaps(run.lo, run.hi)) {
+      const auto bytes = elf.bytes_at(gap.lo, gap.hi - gap.lo);
+      if (bytes) {
+        scan_window(elf, *bytes, out, step);
       }
-    } else {
+    }
+  }
+  for (const elf::Section& sec : elf.sections()) {
+    if (sec.alloc() && !sec.executable() && sec.type != elf::kShtNobits) {
       scan_window(elf, elf.section_bytes(sec), out, step);
     }
   }

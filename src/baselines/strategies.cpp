@@ -54,12 +54,8 @@ std::set<std::uint64_t> match_prologues(const disasm::CodeView& code,
                                         const disasm::Result& result,
                                         bool strict) {
   std::set<std::uint64_t> out;
-  for (const elf::Section& sec : code.elf().sections()) {
-    if (!sec.executable()) {
-      continue;
-    }
-    for (const auto& gap :
-         result.covered.gaps(sec.addr, sec.addr + sec.size)) {
+  for (const elf::ElfFile::SectionRun& run : code.elf().code_runs()) {
+    for (const auto& gap : result.covered.gaps(run.lo, run.hi)) {
       for (std::uint64_t addr = gap.lo; addr < gap.hi; ++addr) {
         // Skip padding bytes: matchers anchor at the first plausible
         // instruction after alignment.
@@ -206,12 +202,8 @@ std::set<std::uint64_t> alignment_split(const disasm::CodeView& code,
 std::set<std::uint64_t> linear_scan_gaps(const disasm::CodeView& code,
                                          const disasm::Result& result) {
   std::set<std::uint64_t> out;
-  for (const elf::Section& sec : code.elf().sections()) {
-    if (!sec.executable()) {
-      continue;
-    }
-    for (const auto& gap :
-         result.covered.gaps(sec.addr, sec.addr + sec.size)) {
+  for (const elf::ElfFile::SectionRun& run : code.elf().code_runs()) {
+    for (const auto& gap : result.covered.gaps(run.lo, run.hi)) {
       for (const disasm::LinearPiece& piece :
            disasm::linear_sweep(code, gap.lo, gap.hi)) {
         // Skip leading padding inside the piece, as ANGR does.

@@ -179,15 +179,12 @@ std::set<std::uint64_t> radare2_like(const elf::ElfFile& elf) {
   if (code.is_code(elf.entry())) {
     starts.insert(elf.entry());
   }
-  // Linear sweep of every executable section; collect direct call targets
-  // and strict prologues that follow padding runs.
-  for (const elf::Section& sec : elf.sections()) {
-    if (!sec.executable()) {
-      continue;
-    }
+  // Linear sweep of every code run; collect direct call targets and strict
+  // prologues that follow padding runs.
+  for (const elf::ElfFile::SectionRun& run : elf.code_runs()) {
     for (const disasm::LinearPiece& piece :
-         disasm::linear_sweep(code, sec.addr, sec.addr + sec.size)) {
-      bool after_padding = true;  // section start counts as a boundary
+         disasm::linear_sweep(code, run.lo, run.hi)) {
+      bool after_padding = true;  // a piece start counts as a boundary
       for (const x86::Insn& insn : piece.insns) {
         if (insn.kind == x86::Kind::kCallDirect && insn.target &&
             code.is_code(*insn.target)) {
@@ -213,12 +210,8 @@ std::set<std::uint64_t> nucleus_like(const elf::ElfFile& elf) {
   std::set<std::uint64_t> starts;
   std::map<std::uint64_t, const x86::Insn*> insns;
   std::vector<disasm::LinearPiece> pieces;
-  for (const elf::Section& sec : elf.sections()) {
-    if (!sec.executable()) {
-      continue;
-    }
-    auto swept = disasm::linear_sweep(code, sec.addr, sec.addr + sec.size);
-    for (auto& p : swept) {
+  for (const elf::ElfFile::SectionRun& run : elf.code_runs()) {
+    for (auto& p : disasm::linear_sweep(code, run.lo, run.hi)) {
       pieces.push_back(std::move(p));
     }
   }

@@ -14,7 +14,7 @@ namespace fetch::disasm {
 namespace {
 
 /// x86-64 instructions are at most 15 bytes; the decode window never needs
-/// more, and the shard clamp keeps it from crossing the section end.
+/// more, and the shard clamp keeps it from crossing the run's end.
 constexpr std::uint64_t kMaxInsnBytes = 15;
 
 // A publish is a plain struct copy followed by one release store, and the
@@ -31,7 +31,7 @@ struct CacheMetrics {
   obs::Counter& decoded;    ///< claims published as steps
   obs::Counter& invalid;    ///< claims published as undecodable
   obs::Counter& redecodes;  ///< full decodes outside the cache
-  obs::Histogram& bytes;    ///< slot arrays + step arena, once per view
+  obs::Gauge& peak_bytes;   ///< largest view: slot arrays + step arena
 
   static CacheMetrics& get() {
     obs::Registry& reg = obs::Registry::global();
@@ -40,7 +40,7 @@ struct CacheMetrics {
         reg.counter("codeview_decoded_total"),
         reg.counter("codeview_invalid_total"),
         reg.counter("codeview_redecodes_total"),
-        reg.histogram("codeview_bytes"),
+        reg.gauge("codeview_peak_bytes"),
     };
     return metrics;
   }
@@ -49,44 +49,35 @@ struct CacheMetrics {
 }  // namespace
 
 CodeView::CodeView(const elf::ElfFile& elf) : elf_(elf) {
-  for (const elf::Section& sec : elf_.sections()) {
-    if (!sec.executable() || !sec.alloc() || sec.size == 0) {
-      continue;
-    }
-    const auto bytes = elf_.section_bytes(sec);
-    Shard shard;
-    shard.addr = sec.addr;
-    // SHT_NOBITS (or truncated) executable sections have no file bytes to
-    // decode; clamping the slot count here is what guarantees a decode can
-    // never read past the section's file-backed extent.
-    shard.slot_count = std::min<std::uint64_t>(sec.size, bytes.size());
-    if (shard.slot_count == 0) {
-      continue;
-    }
-    shard.bytes = bytes.data();
-    shards_.push_back(std::move(shard));
-  }
-  std::sort(shards_.begin(), shards_.end(),
-            [](const Shard& a, const Shard& b) { return a.addr < b.addr; });
+  // The runs are disjoint, so every code byte gets exactly one slot however
+  // many section headers cover it. SHT_NOBITS runs have no bytes to decode;
+  // parse() range-checked every other section's bytes.
   std::uint64_t base = 0;
-  for (Shard& shard : shards_) {
+  for (const elf::ElfFile::SectionRun& run : elf_.code_runs()) {
+    const elf::Section& sec = elf_.sections()[run.section];
+    if (sec.type == elf::kShtNobits) {
+      continue;
+    }
+    Shard& shard = shards_.emplace_back();
+    shard.addr = run.lo;
+    shard.count = run.hi - run.lo;
     shard.base = base;
-    base += shard.slot_count;
+    shard.bytes = elf_.section_bytes(sec).data() + (run.lo - sec.addr);
+    base += shard.count;
   }
   // Checked before any slot array is allocated.
   if (base > std::numeric_limits<std::uint32_t>::max()) {
     throw ParseError("ELF: executable sections exceed 4 GiB");
   }
   for (Shard& shard : shards_) {
-    shard.slots =
-        std::make_unique<std::atomic<std::uint32_t>[]>(shard.slot_count);
+    shard.slots = std::make_unique<std::atomic<std::uint32_t>[]>(shard.count);
   }
 }
 
 std::vector<CodeView::SlotRange> CodeView::slot_ranges() const {
   std::vector<SlotRange> ranges;
   for (const Shard& shard : shards_) {
-    ranges.push_back({shard.addr, shard.slot_count, shard.base});
+    ranges.push_back(shard);
   }
   return ranges;
 }
@@ -94,22 +85,18 @@ std::vector<CodeView::SlotRange> CodeView::slot_ranges() const {
 CodeView::~CodeView() {
   std::uint64_t bytes = steps_.bytes();
   for (const Shard& shard : shards_) {
-    bytes += shard.slot_count * sizeof(std::atomic<std::uint32_t>);
+    bytes += shard.count * sizeof(std::atomic<std::uint32_t>);
   }
-  CacheMetrics::get().bytes.record_us(bytes);
+  CacheMetrics::get().peak_bytes.bump_max(static_cast<std::int64_t>(bytes));
 }
 
 const CodeView::Shard* CodeView::shard_at(std::uint64_t addr) const {
-  // Binaries have a handful of executable sections at most; an upper_bound
-  // over the sorted shard list keeps the hot path branch-poor.
-  const auto it = std::upper_bound(
-      shards_.begin(), shards_.end(), addr,
-      [](std::uint64_t a, const Shard& s) { return a < s.addr; });
+  const auto it = first_above(shards_, addr);
   if (it == shards_.begin()) {
     return nullptr;
   }
   const Shard& shard = *std::prev(it);
-  return addr - shard.addr < shard.slot_count ? &shard : nullptr;
+  return addr - shard.addr < shard.count ? &shard : nullptr;
 }
 
 Step CodeView::make_step(const x86::Insn& insn) const {
@@ -140,10 +127,9 @@ Step CodeView::make_step(const x86::Insn& insn) const {
 
 std::optional<x86::Insn> CodeView::decode_at(const Shard& shard,
                                              std::uint64_t off) const {
-  // The window is clamped to the shard so it cannot cross the section
-  // boundary.
+  // The window is clamped to the shard so it cannot cross the run's end.
   const std::uint64_t window =
-      std::min<std::uint64_t>(kMaxInsnBytes, shard.slot_count - off);
+      std::min<std::uint64_t>(kMaxInsnBytes, shard.count - off);
   return x86::decode({shard.bytes + off, window}, shard.addr + off);
 }
 
@@ -216,8 +202,8 @@ std::uint32_t CodeView::decode_slot(const Shard& shard,
 CodeView::CacheStats CodeView::cache_stats() const {
   CacheStats stats;
   for (const Shard& shard : shards_) {
-    stats.code_bytes += shard.slot_count;
-    for (std::uint64_t off = 0; off < shard.slot_count; ++off) {
+    stats.code_bytes += shard.count;
+    for (std::uint64_t off = 0; off < shard.count; ++off) {
       const std::uint32_t state =
           shard.slots[off].load(std::memory_order_relaxed);
       if (state >= kFirstStep) {

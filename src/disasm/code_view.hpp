@@ -1,24 +1,23 @@
 #pragma once
 
 /// \file code_view.hpp
-/// Decode-on-demand view of a binary's executable sections with a
-/// lock-free dense decode cache. All disassembly passes share one CodeView
-/// per binary so an address is decoded into the cache at most once;
-/// concurrent strategy cells of the parallel evaluation engine share one
-/// CodeView per corpus entry (see DESIGN.md, "Hot path: the dense decode
-/// cache").
+/// Decode-on-demand view of a binary's code with a lock-free dense decode
+/// cache. All disassembly passes share one CodeView per binary so an
+/// address is decoded into the cache at most once; concurrent strategy
+/// cells of the parallel evaluation engine share one CodeView per corpus
+/// entry (see DESIGN.md, "Hot path: the dense decode cache").
 ///
-/// Layout: one atomic 32-bit slot per executable-section byte, indexed by
-/// section offset. A slot is either empty, claimed-for-decoding, invalid,
-/// or an index into one append-only arena of 16-byte flow steps, the only
-/// thing the cache keeps of an instruction. Reads of decoded/invalid slots
-/// are a single acquire load — wait-free, no lock, no hashing, no rehash
-/// ever. The first thread to reach an address claims its slot with one
-/// compare-exchange (empty → decoding) and publishes the step (decoding →
-/// decoded), so no byte is ever decoded into the cache twice. The few
-/// readers that need a full x86::Insn decode it again, into storage they
-/// own. Nothing decodes eagerly: only the addresses the analyses reach are
-/// ever decoded.
+/// Layout: one atomic 32-bit slot per file-backed code byte, in one shard
+/// per ElfFile::code_runs() entry. A slot is either empty, claimed for
+/// decoding, invalid, or an index into one append-only arena of 16-byte
+/// flow steps, the only thing the cache keeps of an instruction. Reads of
+/// decoded/invalid slots are a single acquire load — wait-free, no lock,
+/// no hashing, no rehash ever. The first thread to reach an address claims
+/// its slot with one compare-exchange (empty → decoding) and publishes the
+/// step (decoding → decoded), so no byte is ever decoded into the cache
+/// twice. The few readers that need a full x86::Insn decode it again, into
+/// storage they own. Nothing decodes eagerly: only the addresses the
+/// analyses reach are ever decoded.
 
 #include <algorithm>
 #include <array>
@@ -98,12 +97,22 @@ class InsnWindow {
   std::uint8_t size_ = 0;
 };
 
+/// The first of \p ranges (sorted by `addr`, disjoint) that starts above
+/// \p addr: only the one before it can hold \p addr.
+template <typename Range>
+[[nodiscard]] auto first_above(const std::vector<Range>& ranges,
+                               std::uint64_t addr) {
+  return std::upper_bound(
+      ranges.begin(), ranges.end(), addr,
+      [](std::uint64_t a, const Range& r) { return a < r.addr; });
+}
+
 class CodeView {
  public:
-  /// Throws ParseError when the executable sections hold 2^32 bytes or
-  /// more, since slot numbers are 32-bit.
+  /// Throws ParseError when the code runs hold 2^32 bytes or more, since
+  /// slot numbers are 32-bit.
   explicit CodeView(const elf::ElfFile& elf);
-  /// Records the view's memory in the `codeview_bytes` histogram.
+  /// Raises the `codeview_peak_bytes` gauge to the view's memory.
   ~CodeView();
 
   CodeView(const CodeView&) = delete;
@@ -174,7 +183,7 @@ class CodeView {
   /// Occupancy of the dense cache (computed by scanning the slot arrays;
   /// diagnostics/benchmarks only, not for the hot path).
   struct CacheStats {
-    std::uint64_t code_bytes = 0;  ///< total slots (executable bytes)
+    std::uint64_t code_bytes = 0;  ///< total slots (file-backed code bytes)
     std::uint64_t decoded = 0;     ///< slots holding a decoded step
     std::uint64_t invalid = 0;     ///< slots marked undecodable
   };
@@ -200,18 +209,14 @@ class CodeView {
     std::uint64_t count = 0;
     std::uint64_t base = 0;
   };
-  /// Every shard's range, in address order.
+  /// Every shard's range, in address order; the ranges are disjoint.
   [[nodiscard]] std::vector<SlotRange> slot_ranges() const;
 
  private:
-  /// Dense per-section cache: one atomic slot per code byte. `slot_count`
-  /// is clamped to the section's file-backed bytes, so a decode window can
-  /// never extend past the section (or into a neighboring one). Its slots
-  /// are numbered from `base`.
-  struct Shard {
-    std::uint64_t addr = 0;
-    std::uint64_t slot_count = 0;
-    std::uint64_t base = 0;
+  /// Dense cache of one code run: one atomic slot per byte, read from the
+  /// run's owning section. A decode window stops at the run's end, so it
+  /// never reads into a neighboring section.
+  struct Shard : SlotRange {
     const std::uint8_t* bytes = nullptr;
     std::unique_ptr<std::atomic<std::uint32_t>[]> slots;
   };
@@ -295,8 +300,7 @@ class CodeView {
     std::atomic<Step*> buckets_[kMaxBuckets] = {};
   };
 
-  /// The shard holding \p addr: the one with the greatest start at or
-  /// below it, if that one holds it.
+  /// The shard holding \p addr, or null.
   [[nodiscard]] const Shard* shard_at(std::uint64_t addr) const;
   /// The shard whose slots are numbered through \p slot.
   [[nodiscard]] const Shard& shard_of(std::uint32_t slot) const {
@@ -322,9 +326,9 @@ class CodeView {
 /// A set of addresses stored as one bit per decode slot of a CodeView,
 /// plus an ordered spill set for the rare address outside every slot, so
 /// membership is exact for any address. Drop-in for the std::set
-/// operations the analyses use; lookups probe the largest code section
-/// first, so a typical query is one compare and one bit test. Range
-/// inserts and gap queries work a 64-bit word at a time inside slots.
+/// operations the analyses use; lookups probe the largest code run first,
+/// so a typical query is one compare and one bit test. Range inserts and
+/// gap queries work a 64-bit word at a time inside slots.
 class AddrSet {
  public:
   /// A half-open address range [lo, hi).
@@ -433,9 +437,7 @@ class AddrSet {
   }
 
   /// Calls \p f on every member: slot-backed ones in ascending address
-  /// order, then the spill set. (Sections may overlap, but the addresses
-  /// each section's bits stand for form one range above the previous
-  /// section's.)
+  /// order, then the spill set.
   template <typename F>
   void for_each(F&& f) const {
     std::size_t r = 0;
@@ -456,22 +458,16 @@ class AddrSet {
  private:
   static constexpr std::uint64_t kNone = ~std::uint64_t{0};
 
-  /// The bit of \p addr: in the largest range when that one holds it,
-  /// else in the first range in address order that does.
+  /// The bit of \p addr, or kNone. Nearly every query lands in the
+  /// largest range (.text): one compare.
   [[nodiscard]] std::uint64_t index(std::uint64_t addr) const {
-    if (ranges_.empty()) {
-      return kNone;
-    }
-    const CodeView::SlotRange& big = ranges_[largest_];
-    if (addr - big.addr < big.count) {
-      return big.base + (addr - big.addr);
-    }
-    for (const CodeView::SlotRange& r : ranges_) {
-      if (addr - r.addr < r.count) {
-        return r.base + (addr - r.addr);
+    if (!ranges_.empty()) {
+      const CodeView::SlotRange& big = ranges_[largest_];
+      if (addr - big.addr < big.count) {
+        return big.base + (addr - big.addr);
       }
     }
-    return kNone;
+    return run_at(addr, addr).bit;
   }
 
   /// The addresses [addr, end) map to the consecutive bits from `bit`, or
@@ -480,23 +476,17 @@ class AddrSet {
     std::uint64_t bit = kNone;
     std::uint64_t end = 0;
   };
-  /// The longest such run from \p addr, cut at \p hi. Only the largest
-  /// range can take an address over from the range holding the one below
-  /// it, since an earlier range that does not hold \p addr ends at or
-  /// before it.
+  /// The longest such run from \p addr, cut at \p hi: to the end of the
+  /// range holding \p addr, else to the start of the next range.
   [[nodiscard]] Run run_at(std::uint64_t addr, std::uint64_t hi) const {
-    const std::uint64_t i = index(addr);
-    for (const CodeView::SlotRange& r : ranges_) {
-      if (i == kNone && r.addr > addr) {
-        hi = std::min(hi, r.addr);  // a range starts
-      } else if (i != kNone && i - r.base < r.count) {
-        hi = std::min(hi, r.addr + r.count);  // addr's range ends
+    const auto next = first_above(ranges_, addr);
+    if (next != ranges_.begin()) {
+      const CodeView::SlotRange& r = *std::prev(next);
+      if (addr - r.addr < r.count) {
+        return {r.base + (addr - r.addr), std::min(hi, r.addr + r.count)};
       }
     }
-    if (i != kNone && ranges_[largest_].addr > addr) {
-      hi = std::min(hi, ranges_[largest_].addr);
-    }
-    return {i, hi};
+    return {kNone, next == ranges_.end() ? hi : std::min(hi, next->addr)};
   }
 
   /// The first bit in [i, end) equal to \p set, or \p end.
@@ -513,7 +503,7 @@ class AddrSet {
     return end;
   }
 
-  std::vector<CodeView::SlotRange> ranges_;  // address order
+  std::vector<CodeView::SlotRange> ranges_;  // address order, disjoint
   std::size_t largest_ = 0;
   std::vector<std::uint64_t> words_;
   std::set<std::uint64_t> spill_;

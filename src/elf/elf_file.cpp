@@ -275,9 +275,11 @@ void ElfFile::build_section_index() {
     }
   }
   for (const SectionRun& run : section_index_) {
-    if (sections_[run.section].executable() &&
-        run.hi - run.lo > largest_code_.hi - largest_code_.lo) {
-      largest_code_ = run;
+    if (sections_[run.section].executable()) {
+      code_runs_.push_back(run);
+      if (run.hi - run.lo > largest_code_.hi - largest_code_.lo) {
+        largest_code_ = run;
+      }
     }
   }
 }

@@ -152,6 +152,20 @@ class ElfFile {
   /// True if \p addr is inside an executable section.
   [[nodiscard]] bool is_code_address(Addr addr) const;
 
+  /// A maximal address run [lo, hi) whose first containing allocated
+  /// section in header order is sections()[section]; runs of different
+  /// sections are never merged.
+  struct SectionRun {
+    Addr lo = 0;
+    Addr hi = 0;
+    std::uint32_t section = 0;
+  };
+  /// The runs of executable sections, sorted by lo and disjoint: the one
+  /// map of which bytes are code, however the section headers overlap.
+  [[nodiscard]] std::span<const SectionRun> code_runs() const {
+    return code_runs_;
+  }
+
   /// Whole underlying image.
   [[nodiscard]] std::span<const std::uint8_t> image() const {
     return {image_.data(), image_.size()};
@@ -161,20 +175,13 @@ class ElfFile {
   void parse();
   void build_section_index();
 
-  /// A maximal address run [lo, hi) whose first containing section (in
-  /// header order) is sections_[section]. Sorted by lo, disjoint.
-  struct SectionRun {
-    Addr lo = 0;
-    Addr hi = 0;
-    std::uint32_t section = 0;
-  };
-
   std::vector<std::uint8_t> image_;
   Type type_ = Type::kNone;
   Addr entry_ = 0;
   std::vector<Section> sections_;
-  std::vector<SectionRun> section_index_;
-  SectionRun largest_code_;  ///< largest run in an executable section
+  std::vector<SectionRun> section_index_;  ///< every allocated run
+  std::vector<SectionRun> code_runs_;
+  SectionRun largest_code_;  ///< largest of code_runs_
   std::vector<Segment> segments_;
   std::vector<Symbol> symbols_;
   std::vector<Symbol> dyn_symbols_;

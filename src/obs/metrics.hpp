@@ -14,9 +14,9 @@
 ///
 /// Naming scheme: lower_snake_case, prefixed by subsystem ("service_",
 /// "codeview_", "session_", "cache_", "batch_"); counters end in
-/// "_total", microsecond histograms in "_us". Names double as Prometheus
-/// metric names (prefixed "fetch_"), so they must match
-/// [a-z_][a-z0-9_]*.
+/// "_total", microsecond histograms in "_us", byte counts in "_bytes".
+/// Names double as Prometheus metric names (prefixed "fetch_"), so they
+/// must match [a-z_][a-z0-9_]*.
 ///
 /// Registries: Registry::global() holds library-level metrics (decode
 /// cache, disassembly, analysis session, batch engine). Each service

@@ -146,10 +146,9 @@ inline std::string insn_fingerprint(const x86::Insn& insn) {
 
 /// Checks every slot of \p code's executable bytes: the step the cache
 /// publishes (or its absence) against a fresh x86::decode of the same
-/// bytes through the same 15-byte, section-clamped window, and the
+/// bytes through the same 15-byte window, clamped to the slot's run, and the
 /// re-decode of the slot against that decode. Returns the number of
 /// decoded slots; \p lo / \p hi narrow the check to an address range.
-/// (For binaries whose executable sections do not overlap.)
 inline std::uint64_t expect_steps_match_fresh_decode(
     const disasm::CodeView& code, std::uint64_t lo = 0,
     std::uint64_t hi = ~std::uint64_t{0}) {

@@ -9,13 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "disasm/linear.hpp"
+#include "disasm/recursive.hpp"
 #include "elf/elf_builder.hpp"
 #include "elf/elf_file.hpp"
 #include "helpers.hpp"
@@ -133,19 +136,26 @@ TEST(CodeViewBoundary, WindowIsClampedAtSectionEnd) {
             nullptr);
 }
 
-TEST(CodeViewBoundary, OverlappingSectionsResolveToTheLastStartAtOrBelow) {
-  // Hostile layout: .text.b sits inside .text, which is the larger
-  // section. An address resolves to the section with the greatest start
-  // at or below it, and only if that section holds it: inside .text.b
-  // the bytes are .text.b's, and past .text.b's end nothing decodes,
-  // although .text still covers those addresses.
+TEST(CodeViewBoundary, OverlappingSectionsResolveToTheFirstInHeaderOrder) {
+  // Hostile layout: .text.b sits inside .text, and .text.c overlaps
+  // .text's tail and runs past its end. As for ElfFile::section_at, the
+  // first section in header order owns every byte it covers: .text's
+  // nops decode across .text.b, whose rets never do, and .text.c owns
+  // only the bytes past .text's end. .text ends in a truncated `movabs
+  // rax, imm64` that .text.c's bytes would complete if a decode window
+  // crossed from one run into the next.
+  std::vector<std::uint8_t> text(62, 0x90);  // nops
+  text.push_back(0x48);
+  text.push_back(0xB8);
   elf::ElfBuilder b;
   b.add_section(".text", elf::kShtProgbits,
-                elf::kShfAlloc | elf::kShfExecinstr, kTextAddr,
-                std::vector<std::uint8_t>(64, 0x90), 1);  // nops
+                elf::kShfAlloc | elf::kShfExecinstr, kTextAddr, text, 1);
   b.add_section(".text.b", elf::kShtProgbits,
                 elf::kShfAlloc | elf::kShfExecinstr, kTextAddr + 32,
                 std::vector<std::uint8_t>(16, 0xC3), 1);  // rets
+  b.add_section(".text.c", elf::kShtProgbits,
+                elf::kShfAlloc | elf::kShfExecinstr, kTextAddr + 56,
+                std::vector<std::uint8_t>(24, 0xCC), 1);  // int3s
   b.set_entry(kTextAddr);
   const elf::ElfFile elf(b.build());
   const CodeView code(elf);
@@ -154,17 +164,98 @@ TEST(CodeViewBoundary, OverlappingSectionsResolveToTheLastStartAtOrBelow) {
     return step == nullptr ? "none"
            : step->kind == x86::Kind::kNop ? "nop"
            : step->kind == x86::Kind::kRet ? "ret"
-                                           : "other";
+           : step->kind == x86::Kind::kInt3 ? "int3"
+                                            : "other";
   };
-  EXPECT_EQ(kind_at(kTextAddr), "nop");
-  EXPECT_EQ(kind_at(kTextAddr + 31), "nop");   // last byte before .text.b
-  EXPECT_EQ(kind_at(kTextAddr + 32), "ret");   // .text.b's first byte
-  EXPECT_EQ(kind_at(kTextAddr + 40), "ret");
-  EXPECT_EQ(kind_at(kTextAddr + 47), "ret");   // .text.b's last byte
-  EXPECT_EQ(kind_at(kTextAddr + 48), "none");  // past .text.b, inside .text
-  EXPECT_EQ(kind_at(kTextAddr + 63), "none");  // .text's last byte
-  EXPECT_EQ(kind_at(kTextAddr + 64), "none");  // past both
   EXPECT_EQ(kind_at(kTextAddr - 1), "none");
+  EXPECT_EQ(kind_at(kTextAddr), "nop");
+  EXPECT_EQ(kind_at(kTextAddr + 32), "nop");   // .text.b's first byte
+  EXPECT_EQ(kind_at(kTextAddr + 47), "nop");   // .text.b's last byte
+  EXPECT_EQ(kind_at(kTextAddr + 56), "nop");   // .text.c's first byte
+  EXPECT_EQ(kind_at(kTextAddr + 62), "none");  // movabs cut at .text's end
+  EXPECT_EQ(kind_at(kTextAddr + 63), "none");
+  EXPECT_EQ(kind_at(kTextAddr + 64), "int3");  // .text.c's own bytes
+  EXPECT_EQ(kind_at(kTextAddr + 79), "int3");
+  EXPECT_EQ(kind_at(kTextAddr + 80), "none");  // past all three
+
+  // Every address has a step exactly where its owning section's bytes
+  // decode, through a window clamped to the address' code run, and the
+  // step is the one that decode implies.
+  const auto runs = elf.code_runs();
+  for (std::uint64_t addr = kTextAddr - 8; addr < kTextAddr + 88; ++addr) {
+    std::optional<x86::Insn> fresh;
+    for (const elf::ElfFile::SectionRun& run : runs) {
+      if (addr >= run.lo && addr < run.hi) {
+        const auto bytes =
+            elf.bytes_at(addr, std::min<std::uint64_t>(15, run.hi - addr));
+        ASSERT_TRUE(bytes.has_value()) << std::hex << addr;
+        fresh = x86::decode(*bytes, addr);
+      }
+    }
+    const Step* step = code.rec_at(addr).step;
+    ASSERT_EQ(step != nullptr, fresh.has_value()) << std::hex << addr;
+    if (step != nullptr) {
+      EXPECT_EQ(*step, test::expected_step(*fresh, elf)) << std::hex << addr;
+    }
+  }
+  // One slot per code byte, however many headers cover it.
+  EXPECT_EQ(code.cache_stats().code_bytes, 80u);
+  EXPECT_EQ(test::expect_steps_match_fresh_decode(code), 62u + 16u);
+}
+
+TEST(CodeViewBoundary, ManyCopiesOfOneHeaderCostOneShard) {
+  // A 4 KiB code section whose header is repeated 600 more times at the
+  // same address: the copies own no byte, so they add no slot, and the
+  // analysis is the single header's.
+  Assembler a(kTextAddr);
+  const x86::Label f = a.label();
+  const x86::Label g = a.label();
+  a.push(Reg::kRbp);
+  a.call(f);
+  a.call(g);
+  a.pop(Reg::kRbp);
+  a.ret();
+  a.nop(11);
+  a.bind(f);
+  a.push(Reg::kRbx);
+  a.mov_ri32(Reg::kRax, 1);
+  a.pop(Reg::kRbx);
+  a.ret();
+  a.bind(g);
+  a.xor_rr(Reg::kRax, Reg::kRax);
+  a.ret();
+  std::vector<std::uint8_t> text = a.finish();
+  text.resize(4096, 0xCC);
+  auto image = [&](int headers) {
+    elf::ElfBuilder b;
+    for (int i = 0; i < headers; ++i) {
+      b.add_section(".text", elf::kShtProgbits,
+                    elf::kShfAlloc | elf::kShfExecinstr, kTextAddr, text, 16);
+    }
+    b.emit_symtab(false);
+    b.set_entry(kTextAddr);
+    return b.build();
+  };
+  const elf::ElfFile one(image(1));
+  const elf::ElfFile many(image(601));
+  ASSERT_EQ(many.sections().size(), one.sections().size() + 600);
+  const CodeView one_code(one);
+  const CodeView many_code(many);
+  EXPECT_EQ(many_code.slot_ranges().size(), 1u);
+  EXPECT_EQ(many_code.cache_stats().code_bytes, 4096u);
+
+  const Result want = analyze(one_code, {kTextAddr});
+  const Result got = analyze(many_code, {kTextAddr});
+  EXPECT_EQ(want.starts.size(), 3u);
+  EXPECT_EQ(got.starts, want.starts);
+  ASSERT_EQ(got.functions.size(), want.functions.size());
+  for (const auto& [entry, fn] : want.functions) {
+    ASSERT_EQ(got.functions.count(entry), 1u) << std::hex << entry;
+    EXPECT_EQ(got.functions.at(entry).insn_addrs, fn.insn_addrs);
+    EXPECT_EQ(got.functions.at(entry).callees, fn.callees);
+  }
+  EXPECT_EQ(got.covered.gaps(kTextAddr, kTextAddr + 4096),
+            want.covered.gaps(kTextAddr, kTextAddr + 4096));
 }
 
 TEST(CodeViewDense, ResyncFailureRunCostsNoRecords) {
@@ -285,9 +376,10 @@ TEST(CodeViewStress, ConcurrentStepReadsAgreeWithFreshDecodes) {
 }
 
 TEST(CodeViewDense, SlotNumbersPast32BitsAreAParseError) {
-  // 65,000 section headers that all describe one 70,000-byte executable
-  // section: a 4.3 MB file whose slots would number 4.55e9 and need 18 GB.
-  // Slot numbers are 32-bit, so the view refuses it before allocating.
+  // 65,000 section headers that map one 70,000-byte executable section's
+  // bytes at as many distinct addresses: a 4.3 MB file whose slots would
+  // number 4.55e9 and need 18 GB. Slot numbers are 32-bit, so the view
+  // refuses it before allocating.
   constexpr std::uint16_t kHeaders = 65000;
   elf::ElfBuilder b;
   const std::uint16_t text = b.add_section(
@@ -306,8 +398,11 @@ TEST(CodeViewDense, SlotNumbersPast32BitsAreAParseError) {
   std::vector<std::uint8_t> headers(image.begin() + shoff,
                                     image.begin() + shoff + shnum * entsize);
   for (std::uint64_t i = shnum; i < kHeaders; ++i) {
+    const std::size_t at = headers.size();
     headers.insert(headers.end(), image.begin() + shoff + text * entsize,
                    image.begin() + shoff + (text + 1) * entsize);
+    const std::uint64_t addr = kTextAddr + i * 70000;  // sh_addr
+    std::memcpy(headers.data() + at + 0x10, &addr, 8);
   }
   image.resize((image.size() + 7) / 8 * 8);
   const std::uint64_t new_shoff = image.size();

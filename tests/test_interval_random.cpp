@@ -136,13 +136,14 @@ TEST_P(AddrSetRandom, MatchesNaiveModelAcrossSectionsAndSpill) {
 TEST_P(AddrSetRandom, MatchesNaiveModelOnOverlappingSections) {
   // Hostile layout: the largest section [32, 160) overlaps the first one's
   // tail, holds a third one whole and is overlapped by a fourth that runs
-  // past its end; a fifth lies apart. An address maps to one bit however
-  // many sections hold it, so range inserts and gaps must cross those
-  // boundaries exactly.
+  // past its end; a fifth lies apart. The first section in header order
+  // owns each byte, so the slots form four adjacent or apart runs: [0, 48),
+  // [48, 160), [160, 190) and [300, 308). Range inserts and gaps must cross
+  // the run boundaries exactly.
   const elf::ElfFile elf =
       make_elf({{0, 48}, {32, 128}, {100, 10}, {150, 40}, {300, 8}});
   const CodeView code(elf);
-  ASSERT_EQ(code.slot_ranges().size(), 5u);
+  ASSERT_EQ(code.slot_ranges().size(), 4u);
   check_random_inserts(code, GetParam());
 }
 

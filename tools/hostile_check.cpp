@@ -35,7 +35,9 @@
 ///     close the torn connection) and still answer a fresh ping after
 ///     every single replay,
 ///   - peak RSS stays under --max-rss-mb (default 2048): a 4-byte
-///     header must not buy a gigabyte allocation.
+///     header must not buy a gigabyte allocation,
+///   - no input's analysis takes longer than kMaxAnalysisMs of wall time
+///     (each input's time is in the JSON report's `analysis_ms`).
 
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -56,6 +58,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -93,6 +96,12 @@ struct HostileInput {
   std::vector<std::uint8_t> bytes;
   bool elf_shaped = false;  ///< carries the ELF64 magic (see below)
 };
+
+/// No input's in-process analysis may take longer, in wall time. Under
+/// ASan+UBSan on a 4-vCPU VM the slowest input other than the repeated-
+/// header mutants takes ~6.4 ms (`mutant/lying_fde_count`), and
+/// `mutant/overlapping_text_5000` ~15 ms: 15x and 6x headroom.
+constexpr double kMaxAnalysisMs = 100;
 
 int usage() {
   std::cerr << "usage: hostile_check [--corpus DIR] [--socket PATH]\n"
@@ -133,6 +142,13 @@ void patch_u64(std::vector<std::uint8_t>* b, std::size_t off,
   for (std::size_t i = 0; i < 8 && off + i < b->size(); ++i) {
     (*b)[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
+}
+/// The \p n-byte little-endian field at \p off of the pristine base.
+std::uint64_t read_le(const std::vector<std::uint8_t>& b, std::size_t off,
+                      std::size_t n) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, b.data() + off, n);
+  return v;
 }
 
 /// Finds the file offset of section \p name via a (trusted) parse of the
@@ -205,30 +221,40 @@ std::vector<HostileInput> make_mutants() {
     add("mutant/lying_fde_count", std::move(m));
   }
 
+  const std::uint64_t shoff = read_le(base, 0x28, 8);
+  const std::uint64_t shentsize = read_le(base, 0x3a, 2);
+  const std::uint64_t shnum = read_le(base, 0x3c, 2);
+
   // Section header that lies about .eh_frame's size: extend sh_size far
   // past end-of-file. Locate the matching header by its sh_offset.
   if (eh_off != 0) {
     m = base;
-    std::uint64_t shoff = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      shoff |= static_cast<std::uint64_t>(base[0x28 + i]) << (8 * i);
-    }
-    const std::uint16_t shnum =
-        static_cast<std::uint16_t>(base[0x3c] | (base[0x3d] << 8));
-    const std::uint16_t shentsize =
-        static_cast<std::uint16_t>(base[0x3a] | (base[0x3b] << 8));
-    for (std::uint16_t i = 0; i < shnum; ++i) {
-      const std::size_t off = shoff + std::size_t{i} * shentsize;
-      std::uint64_t sh_offset = 0;
-      for (std::size_t k = 0; k < 8; ++k) {
-        sh_offset |= static_cast<std::uint64_t>(m[off + 0x18 + k]) << (8 * k);
-      }
-      if (sh_offset == eh_off) {
+    for (std::uint64_t i = 0; i < shnum; ++i) {
+      const std::size_t off = shoff + i * shentsize;
+      if (read_le(base, off + 0x18, 8) == eh_off) {
         patch_u64(&m, off + 0x20, 0x7fffffffffffULL);  // sh_size lie
         break;
       }
     }
     add("mutant/eh_frame_size_lie", std::move(m));
+  }
+
+  // .text's header appended N more times to a copy of the section-header
+  // table moved to the end of the file: N + 1 headers cover the same code
+  // bytes, which must cost what one header costs.
+  const auto table = base.begin() + shoff;
+  const std::uint64_t text = parsed.section(".text") - parsed.sections().data();
+  for (const std::uint64_t copies : {600, 5000}) {
+    m = base;
+    m.resize((m.size() + 7) / 8 * 8);
+    patch_u64(&m, 0x28, m.size());
+    patch_u16(&m, 0x3c, static_cast<std::uint16_t>(shnum + copies));
+    m.insert(m.end(), table, table + shnum * shentsize);
+    for (std::uint64_t i = 0; i < copies; ++i) {
+      m.insert(m.end(), table + text * shentsize,
+               table + (text + 1) * shentsize);
+    }
+    add("mutant/overlapping_text_" + std::to_string(copies), std::move(m));
   }
 
   // Overlapping FDEs: a fresh tiny ELF whose .eh_frame carries two FDEs
@@ -801,9 +827,11 @@ int main(int argc, char** argv) {
   std::size_t session_ok = 0;
   std::size_t session_error = 0;
 
-  // --- Phase 1: the full pipeline, in-process.
+  // --- Phase 1: the full pipeline, in-process, each input's time bounded.
   const eval::AnalysisSession session;
+  util::json::Value analysis_ms = util::json::Value::object();
   for (const HostileInput& input : inputs) {
+    const auto t0 = std::chrono::steady_clock::now();
     try {
       const eval::FileAnalysis analysis = session.analyze_image(
           {input.bytes.data(), input.bytes.size()}, input.label,
@@ -821,6 +849,14 @@ int main(int argc, char** argv) {
       violations.push_back(input.label + ": analyze_image threw: " + e.what());
     } catch (...) {
       violations.push_back(input.label + ": analyze_image threw");
+    }
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    analysis_ms.set(input.label, util::json::Value::number(ms));
+    if (ms > kMaxAnalysisMs) {
+      violations.push_back(input.label + ": analysis took " +
+                           std::to_string(ms) + " ms");
     }
   }
 
@@ -966,6 +1002,7 @@ int main(int argc, char** argv) {
                       *service::stats_view(client_metrics).get("server"));
       doc.set("clients", std::move(clients_doc));
     }
+    doc.set("analysis_ms", std::move(analysis_ms));
     doc.set("max_rss_kb", util::json::Value::number(
                               static_cast<std::uint64_t>(max_rss_kb)));
     util::json::Value list = util::json::Value::array();
