@@ -64,7 +64,6 @@ int main(int argc, char** argv) {
     dopts.conditional_noreturn = entry.bin.truth.error_like;
     const disasm::Result result =
         disasm::analyze(code, eh->pc_begins(), dopts);
-    const auto pops = analysis::compute_callee_pops(code, result);
 
     for (const auto& [fn_entry, fn] : result.functions) {
       const eh::Fde* fde = eh->fde_covering(fn_entry);

@@ -14,6 +14,11 @@ using disasm::Step;
 using x86::Kind;
 using x86::Reg;
 
+/// Maximum instructions examined along each path.
+constexpr std::size_t kMaxDepth = 48;
+/// Maximum distinct paths explored (branches fork paths).
+constexpr std::size_t kMaxPaths = 64;
+
 constexpr std::uint16_t kArgRegs =
     reg_bit(Reg::kRdi) | reg_bit(Reg::kRsi) | reg_bit(Reg::kRdx) |
     reg_bit(Reg::kRcx) | reg_bit(Reg::kR8) | reg_bit(Reg::kR9);
@@ -87,8 +92,7 @@ class SeenStates {
 }  // namespace
 
 bool meets_calling_convention(const disasm::CodeView& code,
-                              std::uint64_t entry,
-                              const CallConvOptions& options) {
+                              std::uint64_t entry) {
   // One FIFO of paths and one seen table per thread, reused by every check.
   thread_local std::vector<PathState> work;
   thread_local SeenStates seen;
@@ -97,7 +101,7 @@ bool meets_calling_convention(const disasm::CodeView& code,
 
   for (std::size_t head = 0; head < work.size(); ++head) {
     PathState st = work[head];
-    for (bool more = true; more && st.depth < options.max_depth;) {
+    for (bool more = true; more && st.depth < kMaxDepth;) {
       if (!seen.insert(st.addr, st.initialized)) {
         break;  // state already explored
       }
@@ -138,7 +142,7 @@ bool meets_calling_convention(const disasm::CodeView& code,
           break;
         case Kind::kCondJmp:
           if (step->has(Step::kTargetIsCode) &&
-              work.size() < options.max_paths) {
+              work.size() < kMaxPaths) {
             work.push_back({step->target, st.initialized, st.depth});
           }
           st.addr += step->length;

@@ -14,18 +14,11 @@
 
 namespace fetch::analysis {
 
-struct CallConvOptions {
-  /// Maximum instructions examined along each path.
-  std::size_t max_depth = 48;
-  /// Maximum distinct paths explored (branches fork paths).
-  std::size_t max_paths = 64;
-};
-
 /// Returns true when the code at \p entry satisfies the convention, i.e.
-/// no path from \p entry (within the exploration budget) reads a
-/// non-argument register before initializing it.
+/// no path from \p entry reads a non-argument register before initializing
+/// it. The search is bounded: at most 64 paths (branches fork paths), each
+/// examined for at most 48 instructions.
 [[nodiscard]] bool meets_calling_convention(const disasm::CodeView& code,
-                                            std::uint64_t entry,
-                                            const CallConvOptions& options = {});
+                                            std::uint64_t entry);
 
 }  // namespace fetch::analysis

@@ -31,33 +31,27 @@ struct StackAnalysisConfig {
   /// (loses recall, keeps precision); false → keep the first-seen value
   /// (keeps recall, loses precision).
   bool conflicts_become_unknown = true;
-  /// Understand `and rsp, imm` stack alignment (nobody models the exact
-  /// value; true just avoids poisoning when alignment is a no-op).
-  bool handle_rsp_alignment = false;
 };
 
 /// ANGR-like configuration: no frame-pointer tracking, conflicts unknown.
 [[nodiscard]] constexpr StackAnalysisConfig angr_like_config() {
   return {.track_frame_pointer = false,
           .model_callee_pops = false,
-          .conflicts_become_unknown = true,
-          .handle_rsp_alignment = false};
+          .conflicts_become_unknown = true};
 }
 
 /// DYNINST-like configuration: frame-pointer tracking, first-wins joins.
 [[nodiscard]] constexpr StackAnalysisConfig dyninst_like_config() {
   return {.track_frame_pointer = true,
           .model_callee_pops = false,
-          .conflicts_become_unknown = false,
-          .handle_rsp_alignment = false};
+          .conflicts_become_unknown = false};
 }
 
 /// Exact configuration used by tests (all capabilities on).
 [[nodiscard]] constexpr StackAnalysisConfig precise_config() {
   return {.track_frame_pointer = true,
           .model_callee_pops = true,
-          .conflicts_become_unknown = true,
-          .handle_rsp_alignment = true};
+          .conflicts_become_unknown = true};
 }
 
 /// Per-instruction stack height. Missing key = instruction not reached;

@@ -23,8 +23,6 @@ const char* provenance_name(Provenance p) {
   switch (p) {
     case Provenance::kFde:
       return "fde";
-    case Provenance::kSymbol:
-      return "symbol";
     case Provenance::kEntryPoint:
       return "entry";
     case Provenance::kCallTarget:
@@ -46,19 +44,11 @@ DetectionResult FunctionDetector::run(const DetectorOptions& options,
 
   // --- Seeds ------------------------------------------------------------------
   std::vector<std::uint64_t> seeds;
-  if (options.use_fdes && eh_) {
+  if (eh_) {
     for (const std::uint64_t pc : eh_->pc_begins()) {
       if (code_.is_code(pc)) {
         out.fde_starts.insert(pc);
         seeds.push_back(pc);
-      }
-    }
-  }
-  if (options.use_symbols) {
-    for (const elf::Symbol& sym : elf_.symbols()) {
-      if (sym.is_function() && code_.is_code(sym.value)) {
-        out.symbol_starts.insert(sym.value);
-        seeds.push_back(sym.value);
       }
     }
   }
@@ -148,8 +138,6 @@ DetectionResult FunctionDetector::run(const DetectorOptions& options,
     Provenance prov = Provenance::kCallTarget;
     if (out.fde_starts.count(s) != 0) {
       prov = Provenance::kFde;
-    } else if (out.symbol_starts.count(s) != 0) {
-      prov = Provenance::kSymbol;
     } else if (out.pointer_starts.count(s) != 0) {
       prov = Provenance::kPointer;
     } else if (out.tail_targets.count(s) != 0) {

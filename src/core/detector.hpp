@@ -7,7 +7,7 @@
 /// of Figures 5a-5c and the full FETCH configuration of Table III.
 ///
 /// The full pipeline (all options on) is §VI's FETCH:
-///   1. extract FDE PC Begin values from .eh_frame           (use_fdes)
+///   1. extract FDE PC Begin values from .eh_frame as seeds
 ///   2. safe recursive disassembly from the seeds            (recursive)
 ///   3. soundness-driven function-pointer detection (§IV-E)  (pointer_detection)
 ///   4. Algorithm 1: conservative tail-call detection and
@@ -30,23 +30,21 @@
 
 namespace fetch::core {
 
-/// How a reported function start was established.
+/// How a reported function start was established. The numbers are stable
+/// because golden digests hash them; 1 is unused.
 enum class Provenance : std::uint8_t {
-  kFde,         ///< PC Begin of a call frame
-  kSymbol,      ///< .symtab function symbol
-  kEntryPoint,  ///< ELF entry point
-  kCallTarget,  ///< target of a direct call seen by recursive disassembly
-  kPointer,     ///< validated function pointer (§IV-E)
-  kTailCall,    ///< target of a detected tail call (Algorithm 1)
+  kFde = 0,         ///< PC Begin of a call frame
+  kEntryPoint = 2,  ///< ELF entry point
+  kCallTarget = 3,  ///< target of a direct call seen by recursive disassembly
+  kPointer = 4,     ///< validated function pointer (§IV-E)
+  kTailCall = 5,    ///< target of a detected tail call (Algorithm 1)
 };
 
 [[nodiscard]] const char* provenance_name(Provenance p);
 
+/// Stage switches of the pipeline. The Figure 5 ladders and `fetch-cli
+/// compare` turn them off; `detect`, `batch` and `serve` run the defaults.
 struct DetectorOptions {
-  bool use_fdes = true;
-  /// Also seed from .symtab function symbols (used for the wild-binary
-  /// study; self-built evaluation keeps this off).
-  bool use_symbols = false;
   /// Seed from the ELF entry point.
   bool use_entry_point = true;
   /// Safe recursive disassembly (§IV-C).
@@ -76,7 +74,6 @@ struct DetectionResult {
 
   // --- Diagnostics for the evaluation harness -------------------------------
   std::set<std::uint64_t> fde_starts;      ///< raw FDE PC Begins
-  std::set<std::uint64_t> symbol_starts;   ///< raw symbol values (if used)
   std::set<std::uint64_t> pointer_starts;  ///< added by pointer detection
   std::set<std::uint64_t> tail_targets;    ///< added by Algorithm 1
   /// Starts removed by Algorithm 1 as non-beginning parts of

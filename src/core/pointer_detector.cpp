@@ -1,6 +1,5 @@
 #include "core/pointer_detector.hpp"
 
-#include <algorithm>
 #include <deque>
 
 #include "analysis/callconv.hpp"
@@ -152,18 +151,10 @@ PointerDetectionResult detect_pointer_functions(
     }
     result.accepted.insert(p);
     state.starts.insert(p);
-    // Provisional structure; the detector rebuilds full per-function
-    // structure (jumps, tables) after the pointer loop finishes.
-    disasm::Function fn;
-    fn.entry = p;
     for (const auto& [addr, len] : probe.lengths) {
       state.covered.insert_range(addr, addr + len);
       state.insn_starts.insert(addr);
-      fn.insn_addrs.push_back(addr);
-      fn.max_end = std::max(fn.max_end, addr + len);
     }
-    std::sort(fn.insn_addrs.begin(), fn.insn_addrs.end());
-    state.functions.emplace(p, std::move(fn));
     // New constants from the accepted code join the queue (§IV-E: "we will
     // update the pointer collection based on the results of recursive
     // disassembly from that pointer").

@@ -11,8 +11,8 @@
 ///         functions;
 ///   (iv)  invalid calling conventions (non-argument registers must be
 ///         initialized before use).
-/// Pointers that survive become new function starts; their disassembly is
-/// merged into the global state and any constants they reveal join the
+/// Pointers that survive become new function starts; their instructions
+/// are merged into the global state and any constants they reveal join the
 /// candidate queue.
 
 #include <cstdint>
@@ -37,9 +37,9 @@ struct PointerDetectionOptions {
 };
 
 /// Probes pointer candidates against (and mutating) \p state: an accepted
-/// pointer adds its start, instruction starts, covered bytes and a
-/// provisional function (entry and instructions only) to \p state, so
-/// later probes see them; it adds no xrefs. \p options is not read:
+/// pointer adds its start, instruction starts and covered bytes to \p
+/// state, so later probes see them; it adds no function and no xrefs (the
+/// caller reanalyzes with the enlarged start set). \p options is not read:
 /// probing assumes every callee returns, so a probe also decodes the
 /// bytes after a call to a no-return function and rejects the candidate
 /// when they are not code. That is a useful filter: a build whose probes

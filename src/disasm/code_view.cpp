@@ -65,9 +65,14 @@ CodeView::CodeView(const elf::ElfFile& elf) : elf_(elf) {
     shard.bytes = elf_.section_bytes(sec).data() + (run.lo - sec.addr);
     base += shard.count;
   }
-  // Checked before any slot array is allocated.
-  if (base > std::numeric_limits<std::uint32_t>::max()) {
-    throw ParseError("ELF: executable sections exceed 4 GiB");
+  // Checked before any slot array is allocated. Slot numbers are 32-bit,
+  // and a file cannot hold more distinct code bytes than it has: more means
+  // headers at distinct addresses alias the same bytes, each alias costing
+  // slots, decodes and probes of its own.
+  const std::uint64_t limit = std::min<std::uint64_t>(
+      elf_.image().size(), std::numeric_limits<std::uint32_t>::max());
+  if (base > limit) {
+    throw ParseError("ELF: executable sections exceed the file's size");
   }
   for (Shard& shard : shards_) {
     shard.slots = std::make_unique<std::atomic<std::uint32_t>[]>(shard.count);

@@ -109,8 +109,9 @@ template <typename Range>
 
 class CodeView {
  public:
-  /// Throws ParseError when the code runs hold 2^32 bytes or more, since
-  /// slot numbers are 32-bit.
+  /// Throws ParseError when the code runs hold more bytes than the file
+  /// (aliased section headers) or 2^32 bytes or more (slot numbers are
+  /// 32-bit).
   explicit CodeView(const elf::ElfFile& elf);
   /// Raises the `codeview_peak_bytes` gauge to the view's memory.
   ~CodeView();

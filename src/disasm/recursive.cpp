@@ -80,7 +80,7 @@ struct CallSets {
 
 /// Phase 1: global discovery. Explores every reachable instruction once,
 /// collecting starts (code seeds and call targets, also into \p starts),
-/// instruction starts, xrefs and jump tables.
+/// instruction starts and xrefs (resolved jump-table entries included).
 void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
               const CallSets& calls, Result& result, AddrSet& starts) {
   AddrSet& visited = result.insn_starts = AddrSet(code);
@@ -135,7 +135,6 @@ void discover(const CodeView& code, const std::vector<std::uint64_t>& seeds,
             result.xrefs.add(t, addr, RefKind::kJumpTable);
             enqueue(t, {});
           }
-          result.jump_tables.push_back(std::move(*table));
         }
         break;
       default:
@@ -164,7 +163,6 @@ Function build_function(const CodeView& code, std::uint64_t entry,
         fn.insn_addrs.size() < kMaxInsnsPerFunction
             ? code.rec_at(addr)
             : CodeView::Rec{};
-    fn.truncated = fn.truncated || rec.step == nullptr;
     if (rec.step != nullptr) {
       in_body.insert(addr);
       fn.insn_addrs.push_back(addr);

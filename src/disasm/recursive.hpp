@@ -2,7 +2,7 @@
 
 /// \file recursive.hpp
 /// Safe recursive disassembly (§IV-C of the paper). Starting from a seed
-/// set of function starts (FDE PC Begins, symbols, program entry), the
+/// set of function starts (FDE PC Begins, program entry), the
 /// disassembler follows direct control flow, resolves only well-formed
 /// jump tables (Dyninst-style), skips indirect calls, performs no tail-call
 /// guessing, and consults a non-returning-function analysis to avoid
@@ -46,9 +46,6 @@ struct Function {
   std::vector<std::uint64_t> callees;
   /// Jump tables resolved inside this function.
   std::vector<JumpTable> tables;
-  /// Whether exploration hit an undecodable byte (never happens for
-  /// compiler-emitted seeds; used as an error signal by pointer probing).
-  bool truncated = false;
 
   [[nodiscard]] bool contains(std::uint64_t addr) const {
     return std::binary_search(insn_addrs.begin(), insn_addrs.end(), addr);
@@ -123,7 +120,6 @@ struct Result {
   /// Every byte of every decoded instruction.
   AddrSet covered;
   XRefs xrefs;
-  std::vector<JumpTable> jump_tables;
 };
 
 /// Every function body built by the exploration passes of the analyze()

@@ -92,16 +92,6 @@ const char* truth_mode_name(TruthMode mode) {
   return "auto";
 }
 
-BatchRow evaluate_file(const std::string& path,
-                       const core::DetectorOptions& options) {
-  // The analysis itself lives in AnalysisSession (shared with the
-  // service); batch consumes only the metrics row, so skip the content
-  // hash and per-function detail.
-  return AnalysisSession(options)
-      .analyze_file(path, AnalysisSession::Detail::kRowOnly)
-      .row;
-}
-
 BatchReport run_batch(const std::vector<std::string>& paths,
                       const BatchOptions& options) {
   // One pool across all files, one job per file, slot-per-index results:
@@ -111,7 +101,7 @@ BatchReport run_batch(const std::vector<std::string>& paths,
   obs::Counter& files_total = reg.counter("batch_files_total");
   obs::Counter& errors_total = reg.counter("batch_errors_total");
   obs::Histogram& file_us = reg.histogram("batch_file_us");
-  const AnalysisSession session(options.detector, options.truth);
+  const AnalysisSession session(options.truth);
   std::vector<BatchRow> rows = util::parallel_map<BatchRow>(
       options.jobs, paths.size(), [&](std::size_t i) {
         obs::Span span(nullptr, "batch_file", &file_us);
@@ -124,7 +114,7 @@ BatchReport run_batch(const std::vector<std::string>& paths,
         }
         return row;
       });
-  return BatchReport(std::move(rows), options.detector_label);
+  return BatchReport(std::move(rows));
 }
 
 std::size_t BatchReport::error_count() const {
@@ -169,7 +159,7 @@ BatchTotals BatchReport::totals_precise() const {
 util::json::Value BatchReport::json() const {
   util::json::Value doc = util::json::Value::object();
   doc.set("schema", util::json::Value("fetch-batch-v1"));
-  doc.set("detector", util::json::Value(detector_label_));
+  doc.set("detector", util::json::Value("fetch-full"));
   util::json::Value files = util::json::Value::array();
   for (const BatchRow& row : rows_) {
     util::json::Value entry = util::json::Value::object();

@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/detector.hpp"
 #include "util/json.hpp"
 
 namespace fetch::eval {
@@ -43,12 +42,6 @@ enum class TruthMode : std::uint8_t {
 struct BatchOptions {
   /// Evaluation workers (0 = FETCH_JOBS env, else hardware concurrency).
   std::size_t jobs = 0;
-  /// Detector configuration applied to every file. The default is the
-  /// full FETCH pipeline; `use_symbols` must stay off — symbols are the
-  /// ground truth here, seeding from them would score the answer key.
-  core::DetectorOptions detector;
-  /// Label recorded in reports for the configuration above.
-  std::string detector_label = "fetch-full";
   /// Ground-truth source every file is scored against.
   TruthMode truth = TruthMode::kAuto;
 };
@@ -121,10 +114,11 @@ struct BatchTotals : MatchStats {
   }
 };
 
+/// Every file is analyzed by the full FETCH pipeline (AnalysisSession);
+/// reports name it "fetch-full".
 class BatchReport {
  public:
-  BatchReport(std::vector<BatchRow> rows, std::string detector_label)
-      : rows_(std::move(rows)), detector_label_(std::move(detector_label)) {}
+  explicit BatchReport(std::vector<BatchRow> rows) : rows_(std::move(rows)) {}
 
   [[nodiscard]] const std::vector<BatchRow>& rows() const { return rows_; }
   [[nodiscard]] std::size_t error_count() const;
@@ -156,13 +150,7 @@ class BatchReport {
 
  private:
   std::vector<BatchRow> rows_;
-  std::string detector_label_;
 };
-
-/// Scores one on-disk ELF. Never throws: any failure (unreadable file,
-/// malformed ELF, detection error) is folded into an error row.
-[[nodiscard]] BatchRow evaluate_file(const std::string& path,
-                                     const core::DetectorOptions& options);
 
 /// Evaluates \p paths concurrently (one ThreadPool across all files, one
 /// job per file) and reduces in input order.

@@ -6,11 +6,15 @@ namespace {
 
 using x86::Kind;
 
+/// Maximum instructions per gadget (ROPgadget's default depth).
+constexpr std::size_t kMaxInsns = 5;
+/// Bytes scanned forward from each start address.
+constexpr std::size_t kWindowBytes = 64;
+
 /// Is there a gadget starting exactly at \p addr?
-bool gadget_at(const disasm::CodeView& code, std::uint64_t addr,
-               std::size_t max_insns) {
+bool gadget_at(const disasm::CodeView& code, std::uint64_t addr) {
   std::uint64_t pc = addr;
-  for (std::size_t i = 0; i < max_insns; ++i) {
+  for (std::size_t i = 0; i < kMaxInsns; ++i) {
     const disasm::Step* step = code.rec_at(pc).step;
     if (step == nullptr) {
       return false;
@@ -37,16 +41,15 @@ bool gadget_at(const disasm::CodeView& code, std::uint64_t addr,
 }  // namespace
 
 std::size_t count_gadgets_at(const disasm::CodeView& code,
-                             const std::set<std::uint64_t>& starts,
-                             const GadgetOptions& options) {
+                             const std::set<std::uint64_t>& starts) {
   std::set<std::uint64_t> gadget_addrs;
   for (const std::uint64_t start : starts) {
-    for (std::size_t off = 0; off < options.window_bytes; ++off) {
+    for (std::size_t off = 0; off < kWindowBytes; ++off) {
       const std::uint64_t addr = start + off;
       if (!code.is_code(addr)) {
         break;
       }
-      if (gadget_at(code, addr, options.max_insns)) {
+      if (gadget_at(code, addr)) {
         gadget_addrs.insert(addr);
       }
     }

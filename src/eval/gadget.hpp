@@ -14,19 +14,11 @@
 
 namespace fetch::eval {
 
-struct GadgetOptions {
-  /// Maximum instructions per gadget (ROPgadget's default depth).
-  std::size_t max_insns = 5;
-  /// Bytes scanned forward from each start address.
-  std::size_t window_bytes = 64;
-};
-
 /// Counts distinct gadgets reachable from the basic blocks at the given
 /// start addresses: every decodable suffix (starting at any byte offset in
-/// the window) of ≤ max_insns instructions that ends in `ret`, `jmp reg`,
-/// or `call reg`.
+/// the 64 bytes from a start) of at most 5 instructions (ROPgadget's
+/// default depth) that ends in `ret`, `jmp reg`, or `call reg`.
 [[nodiscard]] std::size_t count_gadgets_at(
-    const disasm::CodeView& code, const std::set<std::uint64_t>& starts,
-    const GadgetOptions& options = {});
+    const disasm::CodeView& code, const std::set<std::uint64_t>& starts);
 
 }  // namespace fetch::eval

@@ -1,5 +1,6 @@
 #include "eval/session.hpp"
 
+#include "core/detector.hpp"
 #include "ehframe/eh_frame_hdr.hpp"
 #include "elf/elf_file.hpp"
 #include "eval/truth_sidecar.hpp"
@@ -112,7 +113,7 @@ FileAnalysis AnalysisSession::analyze_image(
     build_span.finish();
 
     obs::Span detect_span(trace, "detect", &metrics.detect_us);
-    const core::DetectionResult result = detector.run(options_, trace);
+    const core::DetectionResult result = detector.run({}, trace);
     detect_span.finish();
 
     obs::Span score_span(trace, "score", &metrics.score_us);

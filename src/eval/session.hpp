@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/detector.hpp"
 #include "eval/batch.hpp"
 #include "obs/trace.hpp"
 
@@ -44,9 +43,9 @@ struct FileAnalysis {
   std::size_t invalid_fde_starts = 0;  ///< rejected by the CC check
 };
 
-/// Reusable "analyze one binary" context: detector configuration plus the
+/// Reusable "analyze one binary" context: the full FETCH pipeline plus the
 /// policy glue (PLT exclusion, truth matching) that used to live inside
-/// eval/batch. Stateless apart from the options, so one session may be
+/// eval/batch. Stateless apart from the truth mode, so one session may be
 /// shared by any number of threads.
 class AnalysisSession {
  public:
@@ -61,14 +60,8 @@ class AnalysisSession {
   /// (TruthMode::kSidecar resolves `<label>.truth.json` next to the
   /// input; a missing/unusable sidecar degrades to truth_source "none",
   /// never an error row — the detection itself is unaffected).
-  explicit AnalysisSession(core::DetectorOptions options = {},
-                           TruthMode truth = TruthMode::kAuto)
-      : options_(options), truth_(truth) {}
-
-  [[nodiscard]] const core::DetectorOptions& options() const {
-    return options_;
-  }
-  [[nodiscard]] TruthMode truth_mode() const { return truth_; }
+  explicit AnalysisSession(TruthMode truth = TruthMode::kAuto)
+      : truth_(truth) {}
 
   /// Reads \p path and analyzes its bytes. Never throws: unreadable or
   /// malformed inputs produce an error row (`row.ok` false).
@@ -96,7 +89,6 @@ class AnalysisSession {
       std::span<const std::uint8_t> bytes);
 
  private:
-  core::DetectorOptions options_;
   TruthMode truth_ = TruthMode::kAuto;
 };
 

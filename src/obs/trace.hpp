@@ -44,14 +44,6 @@ class Trace {
 
   [[nodiscard]] const std::vector<Stage>& stages() const { return stages_; }
 
-  [[nodiscard]] std::uint64_t total_us() const {
-    std::uint64_t total = 0;
-    for (const Stage& stage : stages_) {
-      total += stage.us;
-    }
-    return total;
-  }
-
   /// [{"stage":"elf_parse","us":N}, ...] — the "stages" array of a
   /// fetch-service-v1 query reply.
   [[nodiscard]] util::json::Value stages_json() const;

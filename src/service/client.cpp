@@ -24,9 +24,9 @@ std::optional<ServiceClient> ServiceClient::connect(
                 static_cast<std::uint64_t>(
                     std::chrono::steady_clock::now().time_since_epoch()
                         .count()));
-  std::uint64_t backoff_ms =
-      options.backoff_initial_ms == 0 ? 1 : options.backoff_initial_ms;
+  constexpr std::uint64_t kBackoffInitialMs = 50;  // doubles per retry
   constexpr std::uint64_t kBackoffCapMs = 2'000;
+  std::uint64_t backoff_ms = kBackoffInitialMs;
   for (std::size_t attempt = 0;; ++attempt) {
     auto fd = util::unix_connect(socket_path, error);
     if (fd) {

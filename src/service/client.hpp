@@ -26,8 +26,6 @@ struct ClientOptions {
   /// Response-read deadline per request, enforced with SO_RCVTIMEO so a
   /// wedged daemon cannot hang the caller. 0 = no deadline.
   std::uint64_t timeout_ms = 0;
-  /// First backoff sleep; doubles per retry (jittered, capped at 2 s).
-  std::uint64_t backoff_initial_ms = 50;
 };
 
 class ServiceClient {

@@ -97,7 +97,6 @@ const char* outcome_name(util::ShardedLru<std::string>::Outcome outcome) {
 
 ServiceServer::ServiceServer(ServerOptions options)
     : options_(std::move(options)),
-      session_(options_.detector),
       cache_(options_.cache_capacity, options_.cache_shards),
       memo_(options_.cache_capacity, options_.cache_shards),
       accepted_(registry_.counter("service_accepted_total")),

@@ -43,7 +43,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/detector.hpp"
 #include "eval/session.hpp"
 #include "obs/metrics.hpp"
 #include "service/protocol.hpp"
@@ -80,9 +79,6 @@ struct ServerOptions {
   /// Log (at warn) any query whose wall time meets or exceeds this many
   /// milliseconds, with its trace id and per-stage timings. 0 disables.
   std::uint64_t slow_query_ms = 0;
-  /// Detector configuration for every analysis (the service equivalent
-  /// of BatchOptions::detector; defaults to the full FETCH pipeline).
-  core::DetectorOptions detector;
 };
 
 class ServiceServer {

@@ -69,6 +69,8 @@ TEST(Batch, MalformedInputsBecomeErrorRowsNotFailures) {
   // And the error shapes flow into JSON verbatim.
   const util::json::Value doc = report.json();
   EXPECT_EQ(doc.get("schema")->text(), "fetch-batch-v1");
+  ASSERT_NE(doc.get("detector"), nullptr);
+  EXPECT_EQ(doc.get("detector")->text(), "fetch-full");  // always full FETCH
   const auto& files = doc.get("files")->items();
   ASSERT_EQ(files.size(), 3u);
   EXPECT_EQ(files[0].get("status")->text(), "error");

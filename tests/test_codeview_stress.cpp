@@ -43,6 +43,37 @@ const synth::SynthBinary& stress_binary() {
   return bin;
 }
 
+/// \p image with its section-header table moved to the end of the file
+/// and one copy of header \p index appended per address in \p addrs: each
+/// copy maps the same file bytes at its own address.
+std::vector<std::uint8_t> with_aliases(std::vector<std::uint8_t> image,
+                                       std::uint16_t index,
+                                       const std::vector<std::uint64_t>& addrs) {
+  auto get = [&](std::size_t at, std::size_t n) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, image.data() + at, n);
+    return v;
+  };
+  const std::uint64_t shoff = get(0x28, 8);
+  const std::uint64_t entsize = get(0x3a, 2);
+  const std::uint64_t shnum = get(0x3c, 2);
+  std::vector<std::uint8_t> headers(image.begin() + shoff,
+                                    image.begin() + shoff + shnum * entsize);
+  for (const std::uint64_t addr : addrs) {
+    const std::size_t at = headers.size();
+    headers.insert(headers.end(), image.begin() + shoff + index * entsize,
+                   image.begin() + shoff + (index + 1) * entsize);
+    std::memcpy(headers.data() + at + 0x10, &addr, 8);  // sh_addr
+  }
+  image.resize((image.size() + 7) / 8 * 8);
+  const std::uint64_t new_shoff = image.size();
+  const auto new_shnum = static_cast<std::uint16_t>(shnum + addrs.size());
+  image.insert(image.end(), headers.begin(), headers.end());
+  std::memcpy(image.data() + 0x28, &new_shoff, 8);
+  std::memcpy(image.data() + 0x3c, &new_shnum, 2);
+  return image;
+}
+
 /// The step at \p addr, or a marker for "nothing decodes here".
 std::string step_text(const CodeView& code, std::uint64_t addr) {
   const Step* step = code.rec_at(addr).step;
@@ -378,41 +409,45 @@ TEST(CodeViewStress, ConcurrentStepReadsAgreeWithFreshDecodes) {
 TEST(CodeViewDense, SlotNumbersPast32BitsAreAParseError) {
   // 65,000 section headers that map one 70,000-byte executable section's
   // bytes at as many distinct addresses: a 4.3 MB file whose slots would
-  // number 4.55e9 and need 18 GB. Slot numbers are 32-bit, so the view
-  // refuses it before allocating.
-  constexpr std::uint16_t kHeaders = 65000;
+  // number 4.55e9 and need 18 GB. The view refuses it before allocating:
+  // its code exceeds the file's size long before slot numbers pass 32
+  // bits (HeadersAliasingOneSectionAreAParseError below).
+  constexpr std::size_t kHeaders = 65000;
   elf::ElfBuilder b;
   const std::uint16_t text = b.add_section(
       ".text", elf::kShtProgbits, elf::kShfAlloc | elf::kShfExecinstr,
       kTextAddr, std::vector<std::uint8_t>(70000, 0x90), 16);
   b.set_entry(kTextAddr);
-  std::vector<std::uint8_t> image = b.build();
-  auto get = [&](std::size_t at, std::size_t n) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, image.data() + at, n);
-    return v;
-  };
-  const std::uint64_t shoff = get(0x28, 8);
-  const std::uint64_t entsize = get(0x3a, 2);
-  const std::uint64_t shnum = get(0x3c, 2);
-  std::vector<std::uint8_t> headers(image.begin() + shoff,
-                                    image.begin() + shoff + shnum * entsize);
-  for (std::uint64_t i = shnum; i < kHeaders; ++i) {
-    const std::size_t at = headers.size();
-    headers.insert(headers.end(), image.begin() + shoff + text * entsize,
-                   image.begin() + shoff + (text + 1) * entsize);
-    const std::uint64_t addr = kTextAddr + i * 70000;  // sh_addr
-    std::memcpy(headers.data() + at + 0x10, &addr, 8);
+  const std::vector<std::uint8_t> plain = b.build();
+  std::vector<std::uint64_t> addrs;
+  for (std::size_t i = elf::ElfFile(plain).sections().size(); i < kHeaders;
+       ++i) {
+    addrs.push_back(kTextAddr + i * 70000);
   }
-  image.resize((image.size() + 7) / 8 * 8);
-  const std::uint64_t new_shoff = image.size();
-  image.insert(image.end(), headers.begin(), headers.end());
-  std::memcpy(image.data() + 0x28, &new_shoff, 8);
-  std::memcpy(image.data() + 0x3c, &kHeaders, 2);
-
-  const elf::ElfFile elf(image);
+  const elf::ElfFile elf(with_aliases(plain, text, addrs));
   ASSERT_EQ(elf.sections().size(), kHeaders);
   EXPECT_THROW(CodeView{elf}, ParseError);
+}
+
+TEST(CodeViewBoundary, HeadersAliasingOneSectionAreAParseError) {
+  // A second header that maps a 4 KiB code section's file bytes at another
+  // address: each alias would cost slots, decodes and probes of its own,
+  // so a file whose code runs hold more bytes than the file is refused.
+  elf::ElfBuilder b;
+  std::vector<std::uint8_t> code_bytes(4096, 0x90);
+  code_bytes.back() = 0xC3;
+  const std::uint16_t text = b.add_section(
+      ".text", elf::kShtProgbits, elf::kShfAlloc | elf::kShfExecinstr,
+      kTextAddr, std::move(code_bytes), 16);
+  b.set_entry(kTextAddr);
+  const std::vector<std::uint8_t> plain = b.build();
+  const elf::ElfFile one(plain);
+  EXPECT_EQ(CodeView(one).cache_stats().code_bytes, 4096u);
+
+  const elf::ElfFile two(with_aliases(plain, text, {kTextAddr + 0x100000}));
+  ASSERT_EQ(two.sections().size(), one.sections().size() + 1);
+  ASSERT_EQ(two.code_runs().size(), 2u);
+  EXPECT_THROW(CodeView{two}, ParseError);
 }
 
 // A real compiler's output, not the synthesizer's: every executable slot

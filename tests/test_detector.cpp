@@ -151,19 +151,6 @@ TEST(Detector, RecursiveAddsCallTargetsWithoutFalsePositives) {
   EXPECT_GE(starts_rec.size(), starts_fde.size());
 }
 
-TEST(Detector, SymbolSeedingWorksOnUnstrippedBinaries) {
-  auto spec = synth::make_program(synth::projects()[0],
-                                  synth::profile_for("gcc", "O2"), 44);
-  spec.stripped = false;
-  const synth::SynthBinary bin = synth::generate(spec);
-  const elf::ElfFile elf(bin.image);
-  FunctionDetector detector(elf);
-  DetectorOptions options = eval::fetch_options(bin.truth);
-  options.use_symbols = true;
-  const DetectionResult result = detector.run(options);
-  EXPECT_FALSE(result.symbol_starts.empty());
-}
-
 TEST(Detector, BinaryWithoutEhFrameStillRuns) {
   // A binary with no .eh_frame: detection degrades to entry + recursion.
   x86::Assembler a(0x401000);

@@ -60,7 +60,6 @@ TEST(Recursive, StopsAtStructuralNoReturn) {
 
   // The garbage byte is not covered: the call was recognized noreturn.
   EXPECT_FALSE(r.covered.count(kTextAddr + 5));
-  EXPECT_FALSE(r.functions.at(kTextAddr).truncated);
 }
 
 TEST(Recursive, ConditionalNoReturnSlice) {
@@ -101,9 +100,9 @@ TEST(Recursive, ConditionalNoReturnSlice) {
 
   // After the zero-arg call the code continues (mov rax,1 covered).
   EXPECT_TRUE(r.covered.count(kTextAddr + 2 + 5));
-  // After the nonzero-arg call the garbage is not decoded.
-  const auto fn = r.functions.at(nz);
-  EXPECT_FALSE(fn.truncated);
+  // After the nonzero-arg call the body ends: mov edi and the call only.
+  EXPECT_EQ(r.functions.at(nz).insn_addrs,
+            (std::vector<std::uint64_t>{nz, nz + 5}));
 }
 
 TEST(Recursive, RecordsJumpsAndBuildsFunctions) {

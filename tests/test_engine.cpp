@@ -355,7 +355,6 @@ void expect_same(const Result& a, const Result& b, const std::string& what) {
     EXPECT_EQ(fa.insn_addrs, fb.insn_addrs) << what << " " << entry;
     EXPECT_EQ(fa.max_end, fb.max_end) << what;
     EXPECT_EQ(fa.callees, fb.callees) << what;
-    EXPECT_EQ(fa.truncated, fb.truncated) << what;
     ASSERT_EQ(fa.jumps.size(), fb.jumps.size()) << what;
     for (std::size_t i = 0; i < fa.jumps.size(); ++i) {
       EXPECT_EQ(fa.jumps[i].site, fb.jumps[i].site) << what;
@@ -382,7 +381,6 @@ void expect_same(const Result& a, const Result& b, const std::string& what) {
                 ra.kind == rb.kind)
         << what << " xref " << i;
   }
-  EXPECT_EQ(a.jump_tables.size(), b.jump_tables.size()) << what;
 }
 
 /// analyze()'s rounds on explore() without a body cache, run until the

@@ -199,9 +199,16 @@ TEST(PointerDetector, LongProbesAreAcceptedOrRejectedExactly) {
   const PointerDetectionResult pd =
       detect_pointer_functions(code, state, {});
   EXPECT_EQ(pd.accepted, (std::set<std::uint64_t>{ok_addr}));
-  EXPECT_EQ(state.functions.at(ok_addr).insn_addrs.size(),
-            static_cast<std::size_t>(kLong) + 1);
-  EXPECT_TRUE(state.insn_starts.count(ok_addr + 5) != 0);
+  // The accepted probe's kLong + 1 instructions (5-byte movs, then ret)
+  // join the instruction starts and covered bytes; nothing past them does.
+  const std::uint64_t ok_end = ok_addr + 5 * kLong + 1;
+  std::size_t ok_insns = 0;
+  for (std::uint64_t addr = ok_addr; addr < ok_end; ++addr) {
+    ok_insns += state.insn_starts.count(addr);
+    ASSERT_TRUE(state.covered.count(addr) != 0) << std::hex << addr;
+  }
+  EXPECT_EQ(ok_insns, static_cast<std::size_t>(kLong) + 1);
+  EXPECT_TRUE(state.insn_starts.count(ok_end - 1) != 0);  // the ret
   EXPECT_FALSE(state.covered.count(middle_addr));
   EXPECT_FALSE(state.covered.count(runaway_addr));
 }

@@ -56,7 +56,6 @@ TEST(ShortJumps, RecursiveDisassemblyFollowsThem) {
   const disasm::Function& fn = r.functions.at(kTextAddr);
   EXPECT_TRUE(fn.contains(a.address_of(skip)));
   EXPECT_TRUE(fn.contains(a.address_of(tail)));
-  EXPECT_FALSE(fn.truncated);
   EXPECT_EQ(fn.jumps.size(), 2u);
 }
 

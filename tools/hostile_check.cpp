@@ -1,7 +1,8 @@
 /// \file hostile_check.cpp
 /// Adversarial-input gate: feed every fuzz-corpus seed plus a set of
 /// structure-aware ELF mutants (truncations, lying section headers, a
-/// lying .eh_frame_hdr fde_count, overlapping FDEs, garbage unwind data)
+/// lying .eh_frame_hdr fde_count, overlapping FDEs, garbage unwind data,
+/// repeated and aliased .text headers)
 /// through the full analysis pipeline and the live service socket, and
 /// FAIL on any crash, hang, unbounded allocation, or wrong-success
 /// outcome. CI runs this per push (the `stripped-and-hostile` job) and
@@ -100,7 +101,9 @@ struct HostileInput {
 /// No input's in-process analysis may take longer, in wall time. Under
 /// ASan+UBSan on a 4-vCPU VM the slowest input other than the repeated-
 /// header mutants takes ~6.4 ms (`mutant/lying_fde_count`), and
-/// `mutant/overlapping_text_5000` ~15 ms: 15x and 6x headroom.
+/// `mutant/overlapping_text_5000` ~15 ms: 15x and 6x headroom. A library
+/// that decodes every alias of `mutant/aliased_text_5000` takes 0.8-1 s in
+/// a Release build.
 constexpr double kMaxAnalysisMs = 100;
 
 int usage() {
@@ -240,22 +243,37 @@ std::vector<HostileInput> make_mutants() {
   }
 
   // .text's header appended N more times to a copy of the section-header
-  // table moved to the end of the file: N + 1 headers cover the same code
-  // bytes, which must cost what one header costs.
+  // table moved to the end of the file, copy i with sh_addr addr(i).
   const auto table = base.begin() + shoff;
-  const std::uint64_t text = parsed.section(".text") - parsed.sections().data();
-  for (const std::uint64_t copies : {600, 5000}) {
-    m = base;
-    m.resize((m.size() + 7) / 8 * 8);
-    patch_u64(&m, 0x28, m.size());
-    patch_u16(&m, 0x3c, static_cast<std::uint16_t>(shnum + copies));
-    m.insert(m.end(), table, table + shnum * shentsize);
+  const elf::Section* text_sec = parsed.section(".text");
+  const std::uint64_t text = text_sec - parsed.sections().data();
+  auto text_copies = [&](std::uint64_t copies, auto addr) {
+    std::vector<std::uint8_t> out = base;
+    out.resize((out.size() + 7) / 8 * 8);
+    patch_u64(&out, 0x28, out.size());
+    patch_u16(&out, 0x3c, static_cast<std::uint16_t>(shnum + copies));
+    out.insert(out.end(), table, table + shnum * shentsize);
     for (std::uint64_t i = 0; i < copies; ++i) {
-      m.insert(m.end(), table + text * shentsize,
-               table + (text + 1) * shentsize);
+      const std::size_t at = out.size();
+      out.insert(out.end(), table + text * shentsize,
+                 table + (text + 1) * shentsize);
+      patch_u64(&out, at + 0x10, addr(i));
     }
-    add("mutant/overlapping_text_" + std::to_string(copies), std::move(m));
+    return out;
+  };
+  // At .text's own address: N + 1 headers cover the same code bytes, which
+  // must cost what one header costs.
+  for (const std::uint64_t copies : {600, 5000}) {
+    add("mutant/overlapping_text_" + std::to_string(copies),
+        text_copies(copies, [&](std::uint64_t) { return text_sec->addr; }));
   }
+  // At distinct addresses far above the image: N aliases of the same file
+  // bytes, code larger than the file itself, which must be refused before
+  // it is decoded.
+  const std::uint64_t stride = (text_sec->size + 0xfff) & ~0xfffULL;
+  add("mutant/aliased_text_5000", text_copies(5000, [&](std::uint64_t i) {
+        return 0x40000000 + i * stride;
+      }));
 
   // Overlapping FDEs: a fresh tiny ELF whose .eh_frame carries two FDEs
   // over intersecting PC ranges (no compiler emits this; Algorithm 1's
