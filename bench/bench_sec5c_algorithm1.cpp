@@ -138,8 +138,8 @@ int main(int argc, char** argv) {
           continue;
         }
         const auto heights =
-            analysis::analyze_stack_heights(code, fn, config);
-        for (const disasm::FuncJump& j : fn.jumps) {
+            analysis::analyze_stack_heights(code, *fn, config);
+        for (const disasm::FuncJump& j : fn->jumps) {
           const auto it = heights.find(j.site);
           const auto cfi_h = table->stack_height_at(j.site);
           if (it != heights.end() && it->second && cfi_h &&

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
         continue;  // paper: only functions with complete CFI info
       }
       std::set<std::uint64_t> jump_sites;
-      for (const disasm::FuncJump& j : fn.jumps) {
+      for (const disasm::FuncJump& j : fn->jumps) {
         jump_sites.insert(j.site);
       }
 
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
            {std::pair{"ANGR", analysis::angr_like_config()},
             std::pair{"DYNINST", analysis::dyninst_like_config()}}) {
         const analysis::HeightMap heights =
-            analysis::analyze_stack_heights(code, fn, config);
+            analysis::analyze_stack_heights(code, *fn, config);
         for (const auto& [addr, h] : heights) {
           if (addr >= fde->pc_end()) {
             continue;

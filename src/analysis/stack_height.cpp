@@ -192,7 +192,7 @@ std::map<std::uint64_t, std::uint64_t> compute_callee_pops(
     const disasm::CodeView& code, const disasm::Result& result) {
   std::map<std::uint64_t, std::uint64_t> pops;
   for (const auto& [entry, fn] : result.functions) {
-    for (const std::uint64_t addr : fn.insn_addrs) {
+    for (const std::uint64_t addr : fn->insn_addrs) {
       const auto insn = code.decode(addr);
       if (insn && insn->kind == Kind::kRet && insn->rsp_delta &&
           *insn->rsp_delta > 8) {

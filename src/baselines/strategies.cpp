@@ -149,8 +149,8 @@ std::set<std::uint64_t> function_merging(const disasm::CodeView& code,
   for (const auto& [entry, fn] : result.functions) {
     // Collect escaping unconditional jumps.
     std::vector<std::uint64_t> escapes;
-    for (const disasm::FuncJump& j : fn.jumps) {
-      if (!j.conditional && !fn.contains(j.target)) {
+    for (const disasm::FuncJump& j : fn->jumps) {
+      if (!j.conditional && !fn->contains(j.target)) {
         escapes.push_back(j.target);
       }
     }
@@ -170,7 +170,7 @@ std::set<std::uint64_t> function_merging(const disasm::CodeView& code,
     }
     const bool only_this = std::all_of(
         refs.begin(), refs.end(), [&fn](const disasm::Ref& r) {
-          return r.kind == disasm::RefKind::kJump && fn.contains(r.site);
+          return r.kind == disasm::RefKind::kJump && fn->contains(r.site);
         });
     if (only_this) {
       removals.insert(g);
@@ -228,7 +228,7 @@ std::set<std::uint64_t> tail_call_heuristic(const disasm::CodeView& code,
                                             std::uint64_t distance) {
   std::set<std::uint64_t> out;
   for (const auto& [entry, fn] : result.functions) {
-    for (const disasm::FuncJump& j : fn.jumps) {
+    for (const disasm::FuncJump& j : fn->jumps) {
       if (j.conditional) {
         continue;
       }

@@ -132,7 +132,7 @@ DetectionResult FunctionDetector::run(const DetectorOptions& options,
   // --- Final provenance-tagged set -------------------------------------------
   for (const auto& [entry, fn] : state.functions) {
     out.extents.emplace(
-        entry, FunctionExtent{entry, fn.max_end, fn.insn_addrs.size()});
+        entry, FunctionExtent{entry, fn->max_end, fn->insn_addrs.size()});
   }
   for (const std::uint64_t s : state.starts) {
     Provenance prov = Provenance::kCallTarget;

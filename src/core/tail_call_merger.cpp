@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <iterator>
+#include <memory>
 
 #include "analysis/callconv.hpp"
 #include "analysis/stack_height.hpp"
@@ -127,26 +128,31 @@ MergeOutcome merge_noncontiguous_functions(
   }
 
   for (const std::uint64_t entry : entries) {
-    auto fn_it = state.functions.find(entry);
+    const auto fn_it = state.functions.find(entry);
     if (fn_it == state.functions.end()) {
       continue;  // already merged into an earlier function
     }
-    disasm::Function& fn = fn_it->second;
+    // Bodies are shared with the body cache and never written through:
+    // the first merge copies the parent's body, and the merged copy
+    // replaces it in the table.
+    const disasm::FunctionTable::Body original = fn_it->second;
+    std::shared_ptr<disasm::Function> merged;
+    const disasm::Function* fn = original.get();
 
-    std::deque<disasm::FuncJump> pending(fn.jumps.begin(), fn.jumps.end());
+    std::deque<disasm::FuncJump> pending(fn->jumps.begin(), fn->jumps.end());
     bool skipped_logged = false;
     while (!pending.empty()) {
       const disasm::FuncJump j = pending.front();
       pending.pop_front();
       const std::uint64_t t = j.target;
-      if (fn.contains(t)) {
+      if (fn->contains(t)) {
         continue;  // jump inside the function
       }
       if (!code.is_code(t)) {
         continue;
       }
 
-      const auto height = heights.height_at(fn, j.site);
+      const auto height = heights.height_at(*fn, j.site);
       if (!height) {
         if (options.use_cfi_heights && !skipped_logged) {
           outcome.skipped_incomplete.insert(entry);
@@ -157,7 +163,7 @@ MergeOutcome merge_noncontiguous_functions(
 
       bool is_tail_call = false;
       if (*height == 0) {
-        if (refs.referenced_outside(fn, t) &&
+        if (refs.referenced_outside(*fn, t) &&
             analysis::meets_calling_convention(code, t)) {
           is_tail_call = true;
           if (state.starts.count(t) == 0) {
@@ -170,30 +176,36 @@ MergeOutcome merge_noncontiguous_functions(
       // Merge check: the target is a detected FDE-carrying function and is
       // not referenced by anything except jumps inside this function.
       if (!is_tail_call && state.functions.count(t) != 0 && t != entry &&
-          fde_starts.count(t) != 0 && !refs.referenced_outside(fn, t)) {
+          fde_starts.count(t) != 0 && !refs.referenced_outside(*fn, t)) {
         // Merge t's part into fn.
-        auto part_it = state.functions.find(t);
-        disasm::Function part = std::move(part_it->second);
-        state.functions.erase(part_it);
+        if (!merged) {
+          merged = std::make_shared<disasm::Function>(*fn);
+          fn = merged.get();
+        }
+        const disasm::FunctionTable::Body part =
+            state.functions.find(t)->second;
+        state.functions.erase(t);
         state.starts.erase(t);
         outcome.merged[t] = entry;
         std::vector<std::uint64_t> body;
-        body.reserve(fn.insn_addrs.size() + part.insn_addrs.size());
-        std::set_union(fn.insn_addrs.begin(), fn.insn_addrs.end(),
-                       part.insn_addrs.begin(), part.insn_addrs.end(),
+        body.reserve(fn->insn_addrs.size() + part->insn_addrs.size());
+        std::set_union(fn->insn_addrs.begin(), fn->insn_addrs.end(),
+                       part->insn_addrs.begin(), part->insn_addrs.end(),
                        std::back_inserter(body));
-        fn.insn_addrs = std::move(body);
-        fn.max_end = std::max(fn.max_end, part.max_end);
-        fn.callees.insert(fn.callees.end(), part.callees.begin(),
-                          part.callees.end());
-        for (const disasm::FuncJump& pj : part.jumps) {
-          fn.jumps.push_back(pj);
+        merged->insn_addrs = std::move(body);
+        merged->max_end = std::max(fn->max_end, part->max_end);
+        merged->callees.insert(merged->callees.end(), part->callees.begin(),
+                               part->callees.end());
+        for (const disasm::FuncJump& pj : part->jumps) {
+          merged->jumps.push_back(pj);
           pending.push_back(pj);
         }
-        for (auto& table : part.tables) {
-          fn.tables.push_back(std::move(table));
-        }
+        merged->tables.insert(merged->tables.end(), part->tables.begin(),
+                              part->tables.end());
       }
+    }
+    if (merged) {
+      state.functions.replace(std::move(merged));
     }
   }
 

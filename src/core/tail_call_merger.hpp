@@ -54,12 +54,14 @@ struct MergeOutcome {
   std::set<std::uint64_t> skipped_incomplete;
 };
 
-/// Runs Algorithm 1 over \p state (mutating: merged functions are folded
-/// into their parents and removed from `state.starts`/`state.functions`;
-/// tail-call targets are added). \p data_refs is the conservative data
-/// reference set (scan_data_pointers) used for HasRefTo; \p fde_starts is
-/// the raw FDE PC Begin set (only FDE-carrying targets are merge
-/// candidates — "whether the target has an FDE record", §V-B).
+/// Runs Algorithm 1 over \p state (mutating: merged parts are removed from
+/// `state.starts`/`state.functions`, and a merged copy of each parent's
+/// body replaces it in `state.functions`, so a body shared with a
+/// BodyCache is never written; tail-call targets are added). \p data_refs
+/// is the conservative data reference set (scan_data_pointers) used for
+/// HasRefTo; \p fde_starts is the raw FDE PC Begin set (only FDE-carrying
+/// targets are merge candidates — "whether the target has an FDE record",
+/// §V-B).
 [[nodiscard]] MergeOutcome merge_noncontiguous_functions(
     const disasm::CodeView& code, disasm::Result& state,
     const eh::EhFrame& eh, const std::set<std::uint64_t>& data_refs,

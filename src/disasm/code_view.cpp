@@ -4,6 +4,7 @@
 #include <limits>
 #include <thread>
 #include <type_traits>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -219,6 +220,41 @@ CodeView::CacheStats CodeView::cache_stats() const {
     }
   }
   return stats;
+}
+
+void AddrSet::clear_sorted(std::vector<std::uint64_t>& members) {
+  if (members.empty()) {
+    return;
+  }
+  const auto [lo, hi] = std::minmax_element(members.begin(), members.end());
+  const std::uint64_t first = index(*lo);
+  const std::uint64_t last = index(*hi);
+  if (!spill_.empty() || first == kNone || last == kNone ||
+      last / 64 - first / 64 >= members.size()) {
+    std::sort(members.begin(), members.end());
+    for (const std::uint64_t a : members) {
+      erase(a);
+    }
+    return;
+  }
+  auto r = std::prev(std::upper_bound(
+      ranges_.begin(), ranges_.end(), first,
+      [](std::uint64_t i, const CodeView::SlotRange& s) {
+        return i < s.base;
+      }));
+  std::size_t n = 0;
+  for (std::uint64_t w = first / 64; w <= last / 64; ++w) {
+    for (std::uint64_t bits = std::exchange(words_[w], 0); bits != 0;
+         bits &= bits - 1) {
+      const std::uint64_t i = w * 64 + std::countr_zero(bits);
+      while (i >= r->base + r->count) {
+        ++r;
+      }
+      FETCH_ASSERT(n < members.size());
+      members[n++] = r->addr + (i - r->base);
+    }
+  }
+  size_ -= n;
 }
 
 }  // namespace fetch::disasm

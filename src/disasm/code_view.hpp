@@ -397,6 +397,12 @@ class AddrSet {
       --size_;
     }
   }
+  /// Empties the set, whose members are exactly \p members, and leaves
+  /// \p members ascending. Slot bits follow address order, so members
+  /// dense in their span are read back by sweeping the span's words;
+  /// sparse ones are sorted. Either way the cost is O(members), never
+  /// O(span).
+  void clear_sorted(std::vector<std::uint64_t>& members);
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 

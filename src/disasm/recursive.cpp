@@ -1,12 +1,42 @@
 #include "disasm/recursive.hpp"
 
 #include <iterator>
+#include <stdexcept>
 
 #include "disasm/walk.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 
 namespace fetch::disasm {
+
+const Function& FunctionTable::at(std::uint64_t entry) const {
+  const auto it = find(entry);
+  if (it == slots_.end()) {
+    throw std::out_of_range("FunctionTable::at: no function at entry");
+  }
+  return *it->second;
+}
+
+void FunctionTable::push_back(Body body) {
+  FETCH_ASSERT(slots_.empty() || slots_.back().first < body->entry);
+  const std::uint64_t entry = body->entry;
+  slots_.emplace_back(entry, std::move(body));
+}
+
+void FunctionTable::replace(Body body) {
+  const auto it = find(body->entry);
+  FETCH_ASSERT(it != slots_.end());
+  slots_[static_cast<std::size_t>(it - slots_.begin())].second =
+      std::move(body);
+}
+
+void FunctionTable::erase(std::uint64_t entry) {
+  const auto it = find(entry);
+  if (it != slots_.end()) {
+    slots_.erase(it);
+  }
+}
 
 namespace {
 
@@ -200,10 +230,7 @@ Function build_function(const CodeView& code, std::uint64_t entry,
     }
     return fall_of(step);
   });
-  for (const std::uint64_t a : fn.insn_addrs) {
-    in_body.erase(a);
-  }
-  std::sort(fn.insn_addrs.begin(), fn.insn_addrs.end());
+  in_body.clear_sorted(fn.insn_addrs);
   return fn;
 }
 
@@ -245,27 +272,50 @@ Result explore_pass(const CodeView& code,
     memo = {};  // built under other options: nothing to reuse
     memo.conditional_noreturn = options.conditional_noreturn;
   }
-  std::uint64_t built_count = 0;  // bodies of this pass' generation
+  // The cache and the start set are both entry-sorted: walk them in step.
+  // Per entry, the newest body still valid is reused.
+  std::vector<BodyCache::Built> fresh;  // this pass' generation
   AddrSet in_body(code);
   WorkQueue work;
+  result.functions.reserve(result.starts.size());
+  auto cached = memo.bodies.cbegin();
   for (const std::uint64_t entry : result.starts) {
-    auto& built = memo.bodies[entry];
-    const auto valid = std::find_if(built.rbegin(), built.rend(), [&](auto& b) {
-      return still_valid(b.second, memo.generations[b.first], starts, calls);
-    });
-    const bool rebuild = valid == built.rend();
-    if (rebuild) {
-      built.emplace_back(memo.generations.size(),
-                         build_function(code, entry, starts, calls, in_body,
-                                        work));
-      visited += built.back().second.insn_addrs.size();
-      ++built_count;
+    while (cached != memo.bodies.cend() && cached->entry < entry) {
+      ++cached;
     }
-    result.functions.emplace_hint(result.functions.end(), entry,
-                                  rebuild ? built.back().second : valid->second);
+    const auto older = cached;
+    while (cached != memo.bodies.cend() && cached->entry == entry) {
+      ++cached;
+    }
+    const auto valid = std::find_if(
+        std::make_reverse_iterator(cached), std::make_reverse_iterator(older),
+        [&](const BodyCache::Built& b) {
+          return still_valid(*b.fn, memo.generations[b.generation], starts,
+                             calls);
+        });
+    if (valid.base() != older) {
+      result.functions.push_back(valid->fn);
+      continue;
+    }
+    fresh.push_back({entry, memo.generations.size(),
+                     std::make_shared<const Function>(build_function(
+                         code, entry, starts, calls, in_body, work))});
+    visited += fresh.back().fn->insn_addrs.size();
+    result.functions.push_back(fresh.back().fn);
   }
+  const std::uint64_t built_count = fresh.size();
   if (built_count != 0) {
     memo.generations.push_back({std::move(starts), std::move(calls.noreturn)});
+    // Stable: per entry, older bodies stay first.
+    const auto old_end = static_cast<std::ptrdiff_t>(memo.bodies.size());
+    memo.bodies.insert(memo.bodies.end(),
+                       std::make_move_iterator(fresh.begin()),
+                       std::make_move_iterator(fresh.end()));
+    std::inplace_merge(
+        memo.bodies.begin(), memo.bodies.begin() + old_end, memo.bodies.end(),
+        [](const BodyCache::Built& a, const BodyCache::Built& b) {
+          return a.entry < b.entry;
+        });
   }
   bodies_span.finish();
   // Work counters are added once per pass, never per instruction.
@@ -346,7 +396,7 @@ std::set<std::uint64_t> find_noreturn_functions(const CodeView& code,
   for (const auto& [entry, fn] : result.functions) {
     sweep.insert(sweep.end(), st.size());
     entries.push_back(entry);
-    st.emplace_back().fn = &fn;
+    st.emplace_back().fn = fn.get();
   }
   const CallSets calls(code, options);
   WorkQueue work;
@@ -483,8 +533,8 @@ Result analyze(const CodeView& code, const std::vector<std::uint64_t>& seeds,
     if (std::none_of(changed.begin(), changed.end(), is_start) &&
         std::none_of(result.functions.begin(), result.functions.end(),
                      [&](const auto& f) {
-                       return std::any_of(f.second.callees.begin(),
-                                          f.second.callees.end(), is_changed);
+                       return std::any_of(f.second->callees.begin(),
+                                          f.second->callees.end(), is_changed);
                      })) {
       break;
     }

@@ -14,10 +14,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <set>
 #include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "disasm/code_view.hpp"
@@ -107,12 +108,61 @@ struct Options {
   std::set<std::uint64_t> conditional_noreturn;
 };
 
+/// Per-function structure keyed by entry: an entry-sorted vector of
+/// shared, immutable bodies. A body reused from a BodyCache is the cache's
+/// own object, so reusing a body or copying a table costs a reference,
+/// never a copy; the table keeps every body it holds alive by itself.
+class FunctionTable {
+ public:
+  using Body = std::shared_ptr<const Function>;
+  using value_type = std::pair<std::uint64_t, Body>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  [[nodiscard]] const_iterator begin() const { return slots_.begin(); }
+  [[nodiscard]] const_iterator end() const { return slots_.end(); }
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+  void reserve(std::size_t n) { slots_.reserve(n); }
+
+  /// The first slot whose entry is above \p entry.
+  [[nodiscard]] const_iterator upper_bound(std::uint64_t entry) const {
+    return std::upper_bound(
+        slots_.begin(), slots_.end(), entry,
+        [](std::uint64_t e, const value_type& s) { return e < s.first; });
+  }
+  /// The slot of \p entry, or end().
+  [[nodiscard]] const_iterator find(std::uint64_t entry) const {
+    const auto it = lower_bound(entry);
+    return it != slots_.end() && it->first == entry ? it : slots_.end();
+  }
+  [[nodiscard]] std::size_t count(std::uint64_t entry) const {
+    return find(entry) != slots_.end() ? 1 : 0;
+  }
+  /// The body at \p entry; throws std::out_of_range when there is none.
+  [[nodiscard]] const Function& at(std::uint64_t entry) const;
+
+  /// Appends \p body, whose entry is above every entry held.
+  void push_back(Body body);
+  /// Puts \p body in place of the body held at its entry.
+  void replace(Body body);
+  /// Removes the body at \p entry, if there is one.
+  void erase(std::uint64_t entry);
+
+ private:
+  [[nodiscard]] const_iterator lower_bound(std::uint64_t entry) const {
+    return std::lower_bound(
+        slots_.begin(), slots_.end(), entry,
+        [](const value_type& s, std::uint64_t e) { return s.first < e; });
+  }
+
+  std::vector<value_type> slots_;
+};
+
 struct Result {
   /// Final set of function starts: seeds plus discovered direct-call
   /// targets (deduplicated, only addresses that decode).
   std::set<std::uint64_t> starts;
   /// Per-function structure keyed by entry.
-  std::map<std::uint64_t, Function> functions;
+  FunctionTable functions;
   /// Every address at which an instruction was decoded (valid instruction
   /// boundaries). Together with `covered`, lets callers detect control
   /// transfers into the *middle* of known instructions (§IV-E error ii/iii).
@@ -136,10 +186,16 @@ struct BodyCache {
     AddrSet starts;
     AddrSet noreturn;
   };
+  /// A body and the generation that built it.
+  struct Built {
+    std::uint64_t entry = 0;
+    std::size_t generation = 0;
+    FunctionTable::Body fn;
+  };
   std::vector<Generation> generations;
-  /// Per entry, (generation, body) in build order.
-  std::map<std::uint64_t, std::vector<std::pair<std::size_t, Function>>>
-      bodies;
+  /// Every body built, ordered by entry and, per entry, in build order.
+  /// A pass walks it in step with its sorted start set.
+  std::vector<Built> bodies;
   /// The `Options::conditional_noreturn` the bodies were built under.
   std::set<std::uint64_t> conditional_noreturn;
 };

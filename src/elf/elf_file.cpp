@@ -282,10 +282,18 @@ void ElfFile::build_section_index() {
       }
     }
   }
+  if (!code_runs_.empty()) {
+    code_span_ = {code_runs_.front().lo, code_runs_.back().hi};
+  }
 }
 
 bool ElfFile::is_code_address(Addr addr) const {
-  // Nearly every query lands in .text, the largest code run: one compare.
+  // Data-pointer scans ask mostly about values outside every code run:
+  // one compare rejects them. Nearly every other query lands in .text, the
+  // largest code run: one compare accepts it.
+  if (addr - code_span_.lo >= code_span_.hi - code_span_.lo) {
+    return false;
+  }
   if (addr - largest_code_.lo < largest_code_.hi - largest_code_.lo) {
     return true;
   }

@@ -149,7 +149,9 @@ class ElfFile {
   /// O(log n) over an address index built at parse time.
   [[nodiscard]] const Section* section_at(Addr addr) const;
 
-  /// True if \p addr is inside an executable section.
+  /// True if \p addr is inside an executable section, i.e. in one of
+  /// code_runs(). Addresses outside [first run's lo, last run's hi) are
+  /// rejected in one compare.
   [[nodiscard]] bool is_code_address(Addr addr) const;
 
   /// A maximal address run [lo, hi) whose first containing allocated
@@ -182,6 +184,7 @@ class ElfFile {
   std::vector<SectionRun> section_index_;  ///< every allocated run
   std::vector<SectionRun> code_runs_;
   SectionRun largest_code_;  ///< largest of code_runs_
+  SectionRun code_span_;     ///< [first run's lo, last run's hi); empty if none
   std::vector<Segment> segments_;
   std::vector<Symbol> symbols_;
   std::vector<Symbol> dyn_symbols_;

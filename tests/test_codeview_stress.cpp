@@ -282,8 +282,8 @@ TEST(CodeViewBoundary, ManyCopiesOfOneHeaderCostOneShard) {
   ASSERT_EQ(got.functions.size(), want.functions.size());
   for (const auto& [entry, fn] : want.functions) {
     ASSERT_EQ(got.functions.count(entry), 1u) << std::hex << entry;
-    EXPECT_EQ(got.functions.at(entry).insn_addrs, fn.insn_addrs);
-    EXPECT_EQ(got.functions.at(entry).callees, fn.callees);
+    EXPECT_EQ(got.functions.at(entry).insn_addrs, fn->insn_addrs);
+    EXPECT_EQ(got.functions.at(entry).callees, fn->callees);
   }
   EXPECT_EQ(got.covered.gaps(kTextAddr, kTextAddr + 4096),
             want.covered.gaps(kTextAddr, kTextAddr + 4096));

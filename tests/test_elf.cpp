@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 
 #include "elf/elf_builder.hpp"
 #include "elf/elf_file.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace fetch::elf {
 namespace {
@@ -151,6 +153,52 @@ TEST(ElfAddressing, OverlappingSectionsResolveToTheFirstInHeaderOrder) {
     EXPECT_EQ(elf.section_at(addr), expected) << std::hex << addr;
     EXPECT_EQ(elf.is_code_address(addr),
               expected != nullptr && expected->executable());
+  }
+}
+
+/// is_code_address against a naive scan of code_runs(), on random layouts
+/// of disjoint executable sections with data sections and holes between
+/// them: below, between, inside and above the runs, and at every run edge.
+TEST(ElfAddressing, IsCodeAddressMatchesAScanOfTheCodeRuns) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    ElfBuilder b;
+    std::uint64_t at = 0x400000 + 16 * rng.below(64);
+    const std::size_t sections = 2 + rng.below(6);
+    for (std::size_t i = 0; i < sections; ++i) {
+      const bool code = i % 2 == 1;  // data below and between code
+      const std::uint64_t size = 1 + rng.below(300);
+      b.add_section(code ? ".text" : ".data", kShtProgbits,
+                    code ? kShfAlloc | kShfExecinstr : kShfAlloc, at,
+                    std::vector<std::uint8_t>(size, 0x90), 16);
+      at = (at + size + 15) / 16 * 16 + 16 * rng.below(3);  // hole or not
+    }
+    b.add_section(".text", kShtProgbits, kShfAlloc | kShfExecinstr, at,
+                  std::vector<std::uint8_t>(16, 0xc3), 16);
+    const ElfFile elf(b.build());
+    const auto runs = elf.code_runs();
+    ASSERT_FALSE(runs.empty());
+    auto naive = [&](std::uint64_t v) {
+      return std::any_of(runs.begin(), runs.end(), [&](const auto& r) {
+        return r.lo <= v && v < r.hi;
+      });
+    };
+    std::vector<std::uint64_t> probes = {0, 1, ~std::uint64_t{0},
+                                         ~std::uint64_t{0} - 1};
+    for (const auto& r : runs) {
+      probes.insert(probes.end(), {r.lo - 1, r.lo, r.hi - 1, r.hi});
+    }
+    const std::uint64_t lo = runs.front().lo;
+    const std::uint64_t hi = runs.back().hi;
+    for (int i = 0; i < 200; ++i) {
+      probes.push_back(rng.below(lo));                        // below
+      probes.push_back(lo + rng.below(hi - lo));              // between/in
+      probes.push_back(hi + rng.below(~std::uint64_t{0} - hi));  // above
+    }
+    for (const std::uint64_t v : probes) {
+      EXPECT_EQ(elf.is_code_address(v), naive(v))
+          << "seed " << seed << " addr " << std::hex << v;
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <numeric>
@@ -9,6 +10,7 @@
 #include "core/pointer_detector.hpp"
 #include "disasm/code_view.hpp"
 #include "disasm/recursive.hpp"
+#include "elf/elf_builder.hpp"
 #include "eval/runner.hpp"
 #include "helpers.hpp"
 #include "obs/metrics.hpp"
@@ -109,7 +111,7 @@ std::set<std::uint64_t> oracle_noreturn(const CodeView& code,
   for (bool changed = true; changed;) {
     changed = false;
     for (const auto& [entry, fn] : result.functions) {
-      if (may_return.count(entry) == 0 && reaches_ret(fn)) {
+      if (may_return.count(entry) == 0 && reaches_ret(*fn)) {
         may_return.insert(entry);
         changed = true;
       }
@@ -350,7 +352,8 @@ TEST(NoReturnWorklist, MatchesSweepOnSmokeCorpus) {
 void expect_same(const Result& a, const Result& b, const std::string& what) {
   ASSERT_EQ(a.starts, b.starts) << what;
   ASSERT_EQ(a.functions.size(), b.functions.size()) << what;
-  for (const auto& [entry, fa] : a.functions) {
+  for (const auto& [entry, body] : a.functions) {
+    const Function& fa = *body;
     const Function& fb = b.functions.at(entry);
     EXPECT_EQ(fa.insn_addrs, fb.insn_addrs) << what << " " << entry;
     EXPECT_EQ(fa.max_end, fb.max_end) << what;
@@ -612,6 +615,70 @@ TEST(Reanalysis, CacheUnderOtherOptionsIsNotReused) {
               uncached_analyze(code, seeds, {}), "switched options");
 }
 
+// --- Shared bodies -----------------------------------------------------------
+
+/// main calls f and g; h is a function nothing calls.
+struct FourFunctions {
+  FourFunctions() {
+    Label f = a.label();
+    Label g = a.label();
+    Label h_label = a.label();
+    a.call(f);
+    a.call(g);
+    a.ret();
+    a.bind(f);
+    a.mov_ri32(Reg::kRax, 1);
+    a.ret();
+    a.bind(g);
+    a.test_rr(Reg::kRsi, Reg::kRsi);
+    a.jcc(Cond::kE, f);
+    a.ret();
+    a.bind(h_label);
+    a.ret();
+    h = a.address_of(h_label);
+  }
+  Assembler a{kTextAddr};
+  std::uint64_t h = 0;
+};
+
+TEST(SharedBodies, AnalysesOverOneCacheShareUnchangedBodies) {
+  FourFunctions p;
+  const elf::ElfFile elf = MiniBinary(p.a).build();
+  CodeView code(elf);
+  BodyCache cache;
+  const Result first = analyze(code, {kTextAddr}, {}, &cache);
+  const Result second = analyze(code, {kTextAddr, p.h}, {}, &cache);
+  ASSERT_EQ(first.functions.size(), 3u);
+  ASSERT_EQ(second.functions.size(), 4u);
+  for (const auto& [entry, body] : first.functions) {
+    EXPECT_EQ(second.functions.find(entry)->second.get(), body.get())
+        << std::hex << entry;
+  }
+  expect_same(second, uncached_analyze(code, {kTextAddr, p.h}, {}), "grown");
+}
+
+TEST(SharedBodies, ResultsOutliveTheCacheThatBuiltThem) {
+  FourFunctions p;
+  const elf::ElfFile elf = MiniBinary(p.a).build();
+  CodeView code(elf);
+  const std::vector<std::uint64_t> seeds = {kTextAddr, p.h};
+  const Result own = analyze(code, seeds);  // its private cache is gone
+  Result kept;
+  {
+    BodyCache cache;
+    kept = analyze(code, seeds, {}, &cache);
+    cache = {};
+  }
+  EXPECT_EQ(own.functions.at(kTextAddr).insn_addrs,
+            (std::vector<std::uint64_t>{kTextAddr, kTextAddr + 5,
+                                        kTextAddr + 10}));
+  EXPECT_EQ(own.functions.at(p.h).insn_addrs,
+            std::vector<std::uint64_t>{p.h});
+  expect_same(own, kept, "outlived");
+  const Result copy = own;  // copies references, not bodies
+  EXPECT_EQ(copy.functions.find(p.h)->second, own.functions.find(p.h)->second);
+}
+
 // --- Named engine steps -------------------------------------------------------
 
 TEST(EngineSteps, AnalyzeTimesEachStepAndCountsEveryBody) {
@@ -772,6 +839,38 @@ TEST(DenseState, AddrSetIsExactInsideAndOutsideCode) {
   std::vector<std::uint64_t> order;
   s.for_each([&](std::uint64_t x) { order.push_back(x); });
   EXPECT_EQ(order, (std::vector<std::uint64_t>{kTextAddr + 64, 0x10}));
+}
+
+TEST(DenseState, ClearSortedEmptiesTheSetAndSortsItsMembers) {
+  // Two adjacent code sections: a dense sweep crosses their boundary.
+  elf::ElfBuilder b;
+  b.add_section(".init", elf::kShtProgbits,
+                elf::kShfAlloc | elf::kShfExecinstr, kTextAddr,
+                std::vector<std::uint8_t>(64, 0x90), 16);
+  b.add_section(".text", elf::kShtProgbits,
+                elf::kShfAlloc | elf::kShfExecinstr, kTextAddr + 64,
+                std::vector<std::uint8_t>(1 << 16, 0x90), 16);
+  const elf::ElfFile elf(b.build());
+  CodeView code(elf);
+  AddrSet s(code);
+  const std::vector<std::vector<std::uint64_t>> cases = {
+      {kTextAddr + 70, kTextAddr + 3, kTextAddr + 63, kTextAddr + 64},  // dense
+      {kTextAddr + 60000, kTextAddr + 1, kTextAddr + 30000},  // sparse
+      {kTextAddr + 5},
+      {}};
+  for (std::vector<std::uint64_t> members : cases) {
+    for (const std::uint64_t m : members) {
+      s.insert(m);
+    }
+    std::vector<std::uint64_t> want = members;
+    std::sort(want.begin(), want.end());
+    s.clear_sorted(members);
+    EXPECT_EQ(members, want);
+    EXPECT_TRUE(s.empty());
+    std::size_t left = 0;
+    s.for_each([&](std::uint64_t) { ++left; });
+    EXPECT_EQ(left, 0u);
+  }
 }
 
 TEST(DenseState, InsnWindowKeepsTheLast32OldestFirst) {

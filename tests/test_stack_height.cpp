@@ -183,7 +183,7 @@ TEST(StackHeight, AgreesWithCfiOnCorpusFunctions) {
       continue;
     }
     const auto heights =
-        analyze_stack_heights(code, fn, precise_config(), pops);
+        analyze_stack_heights(code, *fn, precise_config(), pops);
     for (const auto& [addr, h] : heights) {
       if (!h || addr >= fde->pc_end()) {
         continue;

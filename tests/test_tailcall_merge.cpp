@@ -129,6 +129,34 @@ TEST(TailCallMerger, MergesNonContiguousPart) {
   EXPECT_TRUE(s.state.functions.at(s.hot).contains(s.part));
 }
 
+TEST(TailCallMerger, MergeCopiesTheCachedParentBody) {
+  Scenario s = build_scenario(/*complete_cfi=*/true,
+                              /*height_at_jump_zero=*/false,
+                              /*extra_call_to_part=*/false);
+  disasm::CodeView code(s.elf);
+  disasm::BodyCache cache;
+  const std::vector<std::uint64_t> seeds = {s.hot, s.part};
+  disasm::Result state = disasm::analyze(code, seeds, {}, &cache);
+  const disasm::FunctionTable::Body cached =
+      state.functions.find(s.hot)->second;
+  const disasm::Function before = *cached;
+  const std::set<std::uint64_t> no_data;
+  const MergeOutcome mo = merge_noncontiguous_functions(
+      code, state, s.eh, no_data, s.fde_starts);
+  ASSERT_EQ(mo.merged.size(), 1u);
+  EXPECT_TRUE(state.functions.at(s.hot).contains(s.part));
+  EXPECT_NE(state.functions.find(s.hot)->second, cached);
+  // Copy-on-write: the body the cache shares is untouched...
+  EXPECT_FALSE(cached->contains(s.part));
+  EXPECT_EQ(cached->insn_addrs, before.insn_addrs);
+  EXPECT_EQ(cached->jumps.size(), before.jumps.size());
+  EXPECT_EQ(cached->max_end, before.max_end);
+  // ...so a reanalysis over the cache reuses it unmerged.
+  const disasm::Result again = disasm::analyze(code, seeds, {}, &cache);
+  EXPECT_EQ(again.functions.find(s.hot)->second, cached);
+  EXPECT_EQ(again.functions.count(s.part), 1u);
+}
+
 TEST(TailCallMerger, SkipsIncompleteCfi) {
   Scenario s = build_scenario(/*complete_cfi=*/false,
                               /*height_at_jump_zero=*/false,

@@ -2,7 +2,7 @@
 /// Adversarial-input gate: feed every fuzz-corpus seed plus a set of
 /// structure-aware ELF mutants (truncations, lying section headers, a
 /// lying .eh_frame_hdr fde_count, overlapping FDEs, garbage unwind data,
-/// repeated and aliased .text headers)
+/// repeated and aliased .text headers, bodies that span a 2 MB code run)
 /// through the full analysis pipeline and the live service socket, and
 /// FAIL on any crash, hang, unbounded allocation, or wrong-success
 /// outcome. CI runs this per push (the `stripped-and-hostile` job) and
@@ -87,6 +87,7 @@
 #include "util/fs.hpp"
 #include "util/json.hpp"
 #include "util/socket.hpp"
+#include "x86/assembler.hpp"
 
 namespace {
 
@@ -103,7 +104,9 @@ struct HostileInput {
 /// header mutants takes ~6.4 ms (`mutant/lying_fde_count`), and
 /// `mutant/overlapping_text_5000` ~15 ms: 15x and 6x headroom. A library
 /// that decodes every alias of `mutant/aliased_text_5000` takes 0.8-1 s in
-/// a Release build.
+/// a Release build. `mutant/bodies_spanning_2mb` takes 14-21 ms in Release
+/// and 51-70 ms under ASan+UBSan; a library that sweeps every body's whole
+/// span to emit it sorted takes 99-140 ms in Release.
 constexpr double kMaxAnalysisMs = 100;
 
 int usage() {
@@ -303,6 +306,38 @@ std::vector<HostileInput> make_mutants() {
     builder.emit_symtab(false);
     builder.set_entry(text_addr);
     add("mutant/overlapping_fdes", builder.build());
+  }
+
+  // Every function body spans one 2 MB code run: the entry calls 3,072
+  // functions, each of which jumps to one shared tail at the run's end.
+  // Emitting a body's instructions in address order must cost what the
+  // body holds, never its span.
+  {
+    constexpr std::uint64_t text_addr = 0x401000;
+    constexpr std::size_t functions = 3072;
+    constexpr std::size_t run_bytes = std::size_t{2} << 20;
+    x86::Assembler a(text_addr);
+    const x86::Label tail = a.label_at(text_addr + run_bytes - 1);
+    std::vector<x86::Label> fns(functions);
+    for (x86::Label& f : fns) {
+      f = a.label();
+      a.call(f);
+    }
+    a.ret();
+    for (const x86::Label f : fns) {
+      a.bind(f);
+      a.jmp(tail);
+    }
+    std::vector<std::uint8_t> text = a.finish();
+    text.resize(run_bytes, 0xcc);  // int3 up to the tail
+    text.back() = 0xc3;            // the tail: ret
+    elf::ElfBuilder builder;
+    builder.add_section(".text", elf::kShtProgbits,
+                        elf::kShfAlloc | elf::kShfExecinstr, text_addr,
+                        std::move(text), 16);
+    builder.emit_symtab(false);
+    builder.set_entry(text_addr);
+    add("mutant/bodies_spanning_2mb", builder.build());
   }
 
   for (HostileInput& input : out) {
